@@ -226,7 +226,10 @@ def _build_initial(cfg):
     if cfg.initial_kind == "zero":
         return ScalarField.zeros(grid)
     if cfg.initial_kind == "file":
-        u = load_field(cfg.initial_file, spacing=grid.spacing)
+        try:
+            u = load_field(cfg.initial_file, spacing=grid.spacing)
+        except (OSError, ValueError) as exc:
+            raise ConfigError(f"initial: cannot load {cfg.initial_file}: {exc}") from exc
         if u.grid != grid:
             raise ConfigError("initial: file grid does not match [grid] section")
         return u

@@ -22,7 +22,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .errors import NotAdmissible
 from .grid import (BicomplexGrid, HermitianMatrixField, ScalarField,
@@ -117,12 +116,13 @@ def positivity_check(omega_plus, omega_minus):
 def _block_tau(omega0, chi):
     omega0 = np.atleast_2d(np.asarray(omega0, dtype=np.complex128))
     chi = np.atleast_2d(np.asarray(chi, dtype=np.complex128))
-    evals = scipy.linalg.eigvalsh(omega0)
+    evals = np.linalg.eigvalsh(omega0)
     if evals.min() <= 0.0:
         raise NotAdmissible("omega_0 class block is not positive definite",
                             eigenvalue=float(evals.min()))
-    # whitened spectrum: eigenvalues of omega0^{-1/2} chi omega0^{-1/2}
-    lam = scipy.linalg.eigh(chi, omega0, eigvals_only=True)
+    # whitened spectrum: eigenvalues of L^{-1} chi L^{-H}, omega0 = L L^H
+    l_inv = np.linalg.inv(np.linalg.cholesky(omega0))
+    lam = np.linalg.eigvalsh(l_inv @ chi @ l_inv.conj().T)
     lam_max = lam.max()
     if lam_max <= 0.0:
         return math.inf

@@ -318,13 +318,21 @@ def load_field(path, spacing=None):
     with open(path, "rb") as fh:
         header = fh.read(32)
         payload = fh.read()
+    if len(header) < 32:
+        raise ValueError(f"{path}: header has {len(header)} bytes, expected 32")
     if header[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {header[:4]!r}")
     version, k, l = struct.unpack("<HHH", header[4:10])
     if version != _VERSION:
         raise ValueError(f"{path}: unsupported version {version}")
     n_axes = 2 * k + 2 * l
+    if 10 + 2 * n_axes > len(header):
+        raise ValueError(f"{path}: block dimensions k={k}, l={l} do not fit the header")
     counts = struct.unpack(f"<{n_axes}H", header[10:10 + 2 * n_axes])
+    expected = 8 * int(np.prod(counts))
+    if len(payload) != expected:
+        raise ValueError(f"{path}: payload has {len(payload)} bytes, "
+                         f"expected {expected} for counts {counts}")
     if spacing is None:
         spacing = tuple(2.0 * np.pi / n for n in counts)
     grid = BicomplexGrid(k, l, counts, tuple(spacing))

@@ -17,10 +17,10 @@ real coordinate (each factor has dimension 2n).
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
 
 from .errors import DegenerateFit
 
@@ -51,7 +51,8 @@ def _smoothstep(s):
 def _zero_set_radius():
     """Radius below which the diagonal lies in {phi2 <= -eta}."""
     target = (2.0 - _ETA) / 26.0
-    s0 = brentq(lambda s: 3 * s * s - 2 * s ** 3 - target, 0.0, 1.0)
+    # the root in [0, 1] of the ramp 3s^2 - 2s^3 = target, in closed form
+    s0 = 0.5 - math.sin(math.asin(1.0 - 2.0 * target) / 3.0)
     return 1.0 + s0
 
 

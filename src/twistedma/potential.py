@@ -8,17 +8,25 @@ nonzero minus-block frequency by the minus form; where both apply the two
 answers must agree (the discrete shadow of the slice-correction
 bookkeeping in the analytic construction).  Periodic harmonics are
 constants, so fixing the grid mean of f to zero is a complete gauge.
+
+Every stencil symbol is real and even, so the solver works on the
+``rfftn`` half spectrum of real data.  A complex matrix entry is carried
+as the half spectra of its real and imaginary parts, and a complex symbol
+as its real and imaginary parts.  Only the entries with i <= j are read:
+entry (j, i) is taken to be the conjugate of entry (i, j), so the blocks
+must be Hermitian.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass
 
 import numpy as np
 import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
-from .forms import cross_residual_values
+from .forms import fgk_residual
 from .grid import HermitianMatrixField, ScalarField, hermitian_hessian
 
 __all__ = [
@@ -29,6 +37,9 @@ __all__ = [
 ]
 
 _symbol_cache = {}
+
+#: max norm of the fourth-order cross condition the inversion needs
+compatibility_residual = fgk_residual
 
 
 @dataclass
@@ -54,30 +65,29 @@ def square_operator(f):
     return plus, HermitianMatrixField(f.grid, "minus", minus_vals, check=False)
 
 
-def compatibility_residual(omega_plus, omega_minus):
-    """Max norm of the fourth-order cross condition the inversion needs."""
-    return float(np.abs(cross_residual_values(omega_plus, omega_minus)).max())
-
-
 def _grid_symbols(grid):
     """Per-entry Fourier symbols of the two block Hessian stencils.
 
-    Returns (sym_plus, sym_minus): arrays of shape grid.shape + (m, m)
-    with the exact symbol of ``hermitian_hessian(., block)`` so that
-    hat(hess u)[xi]_{ij} = sym[xi]_{ij} * hat(u)[xi].
+    Returns (sym_plus, sym_minus), each a dict {(i, j): (re, im)} over
+    i <= j.  Entry (i, j) of ``hermitian_hessian(., block)`` has the exact
+    symbol re + 1j*im and entry (j, i) has re - 1j*im, so that
+    hat(hess u)[xi]_{ij} = sym[xi]_{ij} * hat(u)[xi].  re and im are real
+    float64 arrays on the ``rfftn`` half spectrum, kept in broadcastable
+    form (length 1 on the axes of the other block); im is None on the
+    diagonal.
     """
     key = (grid.k, grid.l, grid.n_points, grid.spacing)
     if key in _symbol_cache:
         return _symbol_cache[key]
     n_axes = grid.real_dim
-    # broadcastable 1d symbol pieces per axis
+    # broadcastable 1d symbol pieces per axis; the last axis is halved
     theta = []
     for a in range(n_axes):
         n = grid.n_points[a]
-        th = 2.0 * np.pi * np.fft.fftfreq(n)
+        freq = np.fft.rfftfreq(n) if a == n_axes - 1 else np.fft.fftfreq(n)
         shape = [1] * n_axes
-        shape[a] = n
-        theta.append(th.reshape(shape))
+        shape[a] = len(freq)
+        theta.append((2.0 * np.pi * freq).reshape(shape))
 
     def d2_symbol(a, b):
         ha, hb = grid.spacing[a], grid.spacing[b]
@@ -88,51 +98,108 @@ def _grid_symbols(grid):
     out = []
     for block in ("plus", "minus"):
         axes = grid.block_axes(block)
-        m = len(axes)
-        sym = np.zeros(grid.shape + (m, m), dtype=np.complex128)
+        sym = {}
         for i, (xi, yi) in enumerate(axes):
-            for j, (xj, yj) in enumerate(axes):
-                if j < i:
-                    continue
-                re = d2_symbol(xi, xj) + d2_symbol(yi, yj)
-                if i == j:
-                    sym[..., i, i] = 0.25 * np.broadcast_to(re, grid.shape)
-                else:
-                    im = d2_symbol(xi, yj) - d2_symbol(yi, xj)
-                    sym[..., i, j] = 0.25 * np.broadcast_to(re + 1j * im, grid.shape)
-                    sym[..., j, i] = 0.25 * np.broadcast_to(re - 1j * im, grid.shape)
+            for j in range(i, len(axes)):
+                xj, yj = axes[j]
+                re = 0.25 * (d2_symbol(xi, xj) + d2_symbol(yi, yj))
+                im = None if i == j else 0.25 * (d2_symbol(xi, yj) - d2_symbol(yi, xj))
+                sym[i, j] = (re, im)
         out.append(sym)
     _symbol_cache[key] = tuple(out)
     return _symbol_cache[key]
 
 
-def _entry_ffts(omega, axes):
-    """hat(omega_ij) for every matrix entry, as a nested list."""
-    m = omega.values.shape[-1]
-    return [[scipy.fft.fftn(omega.values[..., i, j], axes=axes)
-             for j in range(m)] for i in range(m)]
+def _entry_spectra(omega):
+    """(rfftn of Re omega_ij, rfftn of Im omega_ij) for every i <= j.
 
-
-def _block_estimate(w_hat, sym, grid):
-    """Least-squares mode estimate of hat(f) from one block, plus mask.
-
-    num = sum_ij conj(s_ij) hat(omega_ij), den = sum_ij |s_ij|^2; the mask
-    (den > 0) is exact: all symbols vanish iff the block frequency is zero.
+    The diagonal of a Hermitian block is real, so its imaginary part is
+    not transformed (None).
     """
-    m = sym.shape[-1]
-    num = np.zeros(grid.shape, dtype=np.complex128)
-    den = np.zeros(grid.shape, dtype=np.float64)
-    content = np.zeros(grid.shape, dtype=np.float64)
+    m = omega.values.shape[-1]
+    out = {}
     for i in range(m):
-        for j in range(m):
-            s = sym[..., i, j]
-            num += np.conj(s) * w_hat[i][j]
-            den += np.abs(s) ** 2
-            content = np.maximum(content, np.abs(w_hat[i][j]))
-    mask = den > 0.0
-    est = np.zeros_like(num)
-    np.divide(num, den, out=est, where=mask)
-    return est, mask, content
+        for j in range(i, m):
+            entry = omega.values[..., i, j]
+            out[i, j] = (scipy.fft.rfftn(entry.real),
+                         None if i == j else scipy.fft.rfftn(entry.imag))
+    return out
+
+
+def _entry(pairs, i, j):
+    """Entry (i, j) of a Hermitian matrix stored as {(i, j): (re, im)}
+    over i <= j; entry (j, i) is the conjugate."""
+    if i <= j:
+        return pairs[i, j]
+    re, im = pairs[j, i]
+    return re, (None if im is None else -im)
+
+
+def _times(sym, hat):
+    """(re, im) of sym * hat for pairs (re, im) of real parts; None is zero.
+
+    (R + iI)(A + iB) = (RA - IB) + i(IA + RB), and every product with a
+    zero factor is skipped.
+    """
+    (r, i), (a, b) = sym, hat
+    re = r * a
+    im = None if i is None else i * a
+    if b is not None:
+        if i is not None:
+            re -= i * b
+        im = r * b if im is None else im + r * b
+    return re, im
+
+
+def _plus(x, y):
+    """Sum of two (re, im) pairs; None is zero."""
+    return tuple(u if v is None else v if u is None else u + v
+                 for u, v in zip(x, y))
+
+
+def _block_estimate(hats, sym, sign):
+    """Least-squares mode estimate of hat(f) from one block.
+
+    Per mode, sum_ij conj(s_ij) hat(omega_ij) / sum_ij |s_ij|^2 with the
+    symbols scaled by ``sign``.  The pair (i, j), (j, i) with s = R + iI
+    and hat(omega) = A + iB contributes 2(RA + IB) above and 2(R^2 + I^2)
+    below.  The estimate is zero where the denominator vanishes, which is
+    exactly where the block frequency is zero.
+    """
+    den = 0.0
+    for (i, j), (r, im) in sym.items():
+        den = den + (r * r if i == j else 2.0 * (r * r + im * im))
+    inv = np.divide(sign, den, out=np.zeros_like(den), where=den > 0.0)
+    est = None
+    for (i, j), (r, im) in sym.items():
+        a, b = hats[i, j]
+        w = inv if i == j else 2.0 * inv
+        term = (w * r) * a
+        if b is not None:
+            term += (w * im) * b
+        if est is None:
+            est = term
+        else:
+            est += term
+    return est
+
+
+def _zero_block_content(hats, index):
+    """Per-mode max over all (i, j) of |hat(omega_ij)| on ``index``.
+
+    On the half spectrum the pair (i, j), (j, i) contributes |A + iB| and
+    |A - iB|, which covers the mirrored modes of the full spectrum.
+    """
+    content = 0.0
+    for a, b in hats.values():
+        a = a[index]
+        if b is None:
+            c = np.abs(a)
+        else:
+            b = 1j * b[index]
+            c = np.maximum(np.abs(a + b), np.abs(a - b))
+        content = np.maximum(content, c)
+    return content
 
 
 def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
@@ -144,7 +211,8 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
 
     All checks run in frequency space; the symbols are the exact Fourier
     multipliers of the stencils, so the spectral evaluations agree with
-    the direct ones to roundoff.
+    the direct ones to roundoff.  Only the entries with i <= j of each
+    block are read, so both blocks must be Hermitian.
     """
     grid = omega_plus.grid
     if omega_minus.grid != grid:
@@ -152,76 +220,88 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     scale = max(float(np.abs(omega_plus.values).max()),
                 float(np.abs(omega_minus.values).max()), 1.0)
 
-    axes = tuple(range(grid.real_dim))
-    sym_plus, sym_minus = _grid_symbols(grid)
-    hat_p = _entry_ffts(omega_plus, axes)
-    hat_m = _entry_ffts(omega_minus, axes)
+    def to_lattice(pair):
+        """The lattice field whose real and imaginary parts have the half
+        spectra ``pair`` (a None part is zero)."""
+        re, im = (None if p is None else scipy.fft.irfftn(p, s=grid.shape)
+                  for p in pair)
+        return re if im is None else re + 1j * im
 
-    # cross condition hess_minus(w+[a,b]) + hess_plus(w-[c,d]), spectrally
+    sym_plus, sym_minus = _grid_symbols(grid)
+    hat_p = _entry_spectra(omega_plus)
+    hat_m = _entry_spectra(omega_minus)
+
+    # cross condition hess_minus(w+[a,b])[c,d] + hess_plus(w-[c,d])[a,b],
+    # spectrally; tuple (b, a, d, c) is the conjugate of (a, b, c, d), so
+    # only the smaller of the two is evaluated
     compat = 0.0
-    for a in range(grid.k):
-        for b in range(grid.k):
-            for c in range(grid.l):
-                for d in range(grid.l):
-                    r_hat = (sym_minus[..., c, d] * hat_p[a][b]
-                             + sym_plus[..., a, b] * hat_m[c][d])
-                    compat = max(compat, float(np.abs(
-                        scipy.fft.ifftn(r_hat, axes=axes)).max()))
+    for a, b, c, d in itertools.product(range(grid.k), range(grid.k),
+                                        range(grid.l), range(grid.l)):
+        if (a, b, c, d) > (b, a, d, c):
+            continue
+        r_hat = _plus(_times(_entry(sym_minus, c, d), _entry(hat_p, a, b)),
+                      _times(_entry(sym_plus, a, b), _entry(hat_m, c, d)))
+        compat = max(compat, float(np.abs(to_lattice(r_hat)).max()))
     if compat > tol_compat * scale:
         raise IncompatibleData(
             f"cross compatibility residual {compat:.3e} exceeds tolerance "
             f"{tol_compat * scale:.3e}")
 
-    # the minus block stores -hess_minus f, so negate its symbols
-    est_p, mask_p, content_p = _block_estimate(hat_p, sym_plus, grid)
-    est_m, mask_m, content_m = _block_estimate(hat_m, -sym_minus, grid)
-
     npts = grid.size
-    zero_mode = (0,) * grid.real_dim
     mean_tol = tol_compat * scale * npts
-    if content_p[zero_mode] > mean_tol or content_m[zero_mode] > mean_tol:
+    n_plus = 2 * grid.k
+    zero_p = (0,) * n_plus                       # plus frequency zero
+    zero_m = (slice(None),) * n_plus + (0,) * (grid.real_dim - n_plus)
+    content_p = _zero_block_content(hat_p, zero_p)
+    content_m = _zero_block_content(hat_m, zero_m)
+    # the zero mode is the first element of either slice
+    if content_p.flat[0] > mean_tol or content_m.flat[0] > mean_tol:
         raise NonzeroMeanObstruction(
             "block mean is not in the image of the potential operator; "
             "handle constants as the class representative")
 
     # plus form content on modes invisible to the plus stencil (and dually)
-    stray_p = content_p[~mask_p].max() if (~mask_p).any() else 0.0
-    stray_m = content_m[~mask_m].max() if (~mask_m).any() else 0.0
-    if max(stray_p, stray_m) > mean_tol:
+    stray = max(float(content_p.max()), float(content_m.max()))
+    if stray > mean_tol:
         raise IncompatibleData(
             "block data varies across slices where its stencil has no reach "
-            f"(stray content {max(stray_p, stray_m) / npts:.3e} per point)")
+            f"(stray content {stray / npts:.3e} per point)")
 
-    overlap = mask_p & mask_m
-    if overlap.any():
-        mismatch = np.abs(est_p[overlap] - est_m[overlap]).max() / npts
-        if mismatch > tol_compat * scale:
-            raise IncompatibleData(
-                f"plus/minus determinations disagree on overlap frequencies "
-                f"({mismatch:.3e} per point)")
+    # the minus block stores -hess_minus f, so negate its symbols
+    f_hat = _block_estimate(hat_p, sym_plus, 1.0)
+    est_m = _block_estimate(hat_m, sym_minus, -1.0)
+    del hat_p, hat_m
+    # plus-invisible modes come from the minus form; both vanish at zero
+    f_hat[zero_p] = est_m[zero_p]
+    # overlap frequencies (both blocks nonzero) must agree
+    est_m -= f_hat
+    est_m[zero_m] = 0.0
+    mismatch = float(np.abs(est_m).max()) / npts
+    del est_m
+    if mismatch > tol_compat * scale:
+        raise IncompatibleData(
+            f"plus/minus determinations disagree on overlap frequencies "
+            f"({mismatch:.3e} per point)")
 
-    f_hat = np.where(mask_p, est_p, est_m)
-    f_hat[zero_mode] = 0.0
-    f_vals = scipy.fft.ifftn(f_hat, axes=axes).real
-    f = ScalarField(grid, f_vals)
+    f = ScalarField(grid, to_lattice((f_hat, None)))
 
-    # residuals of the re-applied operator, spectrally (exact symbols)
-    residual_plus = 0.0
-    residual_minus = 0.0
-    for i in range(grid.k):
-        for j in range(grid.k):
-            back = scipy.fft.ifftn(sym_plus[..., i, j] * f_hat, axes=axes)
-            residual_plus = max(residual_plus, float(np.abs(
-                back - omega_plus.values[..., i, j]).max()))
-    for i in range(grid.l):
-        for j in range(grid.l):
-            back = scipy.fft.ifftn(-sym_minus[..., i, j] * f_hat, axes=axes)
-            residual_minus = max(residual_minus, float(np.abs(
-                back - omega_minus.values[..., i, j]).max()))
+    # residuals of the re-applied operator, spectrally (exact symbols),
+    # against both the (i, j) and the (j, i) stored entries
+    residuals = []
+    for omega, sym, hat in ((omega_plus, sym_plus, f_hat),
+                            (omega_minus, sym_minus, -f_hat)):
+        res = 0.0
+        for (i, j), s in sym.items():
+            back = to_lattice(_times(s, (hat, None)))
+            res = max(res, float(np.abs(back - omega.values[..., i, j]).max()))
+            if i != j:
+                res = max(res, float(np.abs(
+                    back.conj() - omega.values[..., j, i]).max()))
+        residuals.append(res)
     return SquareDecomposition(
         f=f,
-        residual_plus=residual_plus,
-        residual_minus=residual_minus,
+        residual_plus=residuals[0],
+        residual_minus=residuals[1],
         kernel_note=("zero grid mean; periodic harmonics are constants, "
                      "so the gauge is complete"),
     )

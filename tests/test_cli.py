@@ -3,6 +3,7 @@ import os
 import numpy as np
 import pytest
 
+from twistedma import BicomplexGrid, ScalarField, save_field
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
 from twistedma.errors import ConfigError
 
@@ -111,6 +112,27 @@ class TestMain:
         p = tmp_path / "bad.cfg"
         p.write_text("[run]\nt_end = 0.1\n")
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+
+    @staticmethod
+    def _file_scenario(tmp_path, field_path):
+        p = tmp_path / "file.cfg"
+        p.write_text("[grid]\nk = 1\nl = 1\nn = 8\n"
+                     f"[initial]\nkind = file\nfile = {field_path}\n"
+                     "[run]\nt_end = 0.01\n")
+        return str(p)
+
+    def test_missing_initial_file_exit_two(self, tmp_path, capsys):
+        cfg = self._file_scenario(tmp_path, tmp_path / "absent.bin")
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "absent.bin" in capsys.readouterr().err
+
+    def test_truncated_initial_file_exit_two(self, tmp_path, capsys):
+        field = tmp_path / "short.bin"
+        save_field(ScalarField.zeros(BicomplexGrid.regular(1, 1, 8)), field)
+        field.write_bytes(field.read_bytes()[:-8])
+        cfg = self._file_scenario(tmp_path, field)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        assert "expected 32768" in capsys.readouterr().err
 
     def test_report_missing_dir_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1

@@ -1,3 +1,5 @@
+import struct
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -165,6 +167,24 @@ class TestSerialization:
         (tmp_path / "junk.bin").write_bytes(b"XXXX" + b"\x00" * 60)
         with pytest.raises(ValueError):
             load_field(tmp_path / "junk.bin")
+
+    @pytest.mark.parametrize("cut", [1, 8, 8 * 7])
+    def test_truncated_payload_rejected(self, small_grid, tmp_path, cut):
+        path = tmp_path / "f.bin"
+        save_field(ScalarField.zeros(small_grid), path)
+        path.write_bytes(path.read_bytes()[:-cut])
+        expected = 8 * small_grid.size
+        with pytest.raises(ValueError, match=f"{expected - cut} bytes, expected {expected}"):
+            load_field(path)
+
+    @pytest.mark.parametrize("header", [
+        b"TMAF\x01\x00",                                   # cut inside the header
+        (b"TMAF" + struct.pack("<HHH", 1, 9, 9)).ljust(32, b"\x00"),  # k, l too large
+    ])
+    def test_bad_header_rejected(self, tmp_path, header):
+        (tmp_path / "f.bin").write_bytes(header)
+        with pytest.raises(ValueError, match="header"):
+            load_field(tmp_path / "f.bin")
 
     def test_csv_export(self, small_grid, tmp_path):
         export_csv(ScalarField.zeros(small_grid), tmp_path / "f.csv")

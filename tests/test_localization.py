@@ -55,3 +55,11 @@ class TestEdgeCases:
     def test_rejects_single_alpha(self):
         with pytest.raises(ValueError):
             localization_gap_probe(alphas=(10.0,))
+
+
+def test_zero_set_radius_solves_the_ramp():
+    # closed-form root of 3s^2 - 2s^3 = (2 - eta) / 26 on [0, 1]
+    from twistedma.localization import _ETA, _zero_set_radius
+    s = _zero_set_radius() - 1.0
+    assert 0.0 < s < 1.0
+    assert abs(3 * s * s - 2 * s ** 3 - (2.0 - _ETA) / 26.0) <= 1e-15

@@ -1,9 +1,13 @@
 import numpy as np
 import pytest
+import scipy.fft
 
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
-                       compatibility_residual, solve_square, square_operator)
+                       compatibility_residual, fgk_residual, solve_square,
+                       square_operator)
 from twistedma.errors import IncompatibleData, NonzeroMeanObstruction
+from twistedma.grid import hermitian_hessian
+from twistedma.potential import _grid_symbols
 
 from conftest import bandlimited_field, cos_axis_field
 
@@ -97,6 +101,73 @@ class TestSolveSquare:
         assert np.abs(summed.f.values - (base.f.values + gfield.values)).max() <= 1e-10
 
 
+class TestHalfSpectrum:
+    """k = l = 2 blocks: off-diagonal entries carry real and imaginary parts."""
+
+    grid = BicomplexGrid.regular(2, 2, 4)
+
+    def test_symbols_real_on_half_spectrum(self, rng):
+        g = self.grid
+        half = g.shape[:-1] + (g.shape[-1] // 2 + 1,)
+        u = bandlimited_field(g, rng)
+        u_hat = scipy.fft.rfftn(u.values)
+        for block, sym in zip(("plus", "minus"), _grid_symbols(g)):
+            m = g.block_dim(block)
+            assert sorted(sym) == [(i, j) for i in range(m) for j in range(i, m)]
+            direct = hermitian_hessian(u, block).values
+            for (i, j), (re, im) in sym.items():
+                assert (im is None) == (i == j)
+                for part in (re,) if im is None else (re, im):
+                    assert part.dtype == np.float64
+                    assert np.broadcast_shapes(part.shape, half) == half
+                back = scipy.fft.irfftn(re * u_hat, s=g.shape).astype(complex)
+                if im is not None:
+                    back += 1j * scipy.fft.irfftn(im * u_hat, s=g.shape)
+                assert np.abs(back - direct[..., i, j]).max() <= 1e-12
+                assert np.abs(back.conj() - direct[..., j, i]).max() <= 1e-12
+
+    def test_imaginary_off_diagonal_incompatibility(self, rng):
+        g = self.grid
+        op, om = square_operator(bandlimited_field(g, rng))
+        # purely imaginary, Hermitian, varying along a minus axis only
+        bump = 0.1j * cos_axis_field(g, 4).values
+        vals = op.values.copy()
+        vals[..., 0, 1] += bump
+        vals[..., 1, 0] -= bump
+        with pytest.raises(IncompatibleData, match="cross compatibility"):
+            solve_square(HermitianMatrixField(g, "plus", vals, check=False), om)
+
+    @pytest.mark.parametrize("c", [0.3, 0.2j, 0.3 - 0.2j])
+    def test_constant_off_diagonal_obstruction(self, c):
+        g = self.grid
+        op = HermitianMatrixField.constant(
+            g, "plus", np.array([[0.0, c], [np.conj(c), 0.0]]))
+        om = HermitianMatrixField.zeros(g, "minus")
+        with pytest.raises(NonzeroMeanObstruction):
+            solve_square(op, om)
+
+    def test_residuals_match_direct_evaluation(self, rng):
+        g = self.grid
+        op, om = square_operator(bandlimited_field(g, rng))
+        # plus: a Hermitian perturbation outside the image of square;
+        # minus: a (1, 0) entry that the solve never reads
+        p_vals = op.values.copy()
+        bump = 1e-3j * cos_axis_field(g, 4).values
+        p_vals[..., 0, 1] += bump
+        p_vals[..., 1, 0] -= bump
+        m_vals = om.values.copy()
+        m_vals[..., 1, 0] += 1e-3 * cos_axis_field(g, 0).values
+        dec = solve_square(HermitianMatrixField(g, "plus", p_vals, check=False),
+                           HermitianMatrixField(g, "minus", m_vals, check=False),
+                           tol_compat=1.0)
+        back_p, back_m = square_operator(dec.f)
+        direct_p = float(np.abs(back_p.values - p_vals).max())
+        direct_m = float(np.abs(back_m.values - m_vals).max())
+        assert min(direct_p, direct_m) > 1e-4
+        assert abs(dec.residual_plus - direct_p) <= 1e-12
+        assert abs(dec.residual_minus - direct_m) <= 1e-12
+
+
 class TestCompatibilityResidual:
     def test_square_data(self, rng):
         g = BicomplexGrid.regular(1, 1, 16)
@@ -107,6 +178,9 @@ class TestCompatibilityResidual:
         op = HermitianMatrixField.constant(small_grid, "plus", np.eye(1))
         om = HermitianMatrixField.constant(small_grid, "minus", np.eye(1))
         assert compatibility_residual(op, om) == 0.0
+
+    def test_one_definition(self):
+        assert compatibility_residual is fgk_residual
 
     def test_non_gk_positive(self):
         g = BicomplexGrid.regular(1, 1, 16)
