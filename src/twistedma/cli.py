@@ -36,7 +36,7 @@ import math
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -100,14 +100,19 @@ class ScenarioConfig:
     tolerance: float | None
 
     def __post_init__(self):
+        for name in ("t_end", "zeta_plus", "zeta_minus", "forcing_amplitude",
+                     "initial_amplitude", "omega_plus_diag", "omega_minus_diag",
+                     "chi_plus_diag", "chi_minus_diag"):
+            if not np.all(np.isfinite(getattr(self, name))):
+                raise ConfigError(f"{name} must be finite")
         if self.t_end <= 0:
             raise ConfigError("run: t_end must be > 0")
         if not (0 < self.safety <= 1):
             raise ConfigError("run: safety must be in (0, 1]")
         if self.emit_every < 1:
             raise ConfigError("run: emit_every must be >= 1")
-        if self.tolerance is not None and self.tolerance <= 0:
-            raise ConfigError("checks: tolerance must be > 0")
+        if self.tolerance is not None and not 0 < self.tolerance < math.inf:
+            raise ConfigError("checks: tolerance must be finite and > 0")
         if self.jet_samples < 0:
             raise ConfigError("checks: jet_samples must be >= 0")
 
@@ -259,7 +264,7 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     """Execute the pipeline; returns (exit_code, summary_lines)."""
     cfg = config if isinstance(config, ScenarioConfig) else load_config(config)
     if seed is not None:
-        cfg.seed = int(seed)
+        cfg = replace(cfg, seed=int(seed))
     os.makedirs(out_dir, exist_ok=True)
     background = _build_background(cfg)
     u0 = _build_initial(cfg)

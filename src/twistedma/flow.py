@@ -24,8 +24,7 @@ import numpy as np
 
 from .errors import BarrierViolation, NotAdmissible
 from .forms import background_at
-from .grid import (ScalarField, det_values, hessian_block_values,
-                   max_eig_values, min_eig_values)
+from .grid import ScalarField, det_values, hessian_block_values, min_eig_values
 
 __all__ = [
     "FlowState",
@@ -51,31 +50,20 @@ class FlowState:
     background: object
     monitors: dict = field(default_factory=dict)
     _blocks: tuple = field(default=None, repr=False, compare=False)
+    _report: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("flow time must be >= 0")
 
     def copy(self):
-        return FlowState(self.t, self.u.copy(), self.background, dict(self.monitors))
+        # the record is a few scalars; the blocks are not kept, so that a
+        # trajectory does not hold every emitted state's blocks alive
+        return FlowState(self.t, self.u.copy(), self.background, dict(self.monitors),
+                         _report=self._report)
 
 
-def form_block_values(state):
-    """(plus form, minus form) raw matrix arrays at the state's time.
-
-    Cached on the state: u and background are treated as immutable once
-    the state exists, so the blocks are computed at most once per state.
-    """
-    if state._blocks is None:
-        bg = background_at(state.background, state.t)
-        grid = state.u.grid
-        plus = bg.omega_hat_plus.values + hessian_block_values(state.u.values, grid, "plus")
-        minus = bg.omega_hat_minus.values - hessian_block_values(state.u.values, grid, "minus")
-        state._blocks = (plus, minus)
-    return state._blocks
-
-
-@dataclass
+@dataclass(frozen=True)
 class AdmissibilityReport:
     plus_margin: float
     minus_margin: float
@@ -87,29 +75,50 @@ class AdmissibilityReport:
         return self.plus_margin > 0.0 and self.minus_margin > 0.0
 
 
+def _worst(values):
+    """(lambda_min, worst point) of a stacked block: one eigenvalue pass."""
+    ev = min_eig_values(values)
+    point = np.unravel_index(int(np.argmin(ev)), ev.shape)
+    return float(ev[point]), point
+
+
+def form_block_values(state):
+    """(plus form, minus form) raw matrix arrays at the state's time.
+
+    Cached on the state, and built together with the state's record (its
+    AdmissibilityReport: each block's lambda_min and worst point): u and
+    background are treated as immutable once the state exists, so both
+    are computed at most once per state.
+    """
+    if state._blocks is None:
+        bg = background_at(state.background, state.t)
+        grid = state.u.grid
+        plus = bg.omega_hat_plus.values + hessian_block_values(state.u.values, grid, "plus")
+        minus = bg.omega_hat_minus.values - hessian_block_values(state.u.values, grid, "minus")
+        state._blocks = (plus, minus)
+        if state._report is None:
+            (p_margin, p_point), (m_margin, m_point) = _worst(plus), _worst(minus)
+            state._report = AdmissibilityReport(p_margin, m_margin, p_point, m_point)
+    return state._blocks
+
+
 def admissibility(state):
     """Worst-point eigenvalue margins of the two ellipticity blocks."""
-    plus, minus = form_block_values(state)
-    ev_p = min_eig_values(plus)
-    ev_m = min_eig_values(minus)
-    ip = np.unravel_index(int(np.argmin(ev_p)), ev_p.shape)
-    im = np.unravel_index(int(np.argmin(ev_m)), ev_m.shape)
-    return AdmissibilityReport(float(ev_p[ip]), float(ev_m[im]), ip, im)
+    if state._report is None:
+        form_block_values(state)
+    return state._report
 
 
-def _require_admissible(plus, minus):
-    ev_p = min_eig_values(plus)
-    worst = float(ev_p.min())
-    if worst <= 0.0:
-        point = np.unravel_index(int(np.argmin(ev_p)), ev_p.shape)
-        raise NotAdmissible("plus block lost positivity",
-                            point=point, eigenvalue=worst, block="plus")
-    ev_m = min_eig_values(minus)
-    worst = float(ev_m.min())
-    if worst <= 0.0:
-        point = np.unravel_index(int(np.argmin(ev_m)), ev_m.shape)
-        raise NotAdmissible("minus block lost positivity",
-                            point=point, eigenvalue=worst, block="minus")
+def _require_admissible(state):
+    """The state's record; NotAdmissible at the worst point of a lost block."""
+    report = admissibility(state)
+    for block, margin, point in (
+            ("plus", report.plus_margin, report.plus_worst_point),
+            ("minus", report.minus_margin, report.minus_worst_point)):
+        if margin <= 0.0:
+            raise NotAdmissible(f"{block} block lost positivity",
+                                point=point, eigenvalue=margin, block=block)
+    return report
 
 
 def twisted_rhs(state, freeze_F_at=None):
@@ -119,7 +128,7 @@ def twisted_rhs(state, freeze_F_at=None):
     by the barrier construction).
     """
     plus, minus = form_block_values(state)
-    _require_admissible(plus, minus)
+    _require_admissible(state)
     bg = state.background
     t_F = state.t if freeze_F_at is None else freeze_F_at
     vals = (np.log(det_values(plus)) - np.log(det_values(minus))
@@ -134,15 +143,13 @@ def stable_dt(state, safety=0.5):
     bound is safety / sum_blocks [2 * (real block dim) / h_min^2
     * lambda_max(form^-1)].
     """
-    plus, minus = form_block_values(state)
-    _require_admissible(plus, minus)
+    report = _require_admissible(state)
     grid = state.u.grid
     total = 0.0
-    for block, form in (("plus", plus), ("minus", minus)):
+    for block, margin in (("plus", report.plus_margin), ("minus", report.minus_margin)):
         axes = [a for pair in grid.block_axes(block) for a in pair]
         h_min = min(grid.spacing[a] for a in axes)
-        lam_max_inv = 1.0 / float(min_eig_values(form).min())
-        total += 2.0 * len(axes) / (h_min * h_min) * lam_max_inv
+        total += 2.0 * len(axes) / (h_min * h_min) * (1.0 / margin)
     return safety / total
 
 

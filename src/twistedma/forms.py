@@ -20,6 +20,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -144,12 +145,16 @@ class BackgroundSlice:
     """omega_hat blocks at a fixed time, with a positivity flag.
 
     Positivity is flagged rather than enforced: callers may probe beyond
-    the maximal time on purpose.
+    the maximal time on purpose.  The flag is computed on first access and
+    cached; the blocks are treated as immutable once the slice exists.
     """
 
     omega_hat_plus: HermitianMatrixField
     omega_hat_minus: HermitianMatrixField
-    positive: bool
+
+    @cached_property
+    def positive(self):
+        return positivity_check(self.omega_hat_plus, self.omega_hat_minus)
 
 
 @dataclass
@@ -187,6 +192,9 @@ class BackgroundData:
             raise NotAdmissible("omega_0 minus block is not positive definite")
         self._chi_zero = (np.abs(self.chi_plus.values).max() == 0.0
                           and np.abs(self.chi_minus.values).max() == 0.0)
+        # omega_hat(t) = omega_0 for every t when chi = 0: one slice serves all
+        self._static_slice = (BackgroundSlice(self.omega0_plus, self.omega0_minus)
+                              if self._chi_zero else None)
 
     @property
     def grid(self):
@@ -218,21 +226,20 @@ class BackgroundData:
 
 
 def background_at(data, t):
-    """Pointwise omega_hat(t) = omega_0 - t chi per block."""
+    """Pointwise omega_hat(t) = omega_0 - t chi per block.
+
+    With chi = 0 every t gets the same slice, built once with the data.
+    """
     if t < 0:
         raise ValueError("background family is defined for t >= 0")
+    if data.chi_is_zero:
+        return data._static_slice
     grid = data.grid
-    if data.chi_is_zero and t != 0.0:
-        plus_vals = data.omega0_plus.values
-        minus_vals = data.omega0_minus.values
-    else:
-        plus_vals = data.omega0_plus.values - t * data.chi_plus.values
-        minus_vals = data.omega0_minus.values - t * data.chi_minus.values
-    plus = HermitianMatrixField(grid, "plus", plus_vals, check=False)
-    minus = HermitianMatrixField(grid, "minus", minus_vals, check=False)
-    positive = (min_eig_values(plus_vals).min() > 0.0
-                and min_eig_values(minus_vals).min() > 0.0)
-    return BackgroundSlice(plus, minus, positive)
+    plus = HermitianMatrixField(grid, "plus", data.omega0_plus.values
+                                - t * data.chi_plus.values, check=False)
+    minus = HermitianMatrixField(grid, "minus", data.omega0_minus.values
+                                 - t * data.chi_minus.values, check=False)
+    return BackgroundSlice(plus, minus)
 
 
 def gauge_shift_weights(a, tau, phi_plus, phi_minus):

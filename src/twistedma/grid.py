@@ -60,8 +60,8 @@ class BicomplexGrid:
         for n in self.n_points:
             if n < 4 or n % 2:
                 raise ValueError("every axis needs an even count >= 4")
-        if any(h <= 0 for h in self.spacing):
-            raise ValueError("spacings must be positive")
+        if not all(0 < h < np.inf for h in self.spacing):
+            raise ValueError("spacings must be finite and positive")
 
     @classmethod
     def regular(cls, k, l, n, period=2.0 * np.pi):
@@ -173,42 +173,77 @@ class HermitianMatrixField:
 # ---------------------------------------------------------------------------
 # stencils
 
-def second_diff(values, axis_a, axis_b, h_a, h_b):
-    """Central second difference with periodic wrap.
+def _shift(values, axis, step):
+    """Periodic shift: out[..., i, ...] = values[..., i + step, ...], step = +-1."""
+    n = values.shape[axis]
+    cut = step % n
+    head = [slice(None)] * values.ndim
+    tail = [slice(None)] * values.ndim
+    head[axis] = slice(cut, None)
+    tail[axis] = slice(None, cut)
+    return np.concatenate((values[tuple(head)], values[tuple(tail)]), axis=axis)
 
-    Same-axis: the classic three-point stencil.  Mixed: the four-point
-    cross stencil, exact on quadratics.
-    """
-    if axis_a == axis_b:
-        return (np.roll(values, -1, axis_a) - 2.0 * values
-                + np.roll(values, 1, axis_a)) / (h_a * h_a)
-    vpp = np.roll(np.roll(values, -1, axis_a), -1, axis_b)
-    vpm = np.roll(np.roll(values, -1, axis_a), 1, axis_b)
-    vmp = np.roll(np.roll(values, 1, axis_a), -1, axis_b)
-    vmm = np.roll(np.roll(values, 1, axis_a), 1, axis_b)
-    return (vpp - vpm - vmp + vmm) / (4.0 * h_a * h_b)
+
+def _same_axis(values, axis, scale):
+    """scale * (S+ v + S- v - 2 v) along one axis (the three-point stencil)."""
+    d = _shift(values, axis, 1)
+    d += _shift(values, axis, -1)
+    d -= values
+    d -= values
+    d *= scale
+    return d
+
+
+def _cross(centred, axis, scale):
+    """scale * (S+ c - S- c) along ``axis`` of a centred difference c along
+    another axis: the four-point cross stencil, exact on quadratics."""
+    d = _shift(centred, axis, 1)
+    d -= _shift(centred, axis, -1)
+    d *= scale
+    return d
 
 
 def hessian_block_values(values, grid, block):
-    """Raw (shape + (m, m)) array of the discrete i del delbar Hessian."""
+    """Raw (shape + (m, m)) array of the discrete i del delbar Hessian.
+
+    Entry (i, j) is 1/4 [(D_{x_i x_j} + D_{y_i y_j}) + i (D_{x_i y_j} - D_{y_i x_j})]
+    with periodic central second differences.  Each shift is one
+    np.concatenate copy; the three-point stencils accumulate in place, each
+    mixed difference shifts a centred difference (S+ - S-) v along its
+    second axis, and the 1/4 is folded into the stencil weights, so an
+    entry needs only a few grid-sized temporaries.  For real values entry
+    (j, i) is written as the exact conjugate of (i, j); complex values are
+    stencilled part by part.
+    """
+    if np.iscomplexobj(values):
+        out = hessian_block_values(values.real, grid, block)
+        out += 1j * hessian_block_values(values.imag, grid, block)
+        return out
     axes = grid.block_axes(block)
     m = len(axes)
     h = grid.spacing
     out = np.empty(grid.shape + (m, m), dtype=np.complex128)
     for i, (xi, yi) in enumerate(axes):
-        for j, (xj, yj) in enumerate(axes):
-            if j < i:
-                continue
-            re = (second_diff(values, xi, xj, h[xi], h[xj])
-                  + second_diff(values, yi, yj, h[yi], h[yj]))
-            if i == j:
-                # mixed partials commute on the symmetric stencil
-                out[..., i, i] = 0.25 * re
-            else:
-                im = (second_diff(values, xi, yj, h[xi], h[yj])
-                      - second_diff(values, yi, xj, h[yi], h[xj]))
-                out[..., i, j] = 0.25 * (re + 1j * im)
-                out[..., j, i] = np.conj(out[..., i, j])
+        re = _same_axis(values, xi, 0.25 / (h[xi] * h[xi]))
+        re += _same_axis(values, yi, 0.25 / (h[yi] * h[yi]))
+        entry = out[..., i, i]
+        entry.real = re
+        entry.imag = 0.0
+        for j in range(i + 1, m):
+            xj, yj = axes[j]
+            c = _shift(values, xi, 1)
+            c -= _shift(values, xi, -1)
+            re = _cross(c, xj, 0.0625 / (h[xi] * h[xj]))
+            im = _cross(c, yj, 0.0625 / (h[xi] * h[yj]))
+            c = _shift(values, yi, 1)
+            c -= _shift(values, yi, -1)
+            re += _cross(c, yj, 0.0625 / (h[yi] * h[yj]))
+            im -= _cross(c, xj, 0.0625 / (h[yi] * h[xj]))
+            upper, lower = out[..., i, j], out[..., j, i]
+            upper.real = re
+            upper.imag = im
+            lower.real = re
+            np.negative(im, out=lower.imag)
     return out
 
 

@@ -75,6 +75,14 @@ class TestRunScenario:
         assert outs[0] == outs[1]
 
 
+    def test_seed_override_leaves_config_alone(self, tmp_path):
+        cfg = load_config(scenario("flat_stationary.cfg"))
+        seed = cfg.seed
+        code, _ = run_scenario(cfg, tmp_path, seed=seed + 7)
+        assert code == 0
+        assert cfg.seed == seed
+
+
 class TestReport:
     def test_report_lines(self, tmp_path):
         run_scenario(scenario("cosine_decay.cfg"), tmp_path)
@@ -133,6 +141,21 @@ class TestMain:
         cfg = self._file_scenario(tmp_path, field)
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "expected 32768" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("old,new", [
+        ("t_end = 0.05", "t_end = nan"),
+        ("t_end = 0.05", "t_end = inf"),
+        ("omega_plus = 1", "omega_plus = nan"),
+        ("n = 8", "n = 8\nperiod = nan"),
+    ], ids=["t_end_nan", "t_end_inf", "omega_plus_nan", "period_nan"])
+    def test_non_finite_value_exit_two(self, tmp_path, capsys, old, new):
+        text = open(scenario("flat_stationary.cfg")).read()
+        assert old in text
+        p = tmp_path / "bad.cfg"
+        p.write_text(text.replace(old, new))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
 
     def test_report_missing_dir_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1

@@ -4,6 +4,7 @@ import pytest
 from twistedma import (BicomplexGrid, FlowState, ScalarField, admissibility,
                        barriers, flat_background, run, stable_dt, step,
                        twisted_rhs)
+from twistedma import flow
 from twistedma.errors import NotAdmissible
 from twistedma.flow import MONITOR_HEADER
 
@@ -223,3 +224,72 @@ class TestRun:
                    emit_every=50)
         rows = np.array(traj.rows)
         assert rows[-1, 4] > 0 and rows[-1, 5] > 0
+
+
+class TestStateRecord:
+    @staticmethod
+    def _count(monkeypatch, name):
+        calls = []
+        real = getattr(flow, name)
+
+        def counted(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        monkeypatch.setattr(flow, name, counted)
+        return calls
+
+    def test_one_stencil_and_eigen_pass_per_state(self, monkeypatch):
+        g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
+        state = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
+                          flat_background(g))
+        hess = self._count(monkeypatch, "hessian_block_values")
+        eig = self._count(monkeypatch, "min_eig_values")
+        dt = stable_dt(state)
+        report = admissibility(state)
+        twisted_rhs(state)
+        assert (len(hess), len(eig)) == (2, 2)
+        # a step reads the state's record and builds the new state's once
+        new = step(state, dt)
+        assert (len(hess), len(eig)) == (4, 4)
+        stable_dt(new)
+        admissibility(new)
+        twisted_rhs(new)
+        assert (len(hess), len(eig)) == (4, 4)
+        assert admissibility(state) is report
+        copy = new.copy()
+        assert admissibility(copy) is admissibility(new)
+        assert (len(hess), len(eig)) == (4, 4)
+
+    def test_step_from_built_state_costs_two_of_each(self, monkeypatch):
+        g = BicomplexGrid.regular(1, 1, 8)
+        state = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
+                          flat_background(g))
+        dt = stable_dt(state)
+        hess = self._count(monkeypatch, "hessian_block_values")
+        eig = self._count(monkeypatch, "min_eig_values")
+        step(state, dt)
+        assert (len(hess), len(eig)) == (2, 2)
+
+    def test_record_matches_direct_eigenvalues(self, rng):
+        g = BicomplexGrid.regular(2, 2, 4)
+        u = bandlimited_field(g, rng, amp=0.05)
+        state = FlowState(0.0, u, flat_background(g))
+        plus, minus = flow.form_block_values(state)
+        rep = admissibility(state)
+        for block, margin, point in ((plus, rep.plus_margin, rep.plus_worst_point),
+                                     (minus, rep.minus_margin, rep.minus_worst_point)):
+            ev = np.linalg.eigvalsh(block)[..., 0]
+            assert margin == pytest.approx(ev.min(), rel=1e-12)
+            assert ev[point] == pytest.approx(ev.min(), rel=1e-12)
+
+    def test_decay_run_reproduces_reference(self, monkeypatch):
+        # sup_u recorded from the implementation that recomputed every
+        # eigenvalue pass and built the stencil from np.roll
+        g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
+        h = g.spacing[0]
+        t_end = h * h / np.sin(0.5 * h) ** 2
+        steps = self._count(monkeypatch, "step")
+        traj = run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
+                             flat_background(g)), t_end, keep_states="none")
+        assert len(steps) == 421
+        assert traj.rows[-1][1] == pytest.approx(0.0003674112233761281, rel=1e-12)

@@ -101,6 +101,12 @@ class TestFgkResidual:
         op, om = square_operator(bandlimited_field(g, rng))
         assert fgk_residual(op, om) <= 1e-10
 
+    def test_square_operator_output_is_fgk_two_by_two(self, rng):
+        # complex off-diagonal entries: the cross stencil must act linearly
+        g = BicomplexGrid.regular(2, 2, 4)
+        op, om = square_operator(bandlimited_field(g, rng))
+        assert fgk_residual(op, om) <= 1e-10
+
     def test_non_gk_data_flagged(self):
         g = BicomplexGrid.regular(1, 1, 16)
         vals = 0.25 * cos_axis_field(g, 2).values[..., None, None].astype(complex)
@@ -186,6 +192,23 @@ class TestBackgroundAt:
         assert tau == 0.5
         assert background_at(bg, tau / 2).positive
         assert not background_at(bg, 2 * tau).positive
+
+    def test_chi_zero_slice_built_once(self, small_grid):
+        bg = flat_background(small_grid)
+        sl = background_at(bg, 0.0)
+        assert all(background_at(bg, t) is sl for t in (0.0, 0.3, 7.0))
+        assert np.array_equal(sl.omega_hat_plus.values, bg.omega0_plus.values)
+        assert np.array_equal(sl.omega_hat_minus.values, bg.omega0_minus.values)
+        assert sl.positive
+
+    def test_drifting_positive_matches_eigenvalues(self, small_grid):
+        bg = self._finite_model(small_grid)
+        for t in (0.0, 0.1, 0.49, 0.5, 0.7, 3.0):
+            sl = background_at(bg, t)
+            expected = bool(min_eig_values(sl.omega_hat_plus.values).min() > 0.0
+                            and min_eig_values(sl.omega_hat_minus.values).min() > 0.0)
+            assert sl.positive == expected
+            assert sl.positive == expected  # cached value, same answer
 
     def test_f_interpolation(self, small_grid):
         f0 = ScalarField.zeros(small_grid)

@@ -8,7 +8,8 @@ from hypothesis import strategies as st
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
                        det_plus, export_csv, hermitian_hessian, load_field,
                        min_eigenvalue, save_field)
-from twistedma.grid import det_values, min_eig_values, pd_gate
+from twistedma.grid import (det_values, hessian_block_values, min_eig_values,
+                            pd_gate)
 
 from conftest import bandlimited_field, cos_axis_field
 
@@ -90,6 +91,59 @@ class TestHermitianHessian:
         u = bandlimited_field(g, rng)
         H = hermitian_hessian(u, "plus").values
         assert np.abs(H - np.conj(np.swapaxes(H, -1, -2))).max() < 1e-13
+
+
+def roll_second_diff(v, a, b, ha, hb):
+    """Reference central second difference built from np.roll shifts."""
+    if a == b:
+        return (np.roll(v, -1, a) - 2.0 * v + np.roll(v, 1, a)) / (ha * ha)
+    out = np.zeros_like(v)
+    for sa in (1, -1):
+        for sb in (1, -1):
+            out += sa * sb * np.roll(np.roll(v, -sa, a), -sb, b)
+    return out / (4.0 * ha * hb)
+
+
+def roll_hessian(v, grid, block):
+    axes = grid.block_axes(block)
+    h = grid.spacing
+    m = len(axes)
+    out = np.empty(grid.shape + (m, m), dtype=np.complex128)
+    for i, (xi, yi) in enumerate(axes):
+        for j, (xj, yj) in enumerate(axes):
+            re = (roll_second_diff(v, xi, xj, h[xi], h[xj])
+                  + roll_second_diff(v, yi, yj, h[yi], h[yj]))
+            im = (roll_second_diff(v, xi, yj, h[xi], h[yj])
+                  - roll_second_diff(v, yi, xj, h[yi], h[xj]))
+            out[..., i, j] = 0.25 * (re + 1j * im)
+    return out
+
+
+class TestStencil:
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 2)])
+    def test_matches_roll_reference(self, k, l, rng):
+        n_axes = 2 * k + 2 * l
+        counts = tuple(int(c) for c in rng.choice([4, 6, 8], size=n_axes))
+        spacing = tuple(float(h) for h in rng.uniform(0.2, 1.5, size=n_axes))
+        g = BicomplexGrid(k, l, counts, spacing)
+        v = rng.standard_normal(g.shape)
+        for block in ("plus", "minus"):
+            got = hessian_block_values(v, g, block)
+            ref = roll_hessian(v, g, block)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+            m = g.block_dim(block)
+            for i in range(m):
+                assert np.array_equal(got[..., i, i].imag, np.zeros(g.shape))
+                for j in range(i + 1, m):
+                    assert np.array_equal(got[..., j, i], np.conj(got[..., i, j]))
+
+    def test_complex_values_stencilled_linearly(self, rng):
+        g = BicomplexGrid.regular(2, 2, 4)
+        vr, vi = rng.standard_normal(g.shape), rng.standard_normal(g.shape)
+        for block in ("plus", "minus"):
+            got = hessian_block_values(vr + 1j * vi, g, block)
+            ref = roll_hessian(vr, g, block) + 1j * roll_hessian(vi, g, block)
+            assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
 
 
 class TestDetPlus:
