@@ -100,6 +100,10 @@ class ScenarioConfig:
     tolerance: float | None
 
     def __post_init__(self):
+        self.validate()
+
+    def validate(self):
+        """Raise ConfigError on an unusable field (run_scenario re-checks)."""
         for name in ("t_end", "zeta_plus", "zeta_minus", "forcing_amplitude",
                      "initial_amplitude", "omega_plus_diag", "omega_minus_diag",
                      "chi_plus_diag", "chi_minus_diag"):
@@ -263,6 +267,7 @@ def _roundtrip_check(cfg, out):
 def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     """Execute the pipeline; returns (exit_code, summary_lines)."""
     cfg = config if isinstance(config, ScenarioConfig) else load_config(config)
+    cfg.validate()
     if seed is not None:
         cfg = replace(cfg, seed=int(seed))
     os.makedirs(out_dir, exist_ok=True)
@@ -389,8 +394,11 @@ def main(argv=None):
                 print(f"error: {exc}", file=sys.stderr)
                 return _EXIT_CHECK_FAILED
             return 0
-        alphas = [float(v) for v in args.alphas.replace(",", " ").split()]
-        result = localization_gap_probe(n=args.dim, alphas=alphas)
+        try:
+            alphas = [float(v) for v in args.alphas.replace(",", " ").split()]
+            result = localization_gap_probe(n=args.dim, alphas=alphas)
+        except ValueError as exc:
+            raise ConfigError(f"probe-localization: {exc}") from exc
         print("alpha,distance,hessian_norm")
         for a, d, h in zip(result.alphas, result.distances, result.hessian_norms):
             print(f"{float(a)!r},{float(d)!r},{float(h)!r}")

@@ -47,6 +47,15 @@ __all__ = [
 ]
 
 
+def _increasing(values, name):
+    values = np.asarray(values, dtype=np.float64)
+    if (values.ndim != 1 or len(values) < 2 or not np.all(np.isfinite(values))
+            or np.any(np.diff(values) <= 0)):
+        raise ValueError(f"{name} must be a 1-D, finite, strictly increasing "
+                         f"array of at least 2 points")
+    return values
+
+
 @dataclass
 class ReducedField:
     """2D field u(x_plus, second) with x_plus periodic.
@@ -64,14 +73,12 @@ class ReducedField:
 
     def __post_init__(self):
         self.x_plus = np.asarray(self.x_plus, dtype=np.float64)
-        self.second = np.asarray(self.second, dtype=np.float64)
+        self.second = _increasing(self.second, "second coordinate")
         self.values = np.asarray(self.values, dtype=np.float64)
         if self.values.shape != (len(self.x_plus), len(self.second)):
             raise ValueError("values must be (len(x_plus), len(second))")
         if not np.all(np.isfinite(self.values)):
             raise ValueError("reduced field contains non-finite values")
-        if np.any(np.diff(self.second) <= 0):
-            raise ValueError("second coordinate must be strictly increasing")
 
     def second_spacing(self):
         return float(self.second[1] - self.second[0])
@@ -79,6 +86,8 @@ class ReducedField:
     def concavity_margin(self):
         """m > 0 iff strictly concave in the second variable (interior)."""
         v = self.values
+        if v.shape[1] < 3:
+            raise ConcavityViolated("need at least 3 samples to test concavity")
         h = self.second_spacing()
         d2 = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
         return float(-d2.max())
@@ -107,12 +116,8 @@ def lift_field(rf, grid):
     return ScalarField(grid, vals.copy())
 
 
-def _lower_envelope(xs, fs, qs):
-    """min_i (q * xs[i] + fs[i]) for each q in the sorted array qs.
-
-    Linear time: only vertices of the lower convex hull of (xs, fs) can
-    attain the minimum, and the optimal vertex index is monotone in q.
-    """
+def _hull(xs, fs):
+    """Indices of the lower convex hull vertices of (xs, fs), xs increasing."""
     hull = []
     for i in range(len(xs)):
         while len(hull) >= 2:
@@ -124,15 +129,23 @@ def _lower_envelope(xs, fs, qs):
             else:
                 break
         hull.append(i)
-    hx = xs[hull]
-    hf = fs[hull]
-    slopes = np.diff(hf) / np.diff(hx)
-    out = np.empty(len(qs))
-    j = len(hull) - 1
-    for m, q in enumerate(qs):
-        while j > 0 and -q < slopes[j - 1]:
-            j -= 1
-        out[m] = q * hx[j] + hf[j]
+    return hull
+
+
+def _lower_envelopes(xs, fs, qs):
+    """min_i (q * xs[i] + fs[r, i]) for every row r of fs and each q in the
+    sorted array qs.  Only lower-hull vertices can attain the minimum, and
+    the optimal one is the number of hull slopes <= -q.  A row on which the
+    hull scan's test never fires on a consecutive triple keeps every sample
+    as a vertex and skips the scan (tested for all rows at once)."""
+    df, dx = np.diff(fs, axis=1), np.diff(xs)
+    general = (df[:, :-1] * dx[1:] >= df[:, 1:] * dx[:-1]).any(axis=1)
+    out = np.empty((len(fs), len(qs)))
+    for r in range(len(fs)):
+        hull = _hull(xs, fs[r]) if general[r] else slice(None)
+        hx, hf = xs[hull], fs[r, hull]
+        j = np.searchsorted(np.diff(hf) / np.diff(hx), -qs, side="right")
+        out[r] = qs * hx[j] + hf[j]
     return out
 
 
@@ -159,13 +172,10 @@ def partial_legendre(rf, p_grid=None, min_margin=1e-10):
     if p_grid is None:
         p_grid = np.linspace(gmin, gmax, len(rf.second))
     else:
-        p_grid = np.asarray(p_grid, dtype=np.float64)
+        p_grid = _increasing(p_grid, "p_grid")
         clipped = p_grid[0] > gmin or p_grid[-1] < gmax
-    xs = rf.second
-    out = np.empty((len(rf.x_plus), len(p_grid)))
-    for i in range(len(rf.x_plus)):
-        # max_x(u - p x) = -min_x(p x - u)
-        out[i] = -_lower_envelope(xs, -rf.values[i], p_grid)
+    # max_x(u - p x) = -min_x(p x - u)
+    out = -_lower_envelopes(rf.second, -rf.values, p_grid)
     return ReducedField(rf.x_plus, p_grid, out, conjugate=True,
                         range_clipped=clipped)
 
@@ -179,10 +189,8 @@ def inverse_partial_legendre(vf, x_grid=None):
         # dv/dp = -x_minus, so the recoverable x range is -grad reversed
         x_grid = np.linspace(float(-g.max()), float(-g.min()), len(vf.second))
     else:
-        x_grid = np.asarray(x_grid, dtype=np.float64)
-    out = np.empty((len(vf.x_plus), len(x_grid)))
-    for i in range(len(vf.x_plus)):
-        out[i] = _lower_envelope(vf.second, vf.values[i], x_grid)
+        x_grid = _increasing(x_grid, "x_grid")
+    out = _lower_envelopes(vf.second, vf.values, x_grid)
     return ReducedField(vf.x_plus, x_grid, out, conjugate=False)
 
 
@@ -191,6 +199,8 @@ def legendre_roundtrip_error(rf, trim=None):
     nx = len(rf.second)
     if trim is None:
         trim = max(2, nx // 16)
+    if not 0 <= 2 * trim < nx:
+        raise ValueError(f"trim {trim} leaves no interior of {nx} points")
     vf = partial_legendre(rf)
     back = inverse_partial_legendre(vf, x_grid=rf.second)
     err = np.abs(back.values - rf.values)[:, trim:nx - trim]

@@ -18,6 +18,7 @@ real coordinate (each factor has dimension 2n).
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 
 import numpy as np
@@ -43,13 +44,10 @@ def _r2(x):
     return (_minimg(x) ** 2).sum(axis=-1)
 
 
-def _smoothstep(s):
-    s = np.clip(s, 0.0, 1.0)
-    return s * s * (3.0 - 2.0 * s)
-
-
 def _zero_set_radius():
-    """Radius below which the diagonal lies in {phi2 <= -eta}."""
+    """Radius below which the diagonal lies in {phi2 <= -eta}, where
+    phi2(x, y) = -2 + 13 (S(|x| - 1) + S(|y| - 1)) with the ramp
+    S(s) = 3s^2 - 2s^3 on [0, 1]; phi2 enters the probe only here."""
     target = (2.0 - _ETA) / 26.0
     # the root in [0, 1] of the ramp 3s^2 - 2s^3 = target, in closed form
     s0 = 0.5 - math.sin(math.asin(1.0 - 2.0 * target) / 3.0)
@@ -84,11 +82,6 @@ def _construction(n, phi3_scale):
     x_hat = np.zeros(dim)
     x_hat[0] = r_zero + _BUMP_OFFSET
 
-    def phi2(x, y):
-        rx = np.sqrt(_r2(x))
-        ry = np.sqrt(_r2(y))
-        return -2.0 + 13.0 * (_smoothstep(rx - 1.0) + _smoothstep(ry - 1.0))
-
     def phi3(x, y):
         diff = _minimg(np.asarray(y) - np.asarray(x))
         d2 = (diff ** 2).sum(axis=-1)
@@ -103,32 +96,61 @@ def _construction(n, phi3_scale):
     def w_super(y):
         return np.zeros(np.asarray(y).shape[:-1])
 
-    return phi2, phi3, w_sub, w_super, x_hat, r_zero
+    return phi3, w_sub, w_super, x_hat, r_zero
 
 
-def _grid_maximize(objective, center, half_width, n_levels=14, pts=13,
-                   chunk=200_000):
+def _objective_slabs(axes, x_hat, r_zero, alpha, phi3_scale, chunk=200_000):
+    """Yield (offset, values) of w_sub - w_super - phi3 - alpha d^2 / 2 on
+    the tensor grid of axes (x_0 .. x_{dim-1}, y_0 .. y_{dim-1}) in C order,
+    in slabs of at most chunk values along the leading axes.  Each term sums
+    over c tables on one (x_c, y_c) pair, in the pointwise code's order, so
+    only the combination runs at full size.  The supersolution model is 0."""
+    dim = len(axes) // 2
+    shape = tuple(len(a) for a in axes)
+    d2_t, mid_t, bump_t = [], [], []
+    for c in range(dim):
+        pair = [1] * (2 * dim)
+        pair[c], pair[dim + c] = shape[c], shape[dim + c]
+        x, y = axes[c][:, None], axes[dim + c][None, :]
+        diff = _minimg(y - x)
+        d2_t.append((diff ** 2).reshape(pair))
+        mid_t.append((_minimg(x + 0.5 * diff) ** 2).reshape(pair))
+        bump = _minimg(axes[c] - x_hat[c]) ** 2
+        bump_t.append(bump.reshape(pair[:dim] + [1] * dim))
+    lead = next(k for k in range(1, 2 * dim + 1)
+                if math.prod(shape[k:]) <= chunk)
+    size, rows = math.prod(shape[lead:]), np.arange(math.prod(shape[:lead]))
+    for start in range(0, len(rows), chunk // size):
+        idx = np.unravel_index(rows[start:start + chunk // size], shape[:lead])
+        # every table at this slab's leading indices, summed over c
+        d2, mid2, bump2 = (
+            sum(t[tuple(i if m > 1 else 0 for i, m in zip(idx, t.shape))]
+                for t in tables) for tables in (d2_t, mid_t, bump_t))
+        ramp = np.maximum(np.sqrt(mid2) - r_zero, 0.0) ** 3
+        phi3 = phi3_scale * (d2 + _BETA * ramp)
+        w_sub = _BUMP_AMP * np.exp(-bump2 / _BUMP_WIDTH2)
+        yield start * size, (w_sub - phi3 - 0.5 * alpha * d2).ravel()
+
+
+def _grid_maximize(slabs, center, half_width, n_levels=14, pts=13):
     """Nested grid search; each level's box is wide enough (two cells of
-    the previous level) to contain the previous argmax's true neighborhood."""
-    dim = len(center)
+    the previous level) to contain the previous argmax's true neighborhood.
+    The first maximum in the C order of ``slabs(axes)`` wins."""
     best = np.asarray(center, dtype=np.float64)
     hw = half_width
     for _ in range(n_levels):
         axes = [np.linspace(b - hw, b + hw, pts) for b in best]
-        mesh = np.meshgrid(*axes, indexing="ij")
-        pts_all = np.stack([m.ravel() for m in mesh], axis=-1)
         best_val = -np.inf
-        for start in range(0, len(pts_all), chunk):
-            block = pts_all[start:start + chunk]
-            vals = objective(block)
+        for offset, vals in slabs(axes):
             j = int(np.argmax(vals))
             if vals[j] > best_val:
                 best_val = float(vals[j])
-                best = block[j].copy()
+                idx = np.unravel_index(offset + j, [pts] * len(axes))
+                best = np.array([a[i] for a, i in zip(axes, idx)])
         hw = 2.0 * (2.0 * hw / (pts - 1))
         if hw < 1e-7:
             break
-    return best, best_val
+    return best
 
 
 def _fd_hessian_norm(f, z, step=1e-3):
@@ -157,12 +179,16 @@ def localization_gap_probe(n=1, alphas=(1e1, 1e2, 1e3, 1e4), phi3_scale=1.0,
     With phi3_scale = 0 the Hessian vanishes identically and the probe
     reports the vacuous case instead of fitting.
     """
-    if n < 1:
-        raise ValueError("need n >= 1")
+    if (not isinstance(n, numbers.Integral) or n < 1 or search_points < 2
+            or search_levels < 1):
+        raise ValueError("need an integer n >= 1, search_points >= 2 and "
+                         "search_levels >= 1")
     alphas = np.asarray(sorted(float(a) for a in alphas))
+    if not np.all(np.isfinite(alphas) & (alphas > 0)):
+        raise ValueError("penalization strengths must be finite and > 0")
     if len(alphas) < 2 and phi3_scale != 0.0:
         raise ValueError("need at least two penalization strengths")
-    phi2, phi3, w_sub, w_super, x_hat, _ = _construction(n, phi3_scale)
+    phi3, _, _, x_hat, r_zero = _construction(n, phi3_scale)
     dim = 2 * n
 
     def split(z):
@@ -178,14 +204,10 @@ def localization_gap_probe(n=1, alphas=(1e1, 1e2, 1e3, 1e4), phi3_scale=1.0,
     center = np.concatenate([x_hat, x_hat])
     half_width = 2.0
     for alpha in alphas:
-        def objective(z, alpha=alpha):
-            x, y = split(z)
-            diff = _minimg(y - x)
-            d2 = (diff ** 2).sum(axis=-1)
-            return w_sub(x) - w_super(y) - phi3(x, y) - 0.5 * alpha * d2
-
-        z_star, _ = _grid_maximize(objective, center, half_width,
-                                   n_levels=search_levels, pts=search_points)
+        z_star = _grid_maximize(
+            lambda axes, a=alpha: _objective_slabs(axes, x_hat, r_zero, a,
+                                                   phi3_scale),
+            center, half_width, n_levels=search_levels, pts=search_points)
         x_a, y_a = split(z_star)
         d = float(np.sqrt((_minimg(y_a - x_a) ** 2).sum()))
         distances.append(d)

@@ -75,6 +75,12 @@ class TestRunScenario:
         assert outs[0] == outs[1]
 
 
+    def test_mutated_config_revalidated(self, tmp_path):
+        cfg = load_config(scenario("flat_stationary.cfg"))
+        cfg.t_end = float("nan")
+        with pytest.raises(ConfigError, match="t_end"):
+            run_scenario(cfg, tmp_path)
+
     def test_seed_override_leaves_config_alone(self, tmp_path):
         cfg = load_config(scenario("flat_stationary.cfg"))
         seed = cfg.seed
@@ -169,6 +175,17 @@ class TestMain:
         assert text.startswith("alpha,distance,hessian_norm")
         assert "reference_exponent = 2.0" in text
         assert os.path.exists(os.path.join(out, "probe.csv"))
+
+    @pytest.mark.parametrize("args", [
+        ["--alphas", "1e1"], ["--alphas", "abc,1"], ["--dim", "0"],
+        ["--alphas", "1e1,nan"], ["--alphas", "0,1e1"]],
+        ids=["one_alpha", "unparseable_alpha", "dim_zero", "nan_alpha",
+             "zero_alpha"])
+    def test_probe_localization_bad_input_exit_two(self, args, capsys):
+        assert main(["probe-localization"] + args) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error:")
+        assert "Traceback" not in captured.err + captured.out
 
 
 def test_exit_codes_distinct():

@@ -183,3 +183,102 @@ class TestResiduals:
             bad.append(ReducedField(s.x_plus, s.second, vals))
         r_bad, _ = untransformed_residual(bad, times, F=ms.F)
         assert r_bad >= 10.0 * r_u
+
+
+def walk_envelope(xs, fs, qs):
+    """Per-row reference: the lower hull by a stack scan, then a pointer
+    walk over the sorted queries (the transform's former per-row loop)."""
+    hull = []
+    for i in range(len(xs)):
+        while len(hull) >= 2:
+            i0, i1 = hull[-2], hull[-1]
+            if ((fs[i1] - fs[i0]) * (xs[i] - xs[i1])
+                    >= (fs[i] - fs[i1]) * (xs[i1] - xs[i0])):
+                hull.pop()
+            else:
+                break
+        hull.append(i)
+    hx, hf = xs[hull], fs[hull]
+    slopes = np.diff(hf) / np.diff(hx)
+    out = np.empty(len(qs))
+    j = len(hull) - 1
+    for m, q in enumerate(qs):
+        while j > 0 and -q < slopes[j - 1]:
+            j -= 1
+        out[m] = q * hx[j] + hf[j]
+    return out, len(hull)
+
+
+def seeded_concave(rng):
+    n_plus, n_minus = rng.integers(3, 12), rng.integers(16, 300)
+    xp = np.arange(n_plus) * 2 * np.pi / n_plus
+    xm = rng.uniform(-1, 1) + np.arange(n_minus) * 2 * np.pi / n_minus
+    a = rng.uniform(0.3, 1.5, n_plus)[:, None]
+    w = rng.uniform(0.0, 0.25, n_plus)[:, None] * a
+    vals = (-0.5 * a * (xm[None, :] - xm.mean()) ** 2
+            - w * np.cos(xm[None, :] + rng.uniform(0, 2 * np.pi))
+            + rng.uniform(-1, 1, n_plus)[:, None])
+    return ReducedField(xp, xm, vals)
+
+
+class TestBatchedEnvelope:
+    def test_forward_and_inverse_equal_per_row_walk(self, rng):
+        for _ in range(12):
+            rf = seeded_concave(rng)
+            v = partial_legendre(rf)
+            ref = [walk_envelope(rf.second, -row, v.second) for row in rf.values]
+            assert np.array_equal(v.values, -np.array([r[0] for r in ref]))
+            # strictly concave rows keep every sample as a hull vertex
+            assert all(n_hull == len(rf.second) for _, n_hull in ref)
+            back = inverse_partial_legendre(v)
+            ref = [walk_envelope(v.second, row, back.second) for row in v.values]
+            assert np.array_equal(back.values, np.array([r[0] for r in ref]))
+            back = inverse_partial_legendre(v, x_grid=rf.second)
+            ref = [walk_envelope(v.second, row, rf.second) for row in v.values]
+            assert np.array_equal(back.values, np.array([r[0] for r in ref]))
+
+    def test_general_hull_rows(self):
+        # piecewise-linear convex conjugates and a collinear run inside a
+        # convex row: each drops samples from its hull, unlike the smooth row
+        p = np.linspace(-2.0, 2.0, 41)
+        rows = np.vstack([np.abs(p - 0.3),
+                          np.maximum.reduce([-p, 0.5 * p, 2.0 * p - 1.0]),
+                          np.where(np.abs(p) < 0.5, 0.5 * p + 0.25,
+                                   0.5 * p ** 2 + 0.5 * p + 0.125),
+                          0.5 * p ** 2])
+        vf = ReducedField(np.arange(4.0), p, rows, conjugate=True)
+        xs = np.linspace(-1.5, 1.5, 29)
+        back = inverse_partial_legendre(vf, x_grid=xs)
+        for row, got in zip(rows, back.values):
+            ref, n_hull = walk_envelope(p, row, xs)
+            assert np.array_equal(got, ref)
+            # min_p (v + p x) = -max_p (-v - p x)
+            oracle = -conjugate_slice_bruteforce(p, -row, xs)
+            assert np.abs(got - oracle).max() <= 1e-12
+        assert [walk_envelope(p, r, xs)[1] < len(p) for r in rows] == [
+            True, True, True, False]
+
+
+class TestGridValidation:
+    @pytest.mark.parametrize("grid", [
+        np.linspace(-1, 1, 12).reshape(3, 4), np.linspace(1, -1, 11),
+        np.array([-1.0, np.nan, 1.0]), np.array([-1.0, 0.0, np.inf]),
+        np.array([0.5]), np.array([0.0, 0.0, 1.0])],
+        ids=["2d", "descending", "nan", "inf", "single", "repeated"])
+    def test_bad_grids_named(self, grid):
+        rf = concave_reduced(32)
+        with pytest.raises(ValueError, match="p_grid"):
+            partial_legendre(rf, p_grid=grid)
+        with pytest.raises(ValueError, match="x_grid"):
+            inverse_partial_legendre(partial_legendre(rf), x_grid=grid)
+
+    def test_too_few_minus_samples(self):
+        rf = ReducedField(np.arange(2.0), np.array([0.0, 1.0]),
+                          -np.ones((2, 2)))
+        with pytest.raises(ConcavityViolated, match="3 samples"):
+            partial_legendre(rf)
+
+    @pytest.mark.parametrize("trim", [16, 40, -1])
+    def test_trim_leaving_no_interior(self, trim):
+        with pytest.raises(ValueError, match="trim"):
+            legendre_roundtrip_error(concave_reduced(32), trim=trim)
