@@ -148,8 +148,8 @@ def load_config(path):
         grid = BicomplexGrid.regular(k, l, counts[0] if len(counts) == 1
                                      else counts, period=period)
 
-        b = parser["background"] if parser.has_section("background") else {}
-        get = lambda key, dflt: (b.get(key, dflt) if hasattr(b, "get") else dflt)
+        section = lambda name: parser[name] if parser.has_section(name) else {}
+        get = section("background").get
         omega_p = _diag(get("omega_plus", "1"), k, "omega_plus")
         omega_m = _diag(get("omega_minus", "1"), l, "omega_minus")
         chi_p = _diag(get("chi_plus", "0"), k, "chi_plus")
@@ -162,8 +162,7 @@ def load_config(path):
         f_amp = float(get("forcing_amplitude", "0"))
         f_axis = int(get("forcing_axis", "0"))
 
-        i = parser["initial"] if parser.has_section("initial") else {}
-        iget = lambda key, dflt: (i.get(key, dflt) if hasattr(i, "get") else dflt)
+        iget = section("initial").get
         kind = iget("kind", "zero").strip().lower()
         if kind not in ("zero", "cosine", "file"):
             raise ConfigError(f"initial: unknown kind {kind!r}")
@@ -180,8 +179,7 @@ def load_config(path):
         emit_every = r.getint("emit_every", fallback=10)
         seed = r.getint("seed", fallback=0)
 
-        c = parser["checks"] if parser.has_section("checks") else {}
-        cget = lambda key, dflt: (c.get(key, dflt) if hasattr(c, "get") else dflt)
+        cget = section("checks").get
         viscosity = str(cget("viscosity", "true")).strip().lower() in ("1", "true", "yes")
         roundtrip = str(cget("roundtrip", "false")).strip().lower() in ("1", "true", "yes")
         samples = int(cget("jet_samples", "2"))

@@ -41,6 +41,8 @@ __all__ = [
 
 MONITOR_HEADER = ("t", "sup_u", "inf_u", "rhs_sup", "plus_margin",
                   "minus_margin", "barrier_gap_lo", "barrier_gap_hi")
+_BARRIER_TOL_FACTOR = 10.0     # fatal sandwich gap, in units of dt * A
+_MAX_STEPS = 10_000_000         # run stops here short of t_end
 
 
 @dataclass
@@ -201,9 +203,6 @@ class Trajectory:
     states: list
     barrier: BarrierPair
 
-    def monitor_array(self):
-        return np.array(self.rows)
-
     def write_monitor_csv(self, path, comment=None):
         with open(path, "w") as fh:
             if comment:
@@ -213,17 +212,17 @@ class Trajectory:
                 fh.write(",".join(repr(v) for v in row) + "\n")
 
 
-def run(state0, t_end, safety=0.5, emit_every=10, barrier_tol_factor=10.0,
-        keep_states="emitted", max_steps=10_000_000):
+def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     """Step to t_end, emitting monitor rows and enforcing the barrier sandwich.
 
-    A sandwich failure beyond tol = barrier_tol_factor * dt * A indicates a
+    A sandwich failure beyond tol = _BARRIER_TOL_FACTOR * dt * A indicates a
     scheme bug and is fatal.  The affine sandwich is a theorem only for
     time-independent backgrounds (chi = 0 and a single F knot); on drifting
     backgrounds the gaps are still recorded but not enforced.
-    ``keep_states``: "emitted" | "all" | "none" (the final state is always
-    kept).
+    ``keep_states``: "emitted" | "none" (the final state is always kept).
     """
+    if keep_states not in ("emitted", "none"):
+        raise ValueError(f"keep_states must be 'emitted' or 'none', got {keep_states!r}")
     background = state0.background
     barrier = barriers(state0.u, background)
     enforce_barrier = background.chi_is_zero and len(background.f_times) == 1
@@ -237,7 +236,7 @@ def run(state0, t_end, safety=0.5, emit_every=10, barrier_tol_factor=10.0,
         rep = state.monitors or {}
         gap_lo = float((state.u.values - barrier.lower(state.t)).min())
         gap_hi = float((barrier.upper(state.t) - state.u.values).min())
-        tol = barrier_tol_factor * max(dt, 1e-300) * barrier.A
+        tol = _BARRIER_TOL_FACTOR * max(dt, 1e-300) * barrier.A
         if enforce_barrier and (gap_lo < -tol or gap_hi < -tol):
             raise BarrierViolation(
                 f"barrier sandwich failed at t={state.t:.6g} "
@@ -249,7 +248,7 @@ def run(state0, t_end, safety=0.5, emit_every=10, barrier_tol_factor=10.0,
                      rep.get("plus_margin", math.nan),
                      rep.get("minus_margin", math.nan),
                      gap_lo, gap_hi))
-        if keep_states in ("emitted", "all"):
+        if keep_states == "emitted":
             states.append(state.copy())
 
     report0 = admissibility(state)
@@ -260,7 +259,7 @@ def run(state0, t_end, safety=0.5, emit_every=10, barrier_tol_factor=10.0,
                       "rhs_sup": math.nan,
                       "admissible": report0.admissible}
     emit()
-    while state.t < t_end - 1e-14 and n_step < max_steps:
+    while state.t < t_end - 1e-14 and n_step < _MAX_STEPS:
         dt = min(stable_dt(state, safety), t_end - state.t)
         if dt < 1e-12 * max(t_end, 1.0):
             # the parabolic step bound collapsed: an ellipticity block is
@@ -278,8 +277,6 @@ def run(state0, t_end, safety=0.5, emit_every=10, barrier_tol_factor=10.0,
         n_step += 1
         if n_step % emit_every == 0 or state.t >= t_end - 1e-14:
             emit()
-        elif keep_states == "all":
-            states.append(state.copy())
     if keep_states == "none" or not states or states[-1].t != state.t:
         states.append(state.copy())
     return Trajectory(rows=rows, states=states, barrier=barrier)

@@ -17,6 +17,7 @@ rely on this.
 
 from __future__ import annotations
 
+import itertools
 import struct
 from dataclasses import dataclass, field
 
@@ -53,15 +54,21 @@ class BicomplexGrid:
     def __post_init__(self):
         if not (1 <= self.k <= 2 and 1 <= self.l <= 2):
             raise ValueError("block dimensions k, l must be 1 or 2 (desk scale)")
+        counts, spacing = tuple(self.n_points), tuple(map(float, self.spacing))
         n_axes = 2 * self.k + 2 * self.l
-        if len(self.n_points) != n_axes or len(self.spacing) != n_axes:
+        if len(counts) != n_axes or len(spacing) != n_axes:
             raise ValueError(f"expected {n_axes} axes, got "
-                             f"{len(self.n_points)} counts / {len(self.spacing)} spacings")
-        for n in self.n_points:
-            if n < 4 or n % 2:
-                raise ValueError("every axis needs an even count >= 4")
-        if not all(0 < h < np.inf for h in self.spacing):
+                             f"{len(counts)} counts / {len(spacing)} spacings")
+        arr = np.asarray(counts)
+        if not (arr.dtype.kind in "iuf"
+                and np.all(np.isfinite(arr) & (arr >= 4) & (arr % 2 == 0))):
+            raise ValueError(f"every axis needs an even integer count >= 4, got {counts}")
+        counts = tuple(int(n) for n in arr)
+        if not all(0 < h < np.inf for h in spacing):
             raise ValueError("spacings must be finite and positive")
+        # tuples keep the grid hashable and its shape a tuple
+        object.__setattr__(self, "n_points", counts)
+        object.__setattr__(self, "spacing", spacing)
 
     @classmethod
     def regular(cls, k, l, n, period=2.0 * np.pi):
@@ -122,18 +129,28 @@ class ScalarField:
     def zeros(cls, grid):
         return cls(grid, np.zeros(grid.shape))
 
-    @classmethod
-    def from_function(cls, grid, fn):
-        """Sample ``fn(*coords)`` on the lattice (coords broadcast via ogrid)."""
-        coords = np.meshgrid(*[grid.axis_coords(a) for a in range(grid.real_dim)],
-                             indexing="ij", sparse=True)
-        return cls(grid, np.broadcast_to(fn(*coords), grid.shape).astype(np.float64))
-
     def copy(self):
         return ScalarField(self.grid, self.values.copy())
 
     def mean(self):
         return float(self.values.mean())
+
+
+def _require_hermitian(values, block):
+    """max |values|, after checking that every entry (j, i) is the conjugate
+    of (i, j) to within 1e-12 (1 + max |values|); ValueError otherwise.  On
+    the diagonal the deviation is 2 |Im v_ii|, read without a temporary."""
+    peak = float(np.abs(values).max())
+    for i, j in itertools.combinations_with_replacement(range(values.shape[-1]), 2):
+        if i == j:
+            im = values[..., i, i].imag
+            dev = 2.0 * max(im.max(), -im.min())
+        else:
+            dev = np.abs(values[..., i, j] - values[..., j, i].conj()).max()
+        if dev > 1e-12 * (1.0 + peak):
+            raise ValueError(f"{block} block is not Hermitian at entry "
+                             f"({i}, {j}) (deviation {dev:.3e})")
+    return peak
 
 
 @dataclass
@@ -151,9 +168,7 @@ class HermitianMatrixField:
         if self.values.shape != self.grid.shape + (m, m):
             raise ValueError(f"values shape {self.values.shape} != {self.grid.shape + (m, m)}")
         if self.check:
-            dev = np.abs(self.values - np.conj(np.swapaxes(self.values, -1, -2))).max()
-            if dev > 1e-12 * (1.0 + np.abs(self.values).max()):
-                raise ValueError(f"field is not Hermitian (deviation {dev:.3e})")
+            _require_hermitian(self.values, self.block)
 
     @classmethod
     def constant(cls, grid, block, matrix):
@@ -173,19 +188,48 @@ class HermitianMatrixField:
 # ---------------------------------------------------------------------------
 # stencils
 
+_TERMS = {}
+
+
+def _hessian_terms(grid, block):
+    """The one statement of the block Hessian: ((i, j), terms), i <= j.
+
+    Entry (i, j) is 1/4 [(D_{x_i x_j} + D_{y_i y_j}) + i (D_{x_i y_j} - D_{y_i x_j})]
+    and entry (j, i) its conjugate.  A term (part, a, b, w) adds w * D_ab to
+    the real (0) or imaginary (1) part; terms sharing the axis a are
+    adjacent.  The lattice stencil and the spectral symbols are generated
+    from this table, cached by (k, l, block) since it ignores the spacing.
+    """
+    key = (grid.k, grid.l, block)
+    if key not in _TERMS:
+        axes = grid.block_axes(block)
+        table = []
+        for i, (xi, yi) in enumerate(axes):
+            for j, (xj, yj) in enumerate(axes[i:], i):
+                terms = ((0, xi, xj, 0.25), (1, xi, yj, 0.25),
+                         (0, yi, yj, 0.25), (1, yi, xj, -0.25))
+                table.append(((i, j), terms[::2] if i == j else terms))
+        _TERMS[key] = tuple(table)
+    return _TERMS[key]
+
+
+def _symbol(theta, spacing, a, b):
+    """Fourier symbol of D_ab, theta[a] being the angles of axis a.  On the
+    lattice D_aa is ``_same_axis`` / h_a^2, D_ab ``_centred`` along a and b / (4 h_a h_b)."""
+    if a == b:
+        return -4.0 * np.sin(theta[a] / 2.0) ** 2 / (spacing[a] * spacing[a])
+    return -np.sin(theta[a]) * np.sin(theta[b]) / (spacing[a] * spacing[b])
+
+
 def _shift(values, axis, step):
     """Periodic shift: out[..., i, ...] = values[..., i + step, ...], step = +-1."""
-    n = values.shape[axis]
-    cut = step % n
-    head = [slice(None)] * values.ndim
-    tail = [slice(None)] * values.ndim
-    head[axis] = slice(cut, None)
-    tail[axis] = slice(None, cut)
-    return np.concatenate((values[tuple(head)], values[tuple(tail)]), axis=axis)
+    cut, lead = step % values.shape[axis], (slice(None),) * (axis % values.ndim)
+    return np.concatenate((values[lead + (slice(cut, None),)],
+                           values[lead + (slice(None, cut),)]), axis=axis)
 
 
 def _same_axis(values, axis, scale):
-    """scale * (S+ v + S- v - 2 v) along one axis (the three-point stencil)."""
+    """scale * (S+ v + S- v - 2 v) along one periodic axis (three-point)."""
     d = _shift(values, axis, 1)
     d += _shift(values, axis, -1)
     d -= values
@@ -194,66 +238,53 @@ def _same_axis(values, axis, scale):
     return d
 
 
-def _cross(centred, axis, scale):
-    """scale * (S+ c - S- c) along ``axis`` of a centred difference c along
-    another axis: the four-point cross stencil, exact on quadratics."""
-    d = _shift(centred, axis, 1)
-    d -= _shift(centred, axis, -1)
-    d *= scale
+def _centred(values, axis, scale=None):
+    """scale * (S+ v - S- v) along one periodic axis (unscaled if None)."""
+    d = _shift(values, axis, 1)
+    d -= _shift(values, axis, -1)
+    if scale is not None:
+        d *= scale
     return d
 
 
 def hessian_block_values(values, grid, block):
     """Raw (shape + (m, m)) array of the discrete i del delbar Hessian.
 
-    Entry (i, j) is 1/4 [(D_{x_i x_j} + D_{y_i y_j}) + i (D_{x_i y_j} - D_{y_i x_j})]
-    with periodic central second differences.  Each shift is one
-    np.concatenate copy; the three-point stencils accumulate in place, each
-    mixed difference shifts a centred difference (S+ - S-) v along its
-    second axis, and the 1/4 is folded into the stencil weights, so an
-    entry needs only a few grid-sized temporaries.  For real values entry
-    (j, i) is written as the exact conjugate of (i, j); complex values are
-    stencilled part by part.
+    Evaluates the ``_hessian_terms`` table one entry at a time: each part
+    accumulates in place, the centred difference along a is taken once
+    per entry and shifted along b for each mixed D_ab, and the weights are
+    folded into the stencil scales.  Entry (j, i) of real values is the
+    exact conjugate of (i, j); complex values are stencilled part by part.
     """
     if np.iscomplexobj(values):
         out = hessian_block_values(values.real, grid, block)
         out += 1j * hessian_block_values(values.imag, grid, block)
         return out
-    axes = grid.block_axes(block)
-    m = len(axes)
-    h = grid.spacing
+    h, m = grid.spacing, grid.block_dim(block)
     out = np.empty(grid.shape + (m, m), dtype=np.complex128)
-    for i, (xi, yi) in enumerate(axes):
-        re = _same_axis(values, xi, 0.25 / (h[xi] * h[xi]))
-        re += _same_axis(values, yi, 0.25 / (h[yi] * h[yi]))
-        entry = out[..., i, i]
-        entry.real = re
-        entry.imag = 0.0
-        for j in range(i + 1, m):
-            xj, yj = axes[j]
-            c = _shift(values, xi, 1)
-            c -= _shift(values, xi, -1)
-            re = _cross(c, xj, 0.0625 / (h[xi] * h[xj]))
-            im = _cross(c, yj, 0.0625 / (h[xi] * h[yj]))
-            c = _shift(values, yi, 1)
-            c -= _shift(values, yi, -1)
-            re += _cross(c, yj, 0.0625 / (h[yi] * h[yj]))
-            im -= _cross(c, xj, 0.0625 / (h[yi] * h[xj]))
-            upper, lower = out[..., i, j], out[..., j, i]
-            upper.real = re
-            upper.imag = im
-            lower.real = re
-            np.negative(im, out=lower.imag)
+    for (i, j), terms in _hessian_terms(grid, block):
+        parts, c_axis = [None, None], None
+        for part, a, b, w in terms:
+            if a == b:
+                d = _same_axis(values, a, w / (h[a] * h[a]))
+            else:
+                if a != c_axis:
+                    c, c_axis = _centred(values, a), a
+                d = _centred(c, b, 0.25 * w / (h[a] * h[b]))
+            acc = parts[part]
+            parts[part] = d if acc is None else np.add(acc, d, out=acc)
+        re, im = parts
+        out[..., i, j].real = re
+        out[..., i, j].imag = 0.0 if im is None else im
+        if i != j:
+            out[..., j, i].real = re
+            np.negative(im, out=out[..., j, i].imag)
     return out
 
 
 def hermitian_hessian(u, block):
-    """Discrete realization of the block complex Hessian of a scalar field.
-
-    Entry (i, j) at each point is
-    1/4 [ (D_{x_i x_j} + D_{y_i y_j}) u + i (D_{x_i y_j} - D_{y_i x_j}) u ]
-    restricted to the chosen block's axes; Hermitian by construction.
-    """
+    """Discrete block complex Hessian of a scalar field (the entries are
+    stated in ``_hessian_terms``); Hermitian by construction."""
     if not isinstance(u, ScalarField):
         raise TypeError("hermitian_hessian expects a ScalarField")
     vals = hessian_block_values(u.values, u.grid, block)
@@ -282,10 +313,6 @@ def _eig_bounds(values):
 
 def min_eig_values(values):
     return _eig_bounds(values)[0]
-
-
-def max_eig_values(values):
-    return _eig_bounds(values)[1]
 
 
 def det_values(values):

@@ -32,7 +32,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConcavityViolated, NotReducible
-from .grid import ScalarField
+from .grid import ScalarField, _centred, _same_axis
 
 __all__ = [
     "ReducedField",
@@ -89,8 +89,7 @@ class ReducedField:
         if v.shape[1] < 3:
             raise ConcavityViolated("need at least 3 samples to test concavity")
         h = self.second_spacing()
-        d2 = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)
-        return float(-d2.max())
+        return float(-_same_axis(v, 1, 1.0 / (h * h))[:, 1:-1].max())
 
 
 def reduce_field(u, tol=1e-12):
@@ -222,19 +221,11 @@ def _check_slices(u_slices, times):
     return times, float(dts[0])
 
 
-def _d1_periodic(v, h, axis=0):
-    return (np.roll(v, -1, axis) - np.roll(v, 1, axis)) / (2.0 * h)
-
-
-def _d2_periodic(v, h, axis=0):
-    return (np.roll(v, -1, axis) - 2.0 * v + np.roll(v, 1, axis)) / (h * h)
-
-
 def untransformed_residual(u_slices, times, F=None):
     """Discrete residual of the reduced flow on the identity background.
 
     Returns (max_residual, stack of interior-time residual arrays).
-    Spatial interior in x_minus only; x_plus is periodic.
+    Spatial interior in x_minus (wrapped stencil ends dropped); x_plus periodic.
     """
     times, dt = _check_slices(u_slices, times)
     hx = float(u_slices[0].x_plus[1] - u_slices[0].x_plus[0])
@@ -243,8 +234,8 @@ def untransformed_residual(u_slices, times, F=None):
     for n in range(1, len(times) - 1):
         u = u_slices[n].values
         u_t = (u_slices[n + 1].values - u_slices[n - 1].values) / (2.0 * dt)
-        u_xx = _d2_periodic(u, hx, axis=0)
-        u_mm = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (hm * hm)
+        u_xx = _same_axis(u, 0, 1.0 / (hx * hx))
+        u_mm = _same_axis(u, 1, 1.0 / (hm * hm))[:, 1:-1]
         rhs = np.log1p(0.25 * u_xx[:, 1:-1]) - np.log1p(-0.25 * u_mm)
         if F is not None:
             rhs = rhs - F(u_slices[n].x_plus[:, None], times[n])
@@ -271,9 +262,9 @@ def transformed_residual(u_slices, times, F=None, p_grid=None):
     for n in range(1, len(times) - 1):
         v = v_slices[n].values
         v_t = (v_slices[n + 1].values - v_slices[n - 1].values) / (2.0 * dt)
-        v_xx = _d2_periodic(v, hx, axis=0)
-        v_xp = _d1_periodic((v[:, 2:] - v[:, :-2]) / (2.0 * hp), hx, axis=0)
-        v_pp = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (hp * hp)
+        v_xx = _same_axis(v, 0, 1.0 / (hx * hx))
+        v_xp = _centred(_centred(v, 1, 0.5 / hp), 0, 0.5 / hx)[:, 1:-1]
+        v_pp = _same_axis(v, 1, 1.0 / (hp * hp))[:, 1:-1]
         if v_pp.min() <= 0:
             raise ConcavityViolated("conjugate lost convexity in momentum")
         arg = v_xx[:, 1:-1] - v_xp ** 2 / v_pp

@@ -27,7 +27,8 @@ import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
 from .forms import fgk_residual
-from .grid import HermitianMatrixField, ScalarField, hermitian_hessian
+from .grid import (HermitianMatrixField, ScalarField, _hessian_terms,
+                   _require_hermitian, _symbol, hermitian_hessian)
 
 __all__ = [
     "SquareDecomposition",
@@ -69,8 +70,9 @@ def _grid_symbols(grid):
     """Per-entry Fourier symbols of the two block Hessian stencils.
 
     Returns (sym_plus, sym_minus), each a dict {(i, j): (re, im)} over
-    i <= j.  Entry (i, j) of ``hermitian_hessian(., block)`` has the exact
-    symbol re + 1j*im and entry (j, i) has re - 1j*im, so that
+    i <= j, summed over the stencil table of ``grid``.  Entry (i, j) of
+    ``hermitian_hessian(., block)`` has the symbol re + 1j*im and entry
+    (j, i) has re - 1j*im, so that
     hat(hess u)[xi]_{ij} = sym[xi]_{ij} * hat(u)[xi].  re and im are real
     float64 arrays on the ``rfftn`` half spectrum, kept in broadcastable
     form (length 1 on the axes of the other block); im is None on the
@@ -79,32 +81,19 @@ def _grid_symbols(grid):
     key = (grid.k, grid.l, grid.n_points, grid.spacing)
     if key in _symbol_cache:
         return _symbol_cache[key]
-    n_axes = grid.real_dim
-    # broadcastable 1d symbol pieces per axis; the last axis is halved
-    theta = []
-    for a in range(n_axes):
-        n = grid.n_points[a]
-        freq = np.fft.rfftfreq(n) if a == n_axes - 1 else np.fft.fftfreq(n)
-        shape = [1] * n_axes
-        shape[a] = len(freq)
-        theta.append((2.0 * np.pi * freq).reshape(shape))
-
-    def d2_symbol(a, b):
-        ha, hb = grid.spacing[a], grid.spacing[b]
-        if a == b:
-            return -4.0 * np.sin(theta[a] / 2.0) ** 2 / (ha * ha)
-        return -np.sin(theta[a]) * np.sin(theta[b]) / (ha * hb)
-
+    # broadcastable angles per axis; the last axis is halved
+    *lead, last = grid.n_points
+    theta = np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(n) for n in lead),
+                        2.0 * np.pi * np.fft.rfftfreq(last), indexing="ij", sparse=True)
     out = []
     for block in ("plus", "minus"):
-        axes = grid.block_axes(block)
         sym = {}
-        for i, (xi, yi) in enumerate(axes):
-            for j in range(i, len(axes)):
-                xj, yj = axes[j]
-                re = 0.25 * (d2_symbol(xi, xj) + d2_symbol(yi, yj))
-                im = None if i == j else 0.25 * (d2_symbol(xi, yj) - d2_symbol(yi, xj))
-                sym[i, j] = (re, im)
+        for ij, terms in _hessian_terms(grid, block):
+            parts = [None, None]
+            for part, a, b, w in terms:
+                s = w * _symbol(theta, grid.spacing, a, b)
+                parts[part] = s if parts[part] is None else parts[part] + s
+            sym[ij] = tuple(parts)
         out.append(sym)
     _symbol_cache[key] = tuple(out)
     return _symbol_cache[key]
@@ -212,13 +201,13 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     All checks run in frequency space; the symbols are the exact Fourier
     multipliers of the stencils, so the spectral evaluations agree with
     the direct ones to roundoff.  Only the entries with i <= j of each
-    block are read, so both blocks must be Hermitian.
+    block are read, so a block that is not Hermitian raises ValueError.
     """
     grid = omega_plus.grid
     if omega_minus.grid != grid:
         raise ValueError("blocks must share one grid")
-    scale = max(float(np.abs(omega_plus.values).max()),
-                float(np.abs(omega_minus.values).max()), 1.0)
+    scale = max(_require_hermitian(omega_plus.values, omega_plus.block),
+                _require_hermitian(omega_minus.values, omega_minus.block), 1.0)
 
     def to_lattice(pair):
         """The lattice field whose real and imaginary parts have the half

@@ -23,7 +23,7 @@ import numpy as np
 
 from .errors import PreconditionFailed, WindowTooSmall
 from .forms import background_at
-from .grid import det_values, hessian_block_values, pd_gate
+from .grid import det_plus, det_values, hessian_block_values
 
 __all__ = [
     "Jet",
@@ -39,6 +39,8 @@ __all__ = [
 ]
 
 _MAG_LO, _MAG_HI = 1e-4, 1.0
+_VIOLATION_CAP = 1000                 # a report keeps its worst violations
+_DELTA_GRID = (1e-3, 1e-2, 1e-1)      # lifts of the comparison trace
 
 
 @dataclass
@@ -50,10 +52,6 @@ class Jet:
     p_t: float
     H_plus: np.ndarray
     H_minus: np.ndarray
-
-
-def _gated_det(values):
-    return np.where(pd_gate(values), det_values(values), 0.0)
 
 
 def _stack(u_stack, times):
@@ -132,11 +130,11 @@ class ViolationReport:
     def ok(self):
         return not self.violations
 
-    def finalize(self, cap=1000):
+    def finalize(self):
         self.violations.sort(key=lambda v: v.slack)
         if self.violations:
             self.worst_slack = self.violations[0].slack
-        del self.violations[cap:]
+        del self.violations[_VIOLATION_CAP:]
         return self
 
     def write_csv(self, path, comment=None):
@@ -185,10 +183,10 @@ def _run_check(u_stack, times, background, tol, samples, seed, side):
                 minus = minus - sign * Q
             if side == "above":
                 lhs = det_values(plus) * np.exp(zm)
-                rhs = np.exp(slope + Fv) * _gated_det(minus) * np.exp(zp)
+                rhs = np.exp(slope + Fv) * det_plus(minus) * np.exp(zp)
                 slack = lhs - rhs
             else:
-                lhs = _gated_det(plus) * np.exp(zm)
+                lhs = det_plus(plus) * np.exp(zm)
                 rhs = np.exp(slope + Fv) * det_values(minus) * np.exp(zp)
                 slack = rhs - lhs
             tol_arr = _default_tol(grid, dt, lhs, rhs) if tol is None else tol
@@ -237,8 +235,7 @@ class ComparisonVerdict:
 
 
 def comparison_test(sub_stack, super_stack, times, background, T=None,
-                    tol=None, samples=4, seed=0,
-                    delta_grid=(1e-3, 1e-2, 1e-1)):
+                    tol=None, samples=4, seed=0):
     """Ordered-at-zero verified sub/supersolutions stay ordered.
 
     Preconditions (checks pass, initial ordering) raise PreconditionFailed;
@@ -271,7 +268,7 @@ def comparison_test(sub_stack, super_stack, times, background, T=None,
     excess = sub_stack - super_stack
     max_excess = float(excess.max())
     delta_trace = []
-    for delta in delta_grid:
+    for delta in _DELTA_GRID:
         lifted = delta_lift(super_stack, times, delta, T)
         delta_trace.append((delta, float((sub_stack - lifted).max())))
     if max_excess <= tol_order:

@@ -212,6 +212,17 @@ class TestRun:
         initial = min(rows[0, 4], rows[0, 5])
         assert margins.min() >= 0.5 * initial
 
+    @pytest.mark.parametrize("mode", ["all", "bogus"])
+    def test_unknown_keep_states_rejected(self, small_grid, mode):
+        state = FlowState(0.0, ScalarField.zeros(small_grid), flat_background(small_grid))
+        with pytest.raises(ValueError, match="keep_states"):
+            run(state, 0.01, keep_states=mode)
+
+    def test_keep_states_none_keeps_final_only(self, small_grid):
+        state = FlowState(0.0, ScalarField.zeros(small_grid), flat_background(small_grid))
+        traj = run(state, 0.05, emit_every=1, keep_states="none")
+        assert len(traj.states) == 1 and traj.states[0].t == traj.rows[-1][0]
+
     def test_finite_tau_star_scenario_completes(self):
         from twistedma import HermitianMatrixField
         g = BicomplexGrid.regular(1, 1, 8)

@@ -1,3 +1,4 @@
+import hashlib
 import struct
 
 import numpy as np
@@ -7,9 +8,9 @@ from hypothesis import strategies as st
 
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
                        det_plus, export_csv, hermitian_hessian, load_field,
-                       min_eigenvalue, save_field)
-from twistedma.grid import (det_values, hessian_block_values, min_eig_values,
-                            pd_gate)
+                       min_eigenvalue, save_field, solve_square, square_operator)
+from twistedma.grid import (_hessian_terms, det_values, hessian_block_values,
+                            min_eig_values, pd_gate)
 
 from conftest import bandlimited_field, cos_axis_field
 
@@ -42,6 +43,25 @@ class TestGridConstruction:
             BicomplexGrid(1, 1, (8, 8, 7, 8), (1.0,) * 4)
         with pytest.raises(ValueError):
             BicomplexGrid(1, 1, (8, 8, 2, 8), (1.0,) * 4)
+
+    def test_list_fields_stored_as_tuples(self):
+        g = BicomplexGrid(1, 1, [4] * 4, [1.0] * 4)
+        assert g.n_points == (4,) * 4 and g.spacing == (1.0,) * 4
+        assert g == BicomplexGrid(1, 1, (4,) * 4, (1.0,) * 4)
+        assert hash(g) == hash(BicomplexGrid(1, 1, (4,) * 4, (1.0,) * 4))
+        assert hessian_block_values(np.ones(g.shape), g, "plus").shape == (4,) * 4 + (1, 1)
+        # a grid built from lists keys the symbol cache and runs the solver
+        u = ScalarField(g, np.cos(g.axis_coords(0))[:, None, None, None] * np.ones(g.shape))
+        assert np.isfinite(solve_square(*square_operator(u)).residual_plus)
+
+    @pytest.mark.parametrize("count", [4.5, "4", 6.25])
+    def test_non_integral_count_rejected(self, count):
+        with pytest.raises(ValueError, match="integer count"):
+            BicomplexGrid(1, 1, (8, 8, count, 8), (1.0,) * 4)
+
+    def test_integral_float_count_normalised(self):
+        g = BicomplexGrid(1, 1, (8.0, 8, 8, 8), (1.0,) * 4)
+        assert g.n_points == (8,) * 4 and all(type(n) is int for n in g.n_points)
 
 
 class TestHermitianHessian:
@@ -144,6 +164,43 @@ class TestStencil:
             got = hessian_block_values(vr + 1j * vi, g, block)
             ref = roll_hessian(vr, g, block) + 1j * roll_hessian(vi, g, block)
             assert np.abs(got - ref).max() <= 1e-13 * np.abs(ref).max()
+
+
+    # sha256 of hessian_block_values(...).tobytes() on the seeded inputs of
+    # pinned_input, recorded from the stencil before the table existed; the
+    # stencil is built from +, - and * only, so the bytes do not depend on
+    # the platform
+    PINNED = {
+        (1, 1): "9536b3614016d583e5cb30df0212b991265ef1d6aa86d36278a3b58809edeff9",
+        (1, 2): "aa09a855e84e3d6f150ae0fc022d72ed76ce9ac388c8023102ca8777ac65202f",
+        (2, 2): "ad410e4349af9c8a447ea2b6df42b4b768be478cfee756323056ca3c9ff5ada1",
+    }
+
+    @pytest.mark.parametrize("k,l", sorted(PINNED))
+    def test_pinned_bitwise(self, k, l):
+        rng = np.random.default_rng(40 + 10 * k + l)
+        n_axes = 2 * k + 2 * l
+        counts = (6,) + (4,) * (n_axes - 1)
+        spacing = tuple(float(s) for s in rng.uniform(0.2, 1.5, size=n_axes))
+        g = BicomplexGrid(k, l, counts, spacing)
+        real = rng.standard_normal(counts)
+        cplx = rng.standard_normal(counts) + 1j * rng.standard_normal(counts)
+        sha = hashlib.sha256()
+        for values in (real, cplx):
+            for block in ("plus", "minus"):
+                sha.update(hessian_block_values(values, g, block).tobytes())
+        assert sha.hexdigest() == self.PINNED[k, l]
+
+    def test_table_shared_across_spacings(self):
+        a = BicomplexGrid.regular(2, 1, 4)
+        b = BicomplexGrid(2, 1, (4, 6, 8, 4, 4, 6), (0.3, 0.7, 1.1, 0.2, 0.5, 0.9))
+        for block in ("plus", "minus"):
+            assert _hessian_terms(a, block) is _hessian_terms(b, block)
+        table = dict(_hessian_terms(a, "plus"))
+        assert sorted(table) == [(0, 0), (0, 1), (1, 1)]
+        assert table[0, 0] == ((0, 0, 0, 0.25), (0, 1, 1, 0.25))
+        assert table[0, 1] == ((0, 0, 2, 0.25), (1, 0, 3, 0.25),
+                               (0, 1, 3, 0.25), (1, 1, 2, -0.25))
 
 
 class TestDetPlus:

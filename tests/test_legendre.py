@@ -185,6 +185,82 @@ class TestResiduals:
         assert r_bad >= 10.0 * r_u
 
 
+def roll_untransformed(u_slices, times):
+    """untransformed_residual (F = None) in its np.roll and slice form."""
+    dt = float(np.diff(times)[0])
+    hx = float(u_slices[0].x_plus[1] - u_slices[0].x_plus[0])
+    hm = u_slices[0].second_spacing()
+    res = []
+    for n in range(1, len(times) - 1):
+        u = u_slices[n].values
+        u_t = (u_slices[n + 1].values - u_slices[n - 1].values) / (2.0 * dt)
+        u_xx = (np.roll(u, -1, 0) - 2.0 * u + np.roll(u, 1, 0)) / (hx * hx)
+        u_mm = (u[:, 2:] - 2.0 * u[:, 1:-1] + u[:, :-2]) / (hm * hm)
+        rhs = np.log1p(0.25 * u_xx[:, 1:-1]) - np.log1p(-0.25 * u_mm)
+        res.append(u_t[:, 1:-1] - rhs)
+    return np.stack(res)
+
+
+def roll_transformed(u_slices, times, p_grid):
+    """transformed_residual (F = None) in its np.roll and slice form."""
+    dt = float(np.diff(times)[0])
+    v_slices = [partial_legendre(s, p_grid=p_grid) for s in u_slices]
+    hx = float(u_slices[0].x_plus[1] - u_slices[0].x_plus[0])
+    hp = float(p_grid[1] - p_grid[0])
+    res = []
+    for n in range(1, len(times) - 1):
+        v = v_slices[n].values
+        v_t = (v_slices[n + 1].values - v_slices[n - 1].values) / (2.0 * dt)
+        v_xx = (np.roll(v, -1, 0) - 2.0 * v + np.roll(v, 1, 0)) / (hx * hx)
+        d_p = (v[:, 2:] - v[:, :-2]) / (2.0 * hp)
+        v_xp = (np.roll(d_p, -1, 0) - np.roll(d_p, 1, 0)) / (2.0 * hx)
+        v_pp = (v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (hp * hp)
+        arg = v_xx[:, 1:-1] - v_xp ** 2 / v_pp
+        res.append(v_t[:, 1:-1] - (np.log1p(0.25 * arg) - np.log1p(0.25 / v_pp)))
+    return np.stack(res)
+
+
+class TestGridStencils:
+    """The residuals and the concavity margin use grid's periodic stencils;
+    they match the np.roll and slice formulas to roundoff."""
+
+    @staticmethod
+    def wobbling_slices(rng):
+        # a plus-only wobble that alternates in time keeps every slice
+        # concave in x_minus and the residual far from zero
+        ms = ManufacturedSolution(n=48, n_plus=12)
+        times = np.linspace(0.0, 0.03, 6)
+        slices = []
+        for i, s in enumerate(ms.slices(times)):
+            wobble = 0.05 * rng.standard_normal() * np.sin(3 * s.x_plus)[:, None]
+            slices.append(ReducedField(s.x_plus, s.second, s.values + wobble * (i % 2)))
+        return slices, times
+
+    def test_concavity_margin(self, rng):
+        for _ in range(8):
+            rf = seeded_concave(rng)
+            v, h = rf.values, rf.second_spacing()
+            ref = -((v[:, 2:] - 2.0 * v[:, 1:-1] + v[:, :-2]) / (h * h)).max()
+            assert abs(rf.concavity_margin() - ref) <= 1e-12 * abs(ref)
+
+    def test_untransformed_residual(self, rng):
+        slices, times = self.wobbling_slices(rng)
+        r, got = untransformed_residual(slices, times)
+        ref = roll_untransformed(slices, times)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert r == float(np.abs(got).max()) > 1.0
+
+    def test_transformed_residual(self, rng):
+        slices, times = self.wobbling_slices(rng)
+        p_grid = np.linspace(-2.0, 2.0, 40)
+        r, got = transformed_residual(slices, times, p_grid=p_grid)
+        ref = roll_transformed(slices, times, p_grid)
+        assert got.shape == ref.shape
+        assert np.abs(got - ref).max() <= 1e-12 * np.abs(ref).max()
+        assert r == float(np.abs(got).max()) > 1.0
+
+
 def walk_envelope(xs, fs, qs):
     """Per-row reference: the lower hull by a stack scan, then a pointer
     walk over the sorted queries (the transform's former per-row loop)."""

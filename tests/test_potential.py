@@ -5,6 +5,7 @@ import scipy.fft
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
                        compatibility_residual, fgk_residual, solve_square,
                        square_operator)
+from twistedma import potential
 from twistedma.errors import IncompatibleData, NonzeroMeanObstruction
 from twistedma.grid import hermitian_hessian
 from twistedma.potential import _grid_symbols
@@ -150,12 +151,13 @@ class TestHalfSpectrum:
         g = self.grid
         op, om = square_operator(bandlimited_field(g, rng))
         # plus: a Hermitian perturbation outside the image of square;
-        # minus: a (1, 0) entry that the solve never reads
+        # minus: a real Hermitian off-diagonal perturbation along a plus axis
         p_vals = op.values.copy()
         bump = 1e-3j * cos_axis_field(g, 4).values
         p_vals[..., 0, 1] += bump
         p_vals[..., 1, 0] -= bump
         m_vals = om.values.copy()
+        m_vals[..., 0, 1] += 1e-3 * cos_axis_field(g, 0).values
         m_vals[..., 1, 0] += 1e-3 * cos_axis_field(g, 0).values
         dec = solve_square(HermitianMatrixField(g, "plus", p_vals, check=False),
                            HermitianMatrixField(g, "minus", m_vals, check=False),
@@ -166,6 +168,86 @@ class TestHalfSpectrum:
         assert min(direct_p, direct_m) > 1e-4
         assert abs(dec.residual_plus - direct_p) <= 1e-12
         assert abs(dec.residual_minus - direct_m) <= 1e-12
+
+
+def closed_form_symbols(grid):
+    """The symbols as first written: per-axis angles and the closed-form
+    second-difference symbols, combined with the 1/4 and sign pattern."""
+    n_axes = grid.real_dim
+    theta = []
+    for a in range(n_axes):
+        n = grid.n_points[a]
+        freq = np.fft.rfftfreq(n) if a == n_axes - 1 else np.fft.fftfreq(n)
+        shape = [1] * n_axes
+        shape[a] = len(freq)
+        theta.append((2.0 * np.pi * freq).reshape(shape))
+
+    def d2_symbol(a, b):
+        ha, hb = grid.spacing[a], grid.spacing[b]
+        if a == b:
+            return -4.0 * np.sin(theta[a] / 2.0) ** 2 / (ha * ha)
+        return -np.sin(theta[a]) * np.sin(theta[b]) / (ha * hb)
+
+    out = []
+    for block in ("plus", "minus"):
+        axes = grid.block_axes(block)
+        sym = {}
+        for i, (xi, yi) in enumerate(axes):
+            for j in range(i, len(axes)):
+                xj, yj = axes[j]
+                re = 0.25 * (d2_symbol(xi, xj) + d2_symbol(yi, yj))
+                im = None if i == j else 0.25 * (d2_symbol(xi, yj) - d2_symbol(yi, xj))
+                sym[i, j] = (re, im)
+        out.append(sym)
+    return out
+
+
+class TestStencilTable:
+    @pytest.mark.parametrize("k,l,seed", [(1, 1, 0), (1, 2, 1), (2, 1, 2), (2, 2, 3)])
+    def test_symbols_equal_closed_form(self, k, l, seed):
+        rng = np.random.default_rng(seed)
+        n_axes = 2 * k + 2 * l
+        counts = tuple(int(c) for c in rng.choice([4, 6, 8], size=n_axes))
+        spacing = tuple(float(h) for h in rng.uniform(0.2, 1.5, size=n_axes))
+        for g in (BicomplexGrid(k, l, counts, spacing), BicomplexGrid.regular(k, l, 4)):
+            for got, ref in zip(_grid_symbols(g), closed_form_symbols(g)):
+                assert sorted(got) == sorted(ref)
+                for ij, (re, im) in ref.items():
+                    assert np.array_equal(got[ij][0], re)
+                    assert re.shape == got[ij][0].shape
+                    if im is None:
+                        assert got[ij][1] is None
+                    else:
+                        assert np.array_equal(got[ij][1], im)
+                        assert im.shape == got[ij][1].shape
+
+    def test_rejects_non_hermitian_before_transforms(self, rng, monkeypatch):
+        g = BicomplexGrid.regular(2, 2, 4)
+        op, om = square_operator(bandlimited_field(g, rng))
+        # the (1, 0) entry alone perturbed: the solver reads only (0, 1)
+        m_vals = om.values.copy()
+        m_vals[..., 1, 0] += 1e-3 * cos_axis_field(g, 0).values
+
+        def no_transform(omega):
+            raise AssertionError("spectra built before the Hermitian check")
+
+        monkeypatch.setattr(potential, "_entry_spectra", no_transform)
+        with pytest.raises(ValueError, match=r"minus block is not Hermitian at "
+                                             r"entry \(0, 1\) \(deviation 1\.000e-03\)"):
+            solve_square(op, HermitianMatrixField(g, "minus", m_vals, check=False),
+                         tol_compat=1.0)
+
+    def test_diagonal_must_be_real(self, small_grid, rng):
+        op, om = square_operator(bandlimited_field(small_grid, rng))
+        peak = float(np.abs(op.values).max())
+        vals = op.values.copy()
+        vals[1, 2, 3, 0, 0, 0] += 1e-6j
+        with pytest.raises(ValueError, match=r"plus block is not Hermitian at entry \(0, 0\)"):
+            solve_square(HermitianMatrixField(small_grid, "plus", vals, check=False), om)
+        # within HermitianMatrixField's tolerance 1e-12 (1 + max |v|) it runs
+        vals = op.values.copy()
+        vals[1, 2, 3, 0, 0, 0] += 0.4e-12j * (1.0 + peak)
+        solve_square(HermitianMatrixField(small_grid, "plus", vals, check=False), om)
 
 
 class TestCompatibilityResidual:

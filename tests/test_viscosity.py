@@ -6,6 +6,7 @@ from twistedma import (BicomplexGrid, FlowState, ScalarField, barriers,
                        subsolution_check, sup_patch, supersolution_check,
                        touching_jets)
 from twistedma.errors import PreconditionFailed, WindowTooSmall
+from twistedma.viscosity import Violation, ViolationReport
 
 from conftest import cos_axis_field
 
@@ -166,6 +167,15 @@ class TestSubSuperChecks:
         # slacks sorted ascending (worst first)
         slacks = [v.slack for v in rep.violations]
         assert slacks == sorted(slacks)
+
+
+    def test_report_keeps_its_worst_thousand(self):
+        rep = ViolationReport(side="sub")
+        rep.violations = [Violation((i,), 1, 0.1, float(-i), "sub") for i in range(1005)]
+        rep.finalize()
+        assert len(rep.violations) == 1000
+        assert rep.worst_slack == -1004.0 == rep.violations[0].slack
+        assert rep.violations[-1].slack == -5.0
 
 
 class TestDeltaLift:
