@@ -356,6 +356,17 @@ def report(run_dir):
     return lines
 
 
+def _print_lines(lines):
+    """Print to stdout; a reader that closed the pipe early is no error."""
+    try:
+        print("\n".join(lines), flush=True)
+    except BrokenPipeError:
+        # point stdout at devnull so that the flush at exit cannot raise
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+
+
 def main(argv=None):
     parser = argparse.ArgumentParser(
         prog="twistedma",
@@ -383,26 +394,27 @@ def main(argv=None):
         if args.command == "run":
             code, lines = run_scenario(args.config, args.out, seed=args.seed,
                                        override_tau_star=args.override_tau_star)
-            print("\n".join(lines))
+            _print_lines(lines)
             return code
         if args.command == "report":
             try:
-                print("\n".join(report(args.dir)))
+                lines = report(args.dir)
             except (FileNotFoundError, ValueError) as exc:
                 print(f"error: {exc}", file=sys.stderr)
                 return _EXIT_CHECK_FAILED
+            _print_lines(lines)
             return 0
         try:
             alphas = [float(v) for v in args.alphas.replace(",", " ").split()]
             result = localization_gap_probe(n=args.dim, alphas=alphas)
         except ValueError as exc:
             raise ConfigError(f"probe-localization: {exc}") from exc
-        print("alpha,distance,hessian_norm")
-        for a, d, h in zip(result.alphas, result.distances, result.hessian_norms):
-            print(f"{float(a)!r},{float(d)!r},{float(h)!r}")
-        print(f"fitted_exponent = {result.fitted_exponent!r}")
-        print(f"reference_exponent = {result.reference_exponent!r}")
-        print(f"vacuous = {result.vacuous}")
+        _print_lines(["alpha,distance,hessian_norm"]
+                     + [f"{float(a)!r},{float(d)!r},{float(h)!r}" for a, d, h
+                        in zip(result.alphas, result.distances, result.hessian_norms)]
+                     + [f"fitted_exponent = {result.fitted_exponent!r}",
+                        f"reference_exponent = {result.reference_exponent!r}",
+                        f"vacuous = {result.vacuous}"])
         if args.out:
             os.makedirs(args.out, exist_ok=True)
             result.write_csv(os.path.join(args.out, "probe.csv"))

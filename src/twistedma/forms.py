@@ -151,6 +151,9 @@ class BackgroundSlice:
 
     omega_hat_plus: HermitianMatrixField
     omega_hat_minus: HermitianMatrixField
+    # the flow's constant-coefficient linearization at this slice, built by
+    # the flow layer on first use
+    _linear: object = field(default=None, repr=False, compare=False)
 
     @cached_property
     def positive(self):
@@ -190,11 +193,17 @@ class BackgroundData:
             raise NotAdmissible("omega_0 plus block is not positive definite")
         if min_eig_values(self.omega0_minus.values).min() <= 0.0:
             raise NotAdmissible("omega_0 minus block is not positive definite")
-        self._chi_zero = (np.abs(self.chi_plus.values).max() == 0.0
-                          and np.abs(self.chi_minus.values).max() == 0.0)
+        self._chi_norms = tuple(
+            float(np.sqrt(np.square(np.abs(chi.values)).sum(axis=(-2, -1)).max()))
+            for chi in (self.chi_plus, self.chi_minus))
+        self._chi_zero = self._chi_norms == (0.0, 0.0)
         # omega_hat(t) = omega_0 for every t when chi = 0: one slice serves all
         self._static_slice = (BackgroundSlice(self.omega0_plus, self.omega0_minus)
                               if self._chi_zero else None)
+        # with a single F knot the source term does not depend on t
+        self._static_source = None
+        if len(self.f_times) == 1:
+            self._static_source = self.source_at(0.0)
 
     @property
     def grid(self):
@@ -203,6 +212,12 @@ class BackgroundData:
     @property
     def chi_is_zero(self):
         return self._chi_zero
+
+    @property
+    def chi_norms(self):
+        """(plus, minus): max over the lattice of ||chi||_F, which bounds
+        how fast the eigenvalues of omega_hat(t) move."""
+        return self._chi_norms
 
     def F_at(self, t):
         """F(., t) values by linear interpolation between knots."""
@@ -214,6 +229,13 @@ class BackgroundData:
         j = int(np.searchsorted(times, t, side="right")) - 1
         w = (t - times[j]) / (times[j + 1] - times[j])
         return (1.0 - w) * self.f_fields[j].values + w * self.f_fields[j + 1].values
+
+    def source_at(self, t):
+        """zeta_minus - zeta_plus - F(., t), the u-independent term of the
+        flow's right-hand side; computed once when F has a single knot."""
+        if self._static_source is not None:
+            return self._static_source
+        return self.zeta_minus.values - self.zeta_plus.values - self.F_at(t)
 
     def class_rep(self):
         return CohomologyClassRep.of(self.omega0_plus, self.omega0_minus)

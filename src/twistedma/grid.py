@@ -52,8 +52,10 @@ class BicomplexGrid:
     spacing: tuple[float, ...]
 
     def __post_init__(self):
-        if not (1 <= self.k <= 2 and 1 <= self.l <= 2):
-            raise ValueError("block dimensions k, l must be 1 or 2 (desk scale)")
+        dims = np.asarray((self.k, self.l))
+        if not (dims.dtype.kind in "iuf" and np.all(np.isin(dims, (1, 2)))):
+            raise ValueError("block dimensions k, l must be 1 or 2 (desk scale), "
+                             f"got k={self.k!r}, l={self.l!r}")
         counts, spacing = tuple(self.n_points), tuple(map(float, self.spacing))
         n_axes = 2 * self.k + 2 * self.l
         if len(counts) != n_axes or len(spacing) != n_axes:
@@ -66,7 +68,10 @@ class BicomplexGrid:
         counts = tuple(int(n) for n in arr)
         if not all(0 < h < np.inf for h in spacing):
             raise ValueError("spacings must be finite and positive")
-        # tuples keep the grid hashable and its shape a tuple
+        # ints and tuples keep the grid hashable, its shape a tuple and its
+        # block axes valid indices
+        object.__setattr__(self, "k", int(self.k))
+        object.__setattr__(self, "l", int(self.l))
         object.__setattr__(self, "n_points", counts)
         object.__setattr__(self, "spacing", spacing)
 
@@ -219,6 +224,35 @@ def _symbol(theta, spacing, a, b):
     if a == b:
         return -4.0 * np.sin(theta[a] / 2.0) ** 2 / (spacing[a] * spacing[a])
     return -np.sin(theta[a]) * np.sin(theta[b]) / (spacing[a] * spacing[b])
+
+
+def hessian_symbols(grid):
+    """Per-entry Fourier symbols of the two block Hessian stencils.
+
+    Returns (sym_plus, sym_minus), each a dict {(i, j): (re, im)} over
+    i <= j, summed over the ``_hessian_terms`` table.  Entry (i, j) of
+    ``hermitian_hessian(., block)`` has the symbol re + 1j*im and entry
+    (j, i) has re - 1j*im, so that
+    hat(hess u)[xi]_{ij} = sym[xi]_{ij} * hat(u)[xi].  re and im are real
+    float64 arrays on the ``rfftn`` half spectrum (every symbol is real
+    and even), kept in broadcastable form (length 1 on the axes of the
+    other block); im is None on the diagonal.
+    """
+    # broadcastable angles per axis; the last axis is halved
+    *lead, last = grid.n_points
+    theta = np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(n) for n in lead),
+                        2.0 * np.pi * np.fft.rfftfreq(last), indexing="ij", sparse=True)
+    out = []
+    for block in ("plus", "minus"):
+        sym = {}
+        for ij, terms in _hessian_terms(grid, block):
+            parts = [None, None]
+            for part, a, b, w in terms:
+                s = w * _symbol(theta, grid.spacing, a, b)
+                parts[part] = s if parts[part] is None else parts[part] + s
+            sym[ij] = tuple(parts)
+        out.append(sym)
+    return tuple(out)
 
 
 def _shift(values, axis, step):

@@ -27,8 +27,8 @@ import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
 from .forms import fgk_residual
-from .grid import (HermitianMatrixField, ScalarField, _hessian_terms,
-                   _require_hermitian, _symbol, hermitian_hessian)
+from .grid import (HermitianMatrixField, ScalarField, _require_hermitian,
+                   hermitian_hessian, hessian_symbols)
 
 __all__ = [
     "SquareDecomposition",
@@ -67,35 +67,12 @@ def square_operator(f):
 
 
 def _grid_symbols(grid):
-    """Per-entry Fourier symbols of the two block Hessian stencils.
-
-    Returns (sym_plus, sym_minus), each a dict {(i, j): (re, im)} over
-    i <= j, summed over the stencil table of ``grid``.  Entry (i, j) of
-    ``hermitian_hessian(., block)`` has the symbol re + 1j*im and entry
-    (j, i) has re - 1j*im, so that
-    hat(hess u)[xi]_{ij} = sym[xi]_{ij} * hat(u)[xi].  re and im are real
-    float64 arrays on the ``rfftn`` half spectrum, kept in broadcastable
-    form (length 1 on the axes of the other block); im is None on the
-    diagonal.
-    """
+    """``grid.hessian_symbols(grid)``, cached by (k, l, counts, spacings):
+    (sym_plus, sym_minus), each a dict {(i, j): (re, im)} over i <= j of
+    real symbols on the ``rfftn`` half spectrum."""
     key = (grid.k, grid.l, grid.n_points, grid.spacing)
-    if key in _symbol_cache:
-        return _symbol_cache[key]
-    # broadcastable angles per axis; the last axis is halved
-    *lead, last = grid.n_points
-    theta = np.meshgrid(*(2.0 * np.pi * np.fft.fftfreq(n) for n in lead),
-                        2.0 * np.pi * np.fft.rfftfreq(last), indexing="ij", sparse=True)
-    out = []
-    for block in ("plus", "minus"):
-        sym = {}
-        for ij, terms in _hessian_terms(grid, block):
-            parts = [None, None]
-            for part, a, b, w in terms:
-                s = w * _symbol(theta, grid.spacing, a, b)
-                parts[part] = s if parts[part] is None else parts[part] + s
-            sym[ij] = tuple(parts)
-        out.append(sym)
-    _symbol_cache[key] = tuple(out)
+    if key not in _symbol_cache:
+        _symbol_cache[key] = hessian_symbols(grid)
     return _symbol_cache[key]
 
 

@@ -1,4 +1,6 @@
 import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -8,6 +10,7 @@ from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
 from twistedma.errors import ConfigError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
+SRC = os.path.join(os.path.dirname(__file__), "..", "src")
 SCENARIOS = ["flat_stationary.cfg", "finite_tau_star.cfg",
              "cosine_decay.cfg", "sin_forcing_barrier.cfg"]
 
@@ -186,6 +189,29 @@ class TestMain:
         captured = capsys.readouterr()
         assert captured.err.startswith("error:")
         assert "Traceback" not in captured.err + captured.out
+
+
+@pytest.mark.parametrize("command", ["run", "report"])
+def test_closed_stdout_exits_quietly(tmp_path, command):
+    # `twistedma report DIR | head -1`: the reader has gone before the
+    # command prints, so every write to stdout fails with EPIPE
+    out = str(tmp_path / "run")
+    run_scenario(scenario("flat_stationary.cfg"), out)
+    argv = (["run", scenario("flat_stationary.cfg"), "--out", out]
+            if command == "run" else ["report", out])
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (os.path.abspath(SRC), env.get("PYTHONPATH")) if p)
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    try:
+        proc = subprocess.run([sys.executable, "-m", "twistedma.cli", *argv],
+                              stdout=write_end, stderr=subprocess.PIPE,
+                              env=env, text=True, timeout=120)
+    finally:
+        os.close(write_end)
+    assert proc.stderr == ""
+    assert proc.returncode == 0
 
 
 def test_exit_codes_distinct():

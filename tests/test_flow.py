@@ -1,12 +1,13 @@
 import numpy as np
 import pytest
 
-from twistedma import (BicomplexGrid, FlowState, ScalarField, admissibility,
-                       barriers, flat_background, run, stable_dt, step,
-                       twisted_rhs)
+from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
+                       ScalarField, admissibility, barriers, flat_background,
+                       run, stable_dt, step, twisted_rhs)
 from twistedma import flow
 from twistedma.errors import NotAdmissible
 from twistedma.flow import MONITOR_HEADER
+from twistedma.grid import hessian_block_values
 
 from conftest import bandlimited_field, cos_axis_field
 
@@ -144,6 +145,81 @@ class TestStep:
         assert (un.u.values - vn.u.values).max() <= 1e-10
 
 
+def euler_run(state, t_end):
+    """Forward Euler, the L = 0 case of the step, at the explicit bound."""
+    n_steps = 0
+    while state.t < t_end - 1e-14:
+        dt = min(stable_dt(state), t_end - state.t)
+        u = ScalarField(state.u.grid, state.u.values + dt * twisted_rhs(state).values)
+        state = FlowState(state.t + dt, u, state.background)
+        n_steps += 1
+    return state, n_steps
+
+
+class TestExponentialStep:
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_symbol_matches_lattice_trace(self, k, l, rng):
+        n_axes = 2 * k + 2 * l
+        g = BicomplexGrid(k, l, (6,) + (4,) * (n_axes - 1),
+                          tuple(rng.uniform(0.3, 1.2, size=n_axes)))
+        forms = {}
+        for block, m in (("plus", k), ("minus", l)):
+            B = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+            forms[block] = B @ B.conj().T + 0.5 * np.eye(m)
+        bg = flat_background(
+            g, omega0_plus=HermitianMatrixField.constant(g, "plus", forms["plus"]),
+            omega0_minus=HermitianMatrixField.constant(g, "minus", forms["minus"]))
+        symbol = flow._linearization(FlowState(0.0, ScalarField.zeros(g), bg)).symbol
+        u = rng.standard_normal(g.shape)
+        spectral = np.fft.irfftn(symbol * np.fft.rfftn(u), s=g.shape,
+                                 axes=range(n_axes))
+        lattice = 0.0
+        for block, omega in forms.items():
+            A = np.linalg.inv(omega)
+            lattice = lattice + np.einsum("ij,...ji->...", A,
+                                          hessian_block_values(u, g, block))
+        assert np.abs(lattice.imag).max() <= 1e-12
+        assert np.abs(spectral - lattice.real).max() <= 1e-12
+
+    def test_one_step_decays_cosine_by_exact_factor(self):
+        g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
+        amp = 1e-8
+        u0 = cos_axis_field(g, 0, amplitude=amp)
+        state = FlowState(0.0, u0, flat_background(g))
+        dt = 16.0 * stable_dt(state)
+        h = g.spacing[0]
+        rate = np.sin(0.5 * h) ** 2 / (h * h)
+        new = step(state, dt)
+        # forward Euler's factor 1 - rate dt misses by ~(rate dt)^2 / 2 amp
+        assert np.abs(new.u.values - np.exp(-rate * dt) * u0.values).max() <= amp ** 2
+
+    def test_emit_every_counts_explicit_steps(self, small_grid):
+        state = FlowState(0.0, ScalarField.zeros(small_grid), flat_background(small_grid))
+        explicit_dt = stable_dt(state)
+        traj = run(state, 100 * explicit_dt, emit_every=32)
+        # steps of 16 explicit steps: a row every second step and at t_end
+        times = np.array(traj.rows)[:, 0] / explicit_dt
+        assert np.allclose(times, [0, 32, 64, 96, 100], rtol=1e-12)
+
+    def test_remainder_bound_far_from_the_linearization(self):
+        g = BicomplexGrid.regular(1, 1, 16)
+        state = FlowState(0.0, cos_axis_field(g, 0, amplitude=2.0), flat_background(g))
+        assert flow._remainder_dt(state, 0.5) < 16.0 * stable_dt(state)
+        traj = run(state, 1.0, keep_states="none")
+        euler, _ = euler_run(state, 1.0)
+        assert np.abs(traj.states[-1].u.values - euler.u.values).max() <= 1e-2
+
+    def test_remainder_bound_capped_by_explicit_stiffness(self):
+        # omega_0+ = exp(2 cos x) strays far from its mean: ||A|| max|dev|
+        # exceeds 1, and ||form^-1 - A|| <= max(1 / margin, ||A||) caps it
+        g = BicomplexGrid.regular(1, 1, 8)
+        omega = np.exp(2.0 * np.cos(g.axis_coords(0))).reshape(-1, 1, 1, 1, 1, 1)
+        bg = flat_background(g, omega0_plus=HermitianMatrixField(
+            g, "plus", np.broadcast_to(omega, g.shape + (1, 1))))
+        state = FlowState(0.0, ScalarField.zeros(g), bg)
+        assert flow._remainder_dt(state, 0.5) > stable_dt(state)
+
+
 class TestBarriers:
     def test_stationary_zero_slope(self, small_grid):
         bg = flat_background(small_grid)
@@ -224,7 +300,6 @@ class TestRun:
         assert len(traj.states) == 1 and traj.states[0].t == traj.rows[-1][0]
 
     def test_finite_tau_star_scenario_completes(self):
-        from twistedma import HermitianMatrixField
         g = BicomplexGrid.regular(1, 1, 8)
         bg = flat_background(
             g,
@@ -235,6 +310,19 @@ class TestRun:
                    emit_every=50)
         rows = np.array(traj.rows)
         assert rows[-1, 4] > 0 and rows[-1, 5] > 0
+
+    def test_degeneration_collapses_the_step(self):
+        # tau* = 1/2; the drift bound keeps each step within the plus margin,
+        # so the run stops at tau* instead of stepping past it
+        g = BicomplexGrid.regular(1, 1, 8)
+        bg = flat_background(
+            g,
+            chi_plus=HermitianMatrixField.constant(g, "plus", 2 * np.eye(1)),
+            chi_minus=HermitianMatrixField.constant(g, "minus", -np.eye(1)))
+        with pytest.raises(NotAdmissible, match="step size collapsed at t=0.5") as exc:
+            run(FlowState(0.0, ScalarField.zeros(g), bg), 10.0, keep_states="none")
+        assert exc.value.block == "plus"
+        assert 0.0 < exc.value.eigenvalue < 1e-9
 
 
 class TestStateRecord:
@@ -293,14 +381,27 @@ class TestStateRecord:
             assert margin == pytest.approx(ev.min(), rel=1e-12)
             assert ev[point] == pytest.approx(ev.min(), rel=1e-12)
 
-    def test_decay_run_reproduces_reference(self, monkeypatch):
-        # sup_u recorded from the implementation that recomputed every
+    def test_decay_run_reproduces_reference(self):
+        # forward Euler driven from the flow's right-hand side; sup_u
+        # recorded from the implementation that recomputed every
         # eigenvalue pass and built the stencil from np.roll
+        g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
+        h = g.spacing[0]
+        t_end = h * h / np.sin(0.5 * h) ** 2
+        state, n_steps = euler_run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
+                                             flat_background(g)), t_end)
+        assert n_steps == 421
+        assert float(state.u.values.max()) == pytest.approx(0.0003674112233761281,
+                                                            rel=1e-12)
+
+    def test_exponential_run_pinned(self, monkeypatch):
+        # the same decay in run's exponential Euler steps, capped at 16
+        # explicit steps each; 1e-3 exp(-1) = 3.6788e-4 on the linearization
         g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
         h = g.spacing[0]
         t_end = h * h / np.sin(0.5 * h) ** 2
         steps = self._count(monkeypatch, "step")
         traj = run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
                              flat_background(g)), t_end, keep_states="none")
-        assert len(steps) == 421
-        assert traj.rows[-1][1] == pytest.approx(0.0003674112233761281, rel=1e-12)
+        assert len(steps) == 27
+        assert traj.rows[-1][1] == pytest.approx(0.00036784778402433594, rel=1e-12)

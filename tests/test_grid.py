@@ -63,6 +63,17 @@ class TestGridConstruction:
         g = BicomplexGrid(1, 1, (8.0, 8, 8, 8), (1.0,) * 4)
         assert g.n_points == (8,) * 4 and all(type(n) is int for n in g.n_points)
 
+    @pytest.mark.parametrize("k,l", [(1.5, 1), (1, "1"), (float("nan"), 1)])
+    def test_non_integral_block_dims_rejected(self, k, l):
+        with pytest.raises(ValueError, match="block dimensions"):
+            BicomplexGrid(k, l, (4,) * 4, (1.0,) * 4)
+
+    def test_integral_float_block_dims_normalised(self):
+        g = BicomplexGrid(1.0, np.int64(1), (4,) * 4, (1.0,) * 4)
+        assert (g.k, g.l) == (1, 1) and type(g.k) is int and type(g.l) is int
+        assert g == BicomplexGrid(1, 1, (4,) * 4, (1.0,) * 4)
+        assert g.block_axes("plus") == [(0, 1)] and g.block_axes("minus") == [(2, 3)]
+
 
 class TestHermitianHessian:
     def test_zero_field(self, small_grid):
