@@ -195,13 +195,11 @@ def _linearization(state):
     bg = state._slice
     if bg._linear is None:
         grid = state.u.grid
-        ax, first = tuple(range(grid.real_dim)), (0,) * grid.real_dim
+        ax = tuple(range(grid.real_dim))
         means, norms, symbol = [], [], 0.0
         for omega, sym in zip((bg.omega_hat_plus, bg.omega_hat_minus),
                               hessian_symbols(grid)):
-            # shifted by the first point's matrix, so that the mean of a
-            # constant block is exact
-            mean = omega.values[first] + (omega.values - omega.values[first]).mean(axis=ax)
+            mean = omega.values.mean(axis=ax)
             # adj / det (m <= 2) keeps LAPACK, and the memory its first
             # call maps, off the flow's path
             adj = (np.eye(1) if len(mean) == 1 else

@@ -63,8 +63,7 @@ class CohomologyClassRep:
 
     @classmethod
     def of(cls, omega_plus, omega_minus):
-        n_axes = omega_plus.grid.real_dim
-        ax = tuple(range(n_axes))
+        ax = tuple(range(omega_plus.grid.real_dim))
         return cls(omega_plus.values.mean(axis=ax), omega_minus.values.mean(axis=ax))
 
 

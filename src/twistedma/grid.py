@@ -160,7 +160,8 @@ def _require_hermitian(values, block):
 
 @dataclass
 class HermitianMatrixField:
-    """One small Hermitian matrix per lattice point for one block."""
+    """One small Hermitian matrix per lattice point for one block: ``values`` has
+    shape ``grid.shape + (m, m)`` or, if constant in space, ``(1,) * real_dim + (m, m)``."""
 
     grid: BicomplexGrid
     block: str
@@ -170,21 +171,21 @@ class HermitianMatrixField:
     def __post_init__(self):
         m = self.grid.block_dim(self.block)
         self.values = np.asarray(self.values, dtype=np.complex128)
-        if self.values.shape != self.grid.shape + (m, m):
-            raise ValueError(f"values shape {self.values.shape} != {self.grid.shape + (m, m)}")
+        full, const = self.grid.shape + (m, m), (1,) * self.grid.real_dim + (m, m)
+        if self.values.shape not in (full, const):
+            raise ValueError(f"values shape {self.values.shape} is neither {full} nor {const}")
         if self.check:
             _require_hermitian(self.values, self.block)
 
     @classmethod
     def constant(cls, grid, block, matrix):
         m = grid.block_dim(block)
-        matrix = np.asarray(matrix, dtype=np.complex128).reshape(m, m)
-        return cls(grid, block, np.broadcast_to(matrix, grid.shape + (m, m)).copy())
+        matrix = np.array(matrix, dtype=np.complex128)
+        return cls(grid, block, matrix.reshape((1,) * grid.real_dim + (m, m)))
 
     @classmethod
     def zeros(cls, grid, block):
-        m = grid.block_dim(block)
-        return cls(grid, block, np.zeros(grid.shape + (m, m), dtype=np.complex128), check=False)
+        return cls.constant(grid, block, np.zeros((grid.block_dim(block),) * 2))
 
     def copy(self):
         return HermitianMatrixField(self.grid, self.block, self.values.copy(), check=False)
@@ -389,7 +390,7 @@ def det_plus(matrix):
 
 def min_eigenvalue(H):
     """Pointwise smallest eigenvalue of a Hermitian matrix field."""
-    return ScalarField(H.grid, min_eig_values(H.values))
+    return ScalarField(H.grid, np.broadcast_to(min_eig_values(H.values), H.grid.shape))
 
 
 # ---------------------------------------------------------------------------

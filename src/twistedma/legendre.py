@@ -46,6 +46,8 @@ __all__ = [
     "untransformed_residual",
 ]
 
+_MIN_MARGIN = 1e-10     # strict concavity in x_minus that partial_legendre needs
+
 
 def _increasing(values, name):
     values = np.asarray(values, dtype=np.float64)
@@ -158,12 +160,12 @@ def _gradient_range(rf):
     return float(g.min()), float(g.max())
 
 
-def partial_legendre(rf, p_grid=None, min_margin=1e-10):
+def partial_legendre(rf, p_grid=None):
     """Conjugate the minus variable; output is convex in the momentum."""
     if rf.conjugate:
         raise ValueError("input is already a conjugate field")
     margin = rf.concavity_margin()
-    if margin <= min_margin:
+    if margin <= _MIN_MARGIN:
         raise ConcavityViolated(
             f"need strict concavity in x_minus (margin {margin:.3e})")
     gmin, gmax = _gradient_range(rf)

@@ -86,7 +86,7 @@ def _entry_spectra(omega):
     out = {}
     for i in range(m):
         for j in range(i, m):
-            entry = omega.values[..., i, j]
+            entry = np.broadcast_to(omega.values[..., i, j], omega.grid.shape)
             out[i, j] = (scipy.fft.rfftn(entry.real),
                          None if i == j else scipy.fft.rfftn(entry.imag))
     return out

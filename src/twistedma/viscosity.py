@@ -164,12 +164,12 @@ def _run_check(u_stack, times, background, tol, samples, seed, side):
     perts += _sample_perturbations(grid.k, grid.l, samples, rng)
 
     report = ViolationReport(side="sub" if side == "above" else "super")
+    exp_zp = np.exp(background.zeta_plus.values)
+    exp_zm = np.exp(background.zeta_minus.values)
     for n in range(1, len(times)):
         t = float(times[n])
         dt = float(times[n] - times[n - 1])
         bg = background_at(background, t)
-        zp = background.zeta_plus.values
-        zm = background.zeta_minus.values
         Fv = background.F_at(t)
         hp = hessian_block_values(u_stack[n], grid, "plus")
         hm = hessian_block_values(u_stack[n], grid, "minus")
@@ -182,12 +182,12 @@ def _run_check(u_stack, times, background, tol, samples, seed, side):
                 plus = plus + sign * P
                 minus = minus - sign * Q
             if side == "above":
-                lhs = det_values(plus) * np.exp(zm)
-                rhs = np.exp(slope + Fv) * det_plus(minus) * np.exp(zp)
+                lhs = det_values(plus) * exp_zm
+                rhs = np.exp(slope + Fv) * det_plus(minus) * exp_zp
                 slack = lhs - rhs
             else:
-                lhs = det_plus(plus) * np.exp(zm)
-                rhs = np.exp(slope + Fv) * det_values(minus) * np.exp(zp)
+                lhs = det_plus(plus) * exp_zm
+                rhs = np.exp(slope + Fv) * det_values(minus) * exp_zp
                 slack = rhs - lhs
             tol_arr = _default_tol(grid, dt, lhs, rhs) if tol is None else tol
             bad = slack < -tol_arr

@@ -166,6 +166,23 @@ class TestPositivityAndTauStar:
             else:
                 assert tau == pytest.approx(oracle, abs=1e-9 * max(1.0, tau))
 
+    def test_constant_blocks_give_exact_class_and_tau_star(self, rng):
+        # a mean over 6 * 4^7 per-point copies of M is off by ~2e-12; a
+        # constant block is one matrix, so its class is M itself
+        g = BicomplexGrid(2, 2, (6,) + (4,) * 7, (1.0,) * 8)
+        A = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        M = A @ A.conj().T + 0.3 * np.eye(2)
+        B = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
+        C = B + B.conj().T
+        const = HermitianMatrixField.constant
+        bg = flat_background(g, omega0_plus=const(g, "plus", M),
+                             omega0_minus=const(g, "minus", M),
+                             chi_plus=const(g, "plus", C), chi_minus=const(g, "minus", C))
+        rep = CohomologyClassRep.of(bg.omega0_plus, bg.omega0_minus)
+        assert np.array_equal(rep.mean_plus, M) and np.array_equal(rep.mean_minus, M)
+        assert bg.tau_star() == max_existence_time(CohomologyClassRep(M, M),
+                                                   CohomologyClassRep(C, C))
+
     def test_rejects_non_positive_omega0(self):
         rep0 = CohomologyClassRep(np.array([[-1.0]]), np.array([[1.0]]))
         chi = CohomologyClassRep(np.array([[1.0]]), np.array([[1.0]]))

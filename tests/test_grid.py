@@ -214,6 +214,35 @@ class TestStencil:
                                (0, 1, 3, 0.25), (1, 1, 2, -0.25))
 
 
+class TestHermitianMatrixFieldShape:
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_constant_and_zeros_store_one_matrix(self, k, l):
+        g = BicomplexGrid.regular(k, l, 4)
+        for block, m in (("plus", k), ("minus", l)):
+            M = np.eye(m) + 0.5j * (np.eye(m, k=1) - np.eye(m, k=-1))
+            H = HermitianMatrixField.constant(g, block, M)
+            assert H.values.shape == (1,) * g.real_dim + (m, m)
+            assert np.array_equal(H.values.reshape(m, m), M)
+            Z = HermitianMatrixField.zeros(g, block)
+            assert Z.values.shape == (1,) * g.real_dim + (m, m)
+            assert not Z.values.any()
+
+    def test_full_shape_accepted(self, small_grid):
+        vals = np.ones(small_grid.shape + (1, 1))
+        assert HermitianMatrixField(small_grid, "plus", vals).values.shape == vals.shape
+
+    @pytest.mark.parametrize("lead", [(), (1,), (8, 1, 1, 1), (1, 1, 1, 1, 1), (8, 8, 8, 4)])
+    def test_other_shapes_rejected(self, small_grid, lead):
+        with pytest.raises(ValueError, match="values shape"):
+            HermitianMatrixField(small_grid, "plus", np.ones(lead + (1, 1)))
+
+    def test_constant_does_not_alias_its_input(self, small_grid):
+        M = np.eye(1, dtype=complex)
+        H = HermitianMatrixField.constant(small_grid, "plus", M)
+        M[0, 0] = -1.0
+        assert H.values.ravel()[0] == 1.0
+
+
 class TestDetPlus:
     def test_identity(self):
         assert det_plus(np.eye(2)) == 1.0
