@@ -143,18 +143,23 @@ def _require_admissible(state):
     return report
 
 
-def twisted_rhs(state, freeze_F_at=None):
-    """Pointwise u_t of the flow; raises NotAdmissible on block breakdown.
+def _finite(grid, values, what, t):
+    """ScalarField of ``values``; NotAdmissible at the first non-finite point."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        point = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), finite.shape))
+        raise NotAdmissible(f"{what} is not finite at point {point}, t={t:.6g}", point=point)
+    return ScalarField(grid, values)
 
-    ``freeze_F_at`` evaluates F at a fixed time instead of state.t (used
-    by the barrier construction).
-    """
+
+def twisted_rhs(state):
+    """Pointwise u_t of the flow; raises NotAdmissible on block breakdown
+    or a non-finite value."""
     plus, minus = form_block_values(state)
     _require_admissible(state)
-    t_F = state.t if freeze_F_at is None else freeze_F_at
     vals = (np.log(det_values(plus)) - np.log(det_values(minus))
-            + state.background.source_at(t_F))
-    return ScalarField(state.u.grid, vals)
+            + state.background.source_at(state.t))
+    return _finite(state.u.grid, vals, "rhs", state.t)
 
 
 def _parabolic_bound(grid, safety, stiffness):
@@ -252,28 +257,35 @@ def _drift_dt(state, safety):
                                        state.background.chi_norms))
 
 
+def _set_monitors(state, rhs_sup):
+    """The state's monitor record: its margins, sup/inf u and rhs_sup."""
+    report = admissibility(state)
+    state.monitors = {"plus_margin": report.plus_margin,
+                      "minus_margin": report.minus_margin,
+                      "sup_u": float(state.u.values.max()),
+                      "inf_u": float(state.u.values.min()),
+                      "rhs_sup": rhs_sup,
+                      "admissible": report.admissible}
+    return state
+
+
 def step(state, dt):
     """One exponential Euler step; monitors updated, breakdown recorded."""
-    rhs = twisted_rhs(state, None)
+    rhs = twisted_rhs(state)
     grid = state.u.grid
     symbol = _linearization(state).symbol
     # dt phi_1(dt L) = expm1(dt L) / L, which is dt on the zero mode
     gain = np.divide(np.expm1(dt * symbol), symbol,
                      out=np.full(symbol.shape, float(dt)), where=symbol != 0.0)
-    spectrum = scipy.fft.rfftn(rhs.values)
-    spectrum *= gain
-    new_u = ScalarField(grid, state.u.values + scipy.fft.irfftn(spectrum, s=grid.shape))
-    new = FlowState(state.t + dt, new_u, state.background)
-    report = admissibility(new)
-    new.monitors = {
-        "plus_margin": report.plus_margin,
-        "minus_margin": report.minus_margin,
-        "sup_u": float(new_u.values.max()),
-        "inf_u": float(new_u.values.min()),
-        "rhs_sup": float(np.abs(rhs.values).max()),
-        "admissible": report.admissible,
-    }
-    return new
+    # an rhs near the float range overflows inside the transforms; the
+    # new u is checked for it instead
+    with np.errstate(over="ignore", invalid="ignore"):
+        spectrum = scipy.fft.rfftn(rhs.values)
+        spectrum *= gain
+        values = state.u.values + scipy.fft.irfftn(spectrum, s=grid.shape)
+    new_u = _finite(grid, values, "u", state.t + dt)
+    return _set_monitors(FlowState(state.t + dt, new_u, state.background),
+                         float(np.abs(rhs.values).max()))
 
 
 @dataclass
@@ -295,9 +307,8 @@ class BarrierPair:
 
 
 def barriers(u0, background):
-    """Barrier slope A = sup |rhs| at t = 0 with F frozen there."""
-    state = FlowState(0.0, u0, background)
-    rhs = twisted_rhs(state, freeze_F_at=0.0)
+    """Barrier slope A = sup |rhs| at t = 0."""
+    rhs = twisted_rhs(FlowState(0.0, u0, background))
     return BarrierPair(float(np.abs(rhs.values).max()), u0.copy())
 
 
@@ -343,7 +354,6 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     tol_dt = 0.0
 
     def emit():
-        rep = state.monitors or {}
         gap_lo = float((state.u.values - barrier.lower(state.t)).min())
         gap_hi = float((barrier.upper(state.t) - state.u.values).min())
         tol = _BARRIER_TOL_FACTOR * max(tol_dt, 1e-300) * barrier.A
@@ -351,23 +361,12 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
             raise BarrierViolation(
                 f"barrier sandwich failed at t={state.t:.6g} "
                 f"(gap_lo={gap_lo:.3e}, gap_hi={gap_hi:.3e}, tol={tol:.3e})")
-        rows.append((state.t,
-                     rep.get("sup_u", float(state.u.values.max())),
-                     rep.get("inf_u", float(state.u.values.min())),
-                     rep.get("rhs_sup", math.nan),
-                     rep.get("plus_margin", math.nan),
-                     rep.get("minus_margin", math.nan),
+        rows.append((state.t, *(state.monitors[key] for key in MONITOR_HEADER[1:6]),
                      gap_lo, gap_hi))
         if keep_states == "emitted":
             states.append(state.copy())
 
-    report0 = admissibility(state)
-    state.monitors = {"plus_margin": report0.plus_margin,
-                      "minus_margin": report0.minus_margin,
-                      "sup_u": float(state.u.values.max()),
-                      "inf_u": float(state.u.values.min()),
-                      "rhs_sup": math.nan,
-                      "admissible": report0.admissible}
+    _set_monitors(state, math.nan)
     emit()
     while state.t < t_end - 1e-14 and n_step < _MAX_STEPS:
         explicit_dt = stable_dt(state, safety)

@@ -66,8 +66,10 @@ class BicomplexGrid:
                 and np.all(np.isfinite(arr) & (arr >= 4) & (arr % 2 == 0))):
             raise ValueError(f"every axis needs an even integer count >= 4, got {counts}")
         counts = tuple(int(n) for n in arr)
-        if not all(0 < h < np.inf for h in spacing):
-            raise ValueError("spacings must be finite and positive")
+        # the stencils divide by h^2
+        if not all(0 < h < np.inf and 0 < h * h and 1.0 / (h * h) < np.inf
+                   for h in spacing):
+            raise ValueError(f"spacings must be positive with a finite 1/h^2, got {spacing}")
         # ints and tuples keep the grid hashable, its shape a tuple and its
         # block axes valid indices
         object.__setattr__(self, "k", int(self.k))

@@ -76,6 +76,18 @@ class TestRunScenario:
             lines = (d / "monitor.csv").read_text().split("\n")
             outs.append([l for l in lines if not l.startswith("#")])
         assert outs[0] == outs[1]
+        # a run whose checks fail repeats its violation reports too
+        failing = tmp_path / "failing.cfg"
+        failing.write_text(open(scenario("cosine_decay.cfg")).read()
+                           .replace("[checks]", "[checks]\ntolerance = 1e-300"))
+        reports = []
+        for sub in ("c", "d"):
+            d = tmp_path / sub
+            assert run_scenario(str(failing), d, seed=7)[0] == 1
+            reports.append([[l for l in (d / f"violations_{side}.csv").read_text().split("\n")
+                             if l and not l.startswith("#")] for side in ("sub", "super")])
+        assert reports[0] == reports[1]
+        assert all(len(lines) > 1 for lines in reports[0])
 
 
     def test_mutated_config_revalidated(self, tmp_path):
@@ -165,6 +177,27 @@ class TestMain:
         assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    @pytest.mark.parametrize("name,old,new,code", [
+        ("sin_forcing_barrier.cfg", "forcing_amplitude = 0.5", "forcing_amplitude = 1e308", 3),
+        ("sin_forcing_barrier.cfg", "omega_minus = 1", "omega_minus = 1\nzeta_plus = 1e308", 3),
+        ("sin_forcing_barrier.cfg", "omega_minus = 1", "omega_minus = 1\nzeta_minus = -1e308", 3),
+        ("cosine_decay.cfg", "n = 16", "n = 16\nperiod = 1e-160", 2),
+        ("cosine_decay.cfg", "n = 16", "n = 16\nperiod = 1e-170", 2),
+    ], ids=["forcing_1e308", "zeta_plus_1e308", "zeta_minus_-1e308",
+            "period_1e-160", "period_1e-170"])
+    def test_extreme_finite_value_typed_error(self, tmp_path, capsys, name, old, new, code):
+        # an overflow inside the flow ends in NotAdmissible at its first
+        # point; a spacing whose 1/h^2 overflows is a config error
+        text = open(scenario(name)).read()
+        assert old in text
+        p = tmp_path / "extreme.cfg"
+        p.write_text(text.replace(old, new))
+        got = main(["run", str(p), "--out", str(tmp_path / "o")])
+        assert got == code and got in EXIT_CODES.values()
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert code != 3 or "at point (" in err
 
     def test_report_missing_dir_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1

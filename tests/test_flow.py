@@ -75,6 +75,15 @@ class TestTwistedRhs:
         assert exc.value.block == "plus"
         assert exc.value.eigenvalue < 0
 
+    def test_non_finite_rhs_names_its_point(self, small_grid):
+        with np.errstate(over="ignore"):
+            bg = flat_background(
+                small_grid,
+                zeta_plus=ScalarField(small_grid, np.full(small_grid.shape, -1e308)),
+                zeta_minus=ScalarField(small_grid, np.full(small_grid.shape, 1e308)))
+        with pytest.raises(NotAdmissible, match=r"rhs is not finite at point \(0, 0, 0, 0\)"):
+            twisted_rhs(FlowState(0.0, ScalarField.zeros(small_grid), bg))
+
 
 class TestAdmissibility:
     def test_flat_margins(self, small_grid):

@@ -54,6 +54,11 @@ class TestGridConstruction:
         u = ScalarField(g, np.cos(g.axis_coords(0))[:, None, None, None] * np.ones(g.shape))
         assert np.isfinite(solve_square(*square_operator(u)).residual_plus)
 
+    @pytest.mark.parametrize("h", [0.0, -1.0, np.inf, np.nan, 1e-162, 1e-170])
+    def test_spacing_needs_finite_inverse_square(self, h):
+        with pytest.raises(ValueError, match="spacings"):
+            BicomplexGrid(1, 1, (4,) * 4, (1.0, h, 1.0, 1.0))
+
     @pytest.mark.parametrize("count", [4.5, "4", 6.25])
     def test_non_integral_count_rejected(self, count):
         with pytest.raises(ValueError, match="integer count"):

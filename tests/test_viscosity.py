@@ -1,11 +1,12 @@
 import numpy as np
 import pytest
 
-from twistedma import (BicomplexGrid, FlowState, ScalarField, barriers,
-                       comparison_test, delta_lift, flat_background, run,
-                       subsolution_check, sup_patch, supersolution_check,
-                       touching_jets)
+from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
+                       ScalarField, background_at, barriers, comparison_test,
+                       delta_lift, flat_background, run, subsolution_check,
+                       sup_patch, supersolution_check, touching_jets)
 from twistedma.errors import PreconditionFailed, WindowTooSmall
+from twistedma.grid import det_plus, det_values, hessian_block_values
 from twistedma.viscosity import Violation, ViolationReport
 
 from conftest import cos_axis_field
@@ -282,3 +283,170 @@ class TestSupPatch:
         inside = dist2 < 1.0
         target = np.where(inside, np.maximum(u, phi), u)
         assert np.abs(out - target).max() < 1e-7
+
+
+# ---------------------------------------------------------------------------
+# the touching calculus written out point by point and jet by jet, without
+# the cone: the reference the checks and touching_jets must reproduce bitwise
+
+def reference_perturbations(m_plus, m_minus, samples, rng):
+    out = []
+    for s in range(samples):
+        rho = 10.0 ** rng.uniform(np.log10(1e-4), np.log10(1.0), size=3)
+        mats = []
+        for m, r in zip((m_plus, m_minus), rho[:2]):
+            if s % 2 == 0:
+                mats.append(r * np.eye(m, dtype=np.complex128))
+            else:
+                v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+                v /= np.linalg.norm(v)
+                mats.append(r * np.outer(v, v.conj()))
+        out.append((mats[0], mats[1], float(rho[2])))
+    return out
+
+
+def reference_jets(stack, times, grid, idx, n, side, samples, seed):
+    dt = times[n] - times[n - 1]
+    hp = hessian_block_values(stack[n], grid, "plus")[idx]
+    hm = hessian_block_values(stack[n], grid, "minus")[idx]
+    p_t = (stack[n][idx] - stack[n - 1][idx]) / dt
+    sign = 1.0 if side == "above" else -1.0
+    jets = [(float(p_t), hp, hm)]
+    for P, Q, c in reference_perturbations(grid.k, grid.l, samples,
+                                           np.random.default_rng(seed)):
+        jets.append((float(p_t - sign * c), hp + sign * P, hm + sign * Q))
+    return jets
+
+
+def reference_check(stack, times, bg, tol, samples, seed, side):
+    """A Violation for every bad point of every slice and jet, then finalize."""
+    grid = bg.grid
+    sign = 1.0 if side == "above" else -1.0
+    perts = [(None, None, 0.0)] + reference_perturbations(
+        grid.k, grid.l, samples, np.random.default_rng(seed))
+    report = ViolationReport(side="sub" if side == "above" else "super")
+    exp_zp, exp_zm = np.exp(bg.zeta_plus.values), np.exp(bg.zeta_minus.values)
+    for n in range(1, len(times)):
+        t, dt = float(times[n]), float(times[n] - times[n - 1])
+        sl, Fv = background_at(bg, t), bg.F_at(t)
+        hp = hessian_block_values(stack[n], grid, "plus")
+        hm = hessian_block_values(stack[n], grid, "minus")
+        p_t = (stack[n] - stack[n - 1]) / dt
+        for P, Q, c in perts:
+            plus = sl.omega_hat_plus.values + hp
+            minus = sl.omega_hat_minus.values - hm
+            slope = p_t - sign * c
+            if P is not None:
+                plus = plus + sign * P
+                minus = minus - sign * Q
+            if side == "above":
+                lhs = det_values(plus) * exp_zm
+                rhs = np.exp(slope + Fv) * det_plus(minus) * exp_zp
+                slack = lhs - rhs
+            else:
+                lhs = det_plus(plus) * exp_zm
+                rhs = np.exp(slope + Fv) * det_values(minus) * exp_zp
+                slack = rhs - lhs
+            if tol is None:
+                h = max(grid.spacing)
+                scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
+                tol_arr = 10.0 * (h * h + dt) * scale
+            else:
+                tol_arr = tol
+            report.n_points_checked += slack.size
+            for idx in zip(*np.nonzero(slack < -tol_arr)):
+                report.violations.append(Violation(
+                    tuple(int(i) for i in idx), n, t, float(slack[idx]), report.side))
+    return report.finalize()
+
+
+def drifting_background(grid, rng):
+    """Constant drifting blocks, random zeta fields and a two-knot F."""
+    field = lambda amp: ScalarField(grid, amp * rng.standard_normal(grid.shape))
+    const = HermitianMatrixField.constant
+    return flat_background(
+        grid, f_times=np.array([0.0, 0.2]), f_fields=[field(0.1), field(0.1)],
+        zeta_plus=field(0.1), zeta_minus=field(0.1),
+        omega0_plus=const(grid, "plus", np.diag(rng.uniform(1.0, 1.5, grid.k))),
+        omega0_minus=const(grid, "minus", np.diag(rng.uniform(1.0, 1.5, grid.l))),
+        chi_plus=const(grid, "plus", 0.3 * np.eye(grid.k)),
+        chi_minus=const(grid, "minus", -0.2 * np.eye(grid.l)))
+
+
+def check_case(k, l):
+    """(grid, stack, times, background).  On 4^8 points the data are random
+    on a sparse set of points and zero elsewhere, on a flat background, so
+    that even at tol = 0 the bad points are a few thousand (the reference
+    builds an object for each), with exact ties between the symmetric
+    neighbours of each spike."""
+    rng = np.random.default_rng(10 * k + l)
+    # h = 1/4 and dt = 1/50 keep the default tolerance below the slack of
+    # an indefinite ungated block
+    g = BicomplexGrid.regular(k, l, 4, period=1.0)
+    times = np.array([0.0, 0.02, 0.04, 0.06])
+    stack = 0.3 * rng.standard_normal((len(times),) + g.shape)
+    if (k, l) == (2, 2):
+        stack = stack[:3] * (rng.random(g.shape) < 5e-4) * 10.0
+        return g, stack, times[:3], flat_background(g)
+    return g, stack, times, drifting_background(g, rng)
+
+
+class TestAgainstReference:
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 2)])
+    def test_reports_bitwise(self, k, l):
+        g, stack, times, bg = check_case(k, l)
+        sizes = []
+        for tol in (None, 1e-3, 0.0):
+            for samples in (0, 3):
+                for check, side, seed in ((subsolution_check, "above", 5),
+                                          (supersolution_check, "below", 6)):
+                    got = check(stack, times, bg, tol=tol, samples=samples, seed=seed)
+                    ref = reference_check(stack, times, bg, tol, samples, seed, side)
+                    assert got.violations == ref.violations
+                    assert got.worst_slack == ref.worst_slack
+                    assert got.n_points_checked == ref.n_points_checked
+                    sizes.append(len(got.violations))
+        assert all(sizes) and 1000 in sizes
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 2)])
+    def test_touching_jets_bitwise(self, k, l):
+        g, stack, times, _ = check_case(k, l)
+        rng = np.random.default_rng(3)
+        for side in ("above", "below"):
+            for n in (1, 2):
+                idx = tuple(int(i) for i in rng.integers(0, 4, g.real_dim))
+                jets = touching_jets(stack, times, g, idx, n, side=side, seed=n)
+                ref = reference_jets(stack, times, g, idx, n, side, 4, n)
+                assert len(jets) == len(ref) == 5
+                for jet, (p_t, hp, hm) in zip(jets, ref):
+                    assert (jet.spatial_index, jet.time_index) == (idx, n)
+                    assert jet.p_t == p_t
+                    assert np.array_equal(jet.H_plus, hp)
+                    assert np.array_equal(jet.H_minus, hm)
+
+    def test_jet_slack_is_the_checks_slack(self):
+        # tol = -inf reports every point of every jet: 256 points, one
+        # slice and three jets stay below the report's cap
+        g, stack, times, bg = check_case(1, 1)
+        stack, times = stack[:2], times[:2]
+        idx = tuple(int(i) for i in np.random.default_rng(4).integers(0, 4, 4))
+        t = float(times[1])
+        sl = background_at(bg, t)
+        at = lambda values: np.broadcast_to(values, g.shape + values.shape[g.real_dim:])[idx]
+        zp, zm, F = (at(f) for f in (bg.zeta_plus.values, bg.zeta_minus.values, bg.F_at(t)))
+        for check, side, sign, det_p, det_m in (
+                (subsolution_check, "above", 1.0, det_values, det_plus),
+                (supersolution_check, "below", -1.0, det_plus, det_values)):
+            report = check(stack, times, bg, tol=-np.inf, samples=2, seed=8)
+            assert len(report.violations) == 3 * g.size
+            from_check = sorted(v.slack for v in report.violations
+                                if v.spatial_index == idx)
+            from_jets = sorted(
+                sign * (det_p(at(sl.omega_hat_plus.values) + jet.H_plus) * np.exp(zm)
+                        - np.exp(jet.p_t + F)
+                        * det_m(at(sl.omega_hat_minus.values) - jet.H_minus) * np.exp(zp))
+                for jet in touching_jets(stack, times, g, idx, 1, side=side,
+                                         samples=2, seed=8))
+            # the check adds a jet's increments to the form, the jet to its
+            # Hessian: the two orders round differently
+            assert from_jets == pytest.approx(from_check, rel=1e-12, abs=1e-14)
