@@ -36,6 +36,9 @@ print(f"compatibility residual of the image: "
 dec = solve_square(omega_plus, omega_minus)
 err = np.abs(dec.f.values - f.values).max()
 print(f"roundtrip error after inversion: {err:.2e}")
+# computed on this first read, from the spectrum of f and the two blocks
+print(f"re-applied residuals: plus {dec.residual_plus:.2e}, "
+      f"minus {dec.residual_minus:.2e}")
 print(f"kernel note: {dec.kernel_note}")
 
 # data that no potential can produce: a plus block varying in a minus

@@ -138,8 +138,10 @@ def _require_admissible(state):
             ("plus", report.plus_margin, report.plus_worst_point),
             ("minus", report.minus_margin, report.minus_worst_point)):
         if margin <= 0.0:
-            raise NotAdmissible(f"{block} block lost positivity",
-                                point=point, eigenvalue=margin, block=block)
+            raise NotAdmissible(
+                f"{block} block lost positivity at point "
+                f"{tuple(int(i) for i in point)} (eigenvalue {margin:.3e})",
+                point=point, eigenvalue=margin, block=block)
     return report
 
 

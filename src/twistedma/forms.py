@@ -234,7 +234,9 @@ class BackgroundData:
         flow's right-hand side; computed once when F has a single knot."""
         if self._static_source is not None:
             return self._static_source
-        return self.zeta_minus.values - self.zeta_plus.values - self.F_at(t)
+        # an overflow is left to the flow's typed non-finite rhs error
+        with np.errstate(over="ignore", invalid="ignore"):
+            return self.zeta_minus.values - self.zeta_plus.values - self.F_at(t)
 
     def class_rep(self):
         return CohomologyClassRep.of(self.omega0_plus, self.omega0_minus)

@@ -1,4 +1,5 @@
 import os
+import re
 import subprocess
 import sys
 
@@ -182,10 +183,12 @@ class TestMain:
         ("sin_forcing_barrier.cfg", "forcing_amplitude = 0.5", "forcing_amplitude = 1e308", 3),
         ("sin_forcing_barrier.cfg", "omega_minus = 1", "omega_minus = 1\nzeta_plus = 1e308", 3),
         ("sin_forcing_barrier.cfg", "omega_minus = 1", "omega_minus = 1\nzeta_minus = -1e308", 3),
+        ("sin_forcing_barrier.cfg", "omega_minus = 1",
+         "omega_minus = 1\nzeta_plus = -1e308\nzeta_minus = 1e308", 3),
         ("cosine_decay.cfg", "n = 16", "n = 16\nperiod = 1e-160", 2),
         ("cosine_decay.cfg", "n = 16", "n = 16\nperiod = 1e-170", 2),
     ], ids=["forcing_1e308", "zeta_plus_1e308", "zeta_minus_-1e308",
-            "period_1e-160", "period_1e-170"])
+            "zeta_difference_overflow", "period_1e-160", "period_1e-170"])
     def test_extreme_finite_value_typed_error(self, tmp_path, capsys, name, old, new, code):
         # an overflow inside the flow ends in NotAdmissible at its first
         # point; a spacing whose 1/h^2 overflows is a config error
@@ -198,6 +201,17 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert code != 3 or "at point (" in err
+
+    def test_lost_positivity_names_point_and_eigenvalue(self, tmp_path, capsys):
+        # h ~ 4e-151 makes the initial cosine's Hessian ~1e298
+        text = open(scenario("cosine_decay.cfg")).read()
+        p = tmp_path / "tiny_period.cfg"
+        p.write_text(text.replace("n = 16", "n = 16\nperiod = 1e-150"))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 3
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        assert re.fullmatch(r"error: plus block lost positivity at point \(\d+, \d+, \d+, \d+\) "
+                            r"\(eigenvalue -\d\.\d{3}e\+\d+\)\n", err)
 
     def test_report_missing_dir_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1

@@ -1,3 +1,5 @@
+import itertools
+
 import numpy as np
 import pytest
 import scipy.fft
@@ -248,6 +250,254 @@ class TestStencilTable:
         vals = op.values.copy()
         vals[1, 2, 3, 0, 0, 0] += 0.4e-12j * (1.0 + peak)
         solve_square(HermitianMatrixField(small_grid, "plus", vals, check=False), om)
+
+
+def lattice(pair, shape):
+    """The lattice field whose real and imaginary parts have the half
+    spectra ``pair`` (a None part is zero), as the solver first wrote it."""
+    re, im = (None if p is None else scipy.fft.irfftn(p, s=shape) for p in pair)
+    return re if im is None else re + 1j * im
+
+
+def reference_cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):
+    """The cross-condition loop as first written: an exact inverse
+    transform for every tuple, whatever its size against ``tol``."""
+    compat = 0.0
+    for a, b, c, d in itertools.product(range(grid.k), range(grid.k),
+                                        range(grid.l), range(grid.l)):
+        if (a, b, c, d) > (b, a, d, c):
+            continue
+        compat = max(compat, float(np.abs(lattice(
+            cross_spectrum(hat_p, hat_m, sym_plus, sym_minus, (a, b, c, d)),
+            grid.shape)).max()))
+    return compat
+
+
+def cross_spectrum(hat_p, hat_m, sym_plus, sym_minus, abcd):
+    """Half spectra of hess_minus(w+[a,b])[c,d] + hess_plus(w-[c,d])[a,b]."""
+    a, b, c, d = abcd
+    e, t = potential._entry, potential._times
+    return potential._plus(t(e(sym_minus, c, d), e(hat_p, a, b)),
+                           t(e(sym_plus, a, b), e(hat_m, c, d)))
+
+
+def reference_residuals(omega_plus, omega_minus, f_hat):
+    """The residuals as first computed, eagerly at the end of the solve."""
+    grid = omega_plus.grid
+    sym_plus, sym_minus = _grid_symbols(grid)
+    residuals = []
+    for omega, sym, hat in ((omega_plus, sym_plus, f_hat),
+                            (omega_minus, sym_minus, -f_hat)):
+        res = 0.0
+        for (i, j), s in sym.items():
+            back = lattice(potential._times(s, (hat, None)), grid.shape)
+            res = max(res, float(np.abs(back - omega.values[..., i, j]).max()))
+            if i != j:
+                res = max(res, float(np.abs(
+                    back.conj() - omega.values[..., j, i]).max()))
+        residuals.append(res)
+    return residuals
+
+
+def outcome(monkeypatch, blocks, reference, **kw):
+    """("f", values) of solve_square, or (error type, message)."""
+    with monkeypatch.context() as mp:
+        if reference:
+            mp.setattr(potential, "_cross_residual", reference_cross_residual)
+        try:
+            return "f", solve_square(*blocks, **kw).f.values
+        except (IncompatibleData, NonzeroMeanObstruction) as exc:
+            return type(exc), str(exc)
+
+
+def same_outcome(got, ref):
+    return got[0] == ref[0] and (np.array_equal(got[1], ref[1]) if got[0] == "f"
+                                 else got[1] == ref[1])
+
+
+def block_grid(k, l):
+    return BicomplexGrid.regular(k, l, 4 if k + l == 4 else 6)
+
+
+def mixed_pattern(grid, rng, n_modes=4):
+    """Plus (0, 0) entry sum_m cos(a_m.x+ + phi_m) cos(b_m.x-), every a_m and
+    b_m nonzero: no stray content, and a cross residual whose l1 bound
+    exceeds its max norm because the phases differ."""
+    x = np.meshgrid(*(grid.axis_coords(i) for i in range(grid.real_dim)),
+                    indexing="ij", sparse=True)
+    n_plus = 2 * grid.k
+    vals = np.zeros(grid.shape + (grid.k, grid.k), complex)
+    for _ in range(n_modes):
+        a = rng.integers(1, 3, size=n_plus)
+        b = rng.integers(1, 3, size=grid.real_dim - n_plus)
+        vals[..., 0, 0] += (np.cos(sum(ai * xi for ai, xi in zip(a, x[:n_plus]))
+                                   + rng.uniform(0.0, 2.0 * np.pi))
+                            * np.cos(sum(bi * xi for bi, xi in zip(b, x[n_plus:]))))
+    return vals
+
+
+def exact_cross(op, om):
+    g = op.grid
+    return reference_cross_residual(potential._entry_spectra(op), potential._entry_spectra(om),
+                                    *_grid_symbols(g), g, 0.0)
+
+
+KL = [(1, 1), (1, 2), (2, 1), (2, 2)]
+
+
+class TestCrossCertificate:
+    """The l1 certificate with its exact fallback decides as the loop that
+    transforms every tuple, and reports the same numbers."""
+
+    @pytest.mark.parametrize("k,l", KL)
+    def test_compatible_data_same_f(self, k, l, monkeypatch):
+        g = block_grid(k, l)
+        blocks = square_operator(bandlimited_field(g, np.random.default_rng(k + 2 * l)))
+        got = outcome(monkeypatch, blocks, reference=False)
+        assert got[0] == "f"
+        assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
+
+    @pytest.mark.parametrize("k,l", KL)
+    def test_incompatible_data_same_message(self, k, l, monkeypatch, rng):
+        g = block_grid(k, l)
+        cases = []
+        # a plus diagonal entry varying along a minus axis
+        vals = np.zeros(g.shape + (k, k), complex)
+        vals[..., 0, 0] = 0.25 * cos_axis_field(g, 2 * k).values
+        cases.append((HermitianMatrixField(g, "plus", vals, check=False),
+                      HermitianMatrixField.zeros(g, "minus")))
+        op, om = square_operator(bandlimited_field(g, rng))
+        if k == 2:
+            # purely imaginary, Hermitian, varying along a minus axis only
+            bump = 0.1j * cos_axis_field(g, 2 * k).values
+            vals = op.values.copy()
+            vals[..., 0, 1] += bump
+            vals[..., 1, 0] -= bump
+            cases.append((HermitianMatrixField(g, "plus", vals, check=False), om))
+        vals = op.values + 1e-3 * mixed_pattern(g, rng)
+        cases.append((HermitianMatrixField(g, "plus", vals, check=False), om))
+        for blocks in cases:
+            got = outcome(monkeypatch, blocks, reference=False)
+            assert got[0] is IncompatibleData and "cross compatibility" in got[1]
+            assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
+
+    def test_existing_incompatible_cases_same_message(self, monkeypatch, rng):
+        # the data of test_incompatible_data and of
+        # test_imaginary_off_diagonal_incompatibility
+        g = BicomplexGrid.regular(1, 1, 16)
+        vals = 0.25 * cos_axis_field(g, 2).values[..., None, None].astype(complex)
+        cases = [(HermitianMatrixField(g, "plus", vals, check=False),
+                  HermitianMatrixField.zeros(g, "minus"))]
+        g = TestHalfSpectrum.grid
+        op, om = square_operator(bandlimited_field(g, rng))
+        bump = 0.1j * cos_axis_field(g, 4).values
+        vals = op.values.copy()
+        vals[..., 0, 1] += bump
+        vals[..., 1, 0] -= bump
+        cases.append((HermitianMatrixField(g, "plus", vals, check=False), om))
+        for blocks in cases:
+            got = outcome(monkeypatch, blocks, reference=False)
+            assert got[0] is IncompatibleData and "cross compatibility" in got[1]
+            assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
+
+    @pytest.mark.parametrize("k,l", KL)
+    def test_bound_dominates_exact_max(self, k, l):
+        # random Hermitian blocks: complex off-diagonal entries where m = 2
+        g = block_grid(k, l)
+        rng = np.random.default_rng(10 * k + l)
+        hats = []
+        for block, m in (("plus", k), ("minus", l)):
+            z = (rng.standard_normal(g.shape + (m, m))
+                 + 1j * rng.standard_normal(g.shape + (m, m)))
+            hats.append(potential._entry_spectra(HermitianMatrixField(
+                g, block, z + np.conj(np.swapaxes(z, -1, -2)), check=False)))
+        for abcd in itertools.product(range(k), range(k), range(l), range(l)):
+            r_hat = cross_spectrum(*hats, *_grid_symbols(g), abcd)
+            exact = float(np.abs(lattice(r_hat, g.shape)).max())
+            assert potential._l1_bound(r_hat, g.shape) >= exact > 0.0
+
+    @pytest.mark.parametrize("k,l", KL)
+    @pytest.mark.parametrize("factor", [0.99, 1.01])
+    def test_near_tolerance(self, k, l, factor, monkeypatch):
+        # compatible data plus eps times a mixed pattern, eps chosen so the
+        # exact cross residual sits 1% below or above the tolerance
+        g = block_grid(k, l)
+        rng = np.random.default_rng(k + 2 * l)
+        op, om = square_operator(bandlimited_field(g, rng))
+        pattern = mixed_pattern(g, rng)
+        zero_m = HermitianMatrixField.zeros(g, "minus")
+        rho = exact_cross(HermitianMatrixField(g, "plus", pattern, check=False), zero_m)
+        scale = max(np.abs(op.values).max(), np.abs(om.values).max(), 1.0)
+        plus = HermitianMatrixField(g, "plus", op.values + factor * 1e-8 * scale / rho * pattern,
+                                    check=False)
+        blocks = (plus, om)
+        exact = exact_cross(*blocks)
+        hats = potential._entry_spectra(plus), potential._entry_spectra(om)
+        bound = max(potential._l1_bound(cross_spectrum(*hats, *_grid_symbols(g), abcd),
+                                        g.shape)
+                    for abcd in itertools.product(range(k), range(k), range(l), range(l)))
+        tol = 1e-8 * scale
+        assert bound > tol
+        calls = []
+        real_irfftn = scipy.fft.irfftn
+        with monkeypatch.context() as mp:
+            mp.setattr(scipy.fft, "irfftn",
+                       lambda *a, **kw: calls.append(1) or real_irfftn(*a, **kw))
+            got = outcome(monkeypatch, blocks, reference=False)
+        # the bound failed, so the fallback transformed (f takes one more)
+        assert len(calls) > (got[0] == "f")
+        assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
+        if factor < 1.0:
+            assert exact <= tol and got[0] == "f"
+        else:
+            assert exact > tol and got == (IncompatibleData, (
+                f"cross compatibility residual {exact:.3e} exceeds tolerance {tol:.3e}"))
+
+
+class TestResidualsOnRead:
+    def perturbed(self, g, rng):
+        """test_residuals_match_direct_evaluation's data where k = l = 2,
+        else square data plus a mixed plus pattern and a minus entry along
+        a plus axis."""
+        op, om = square_operator(bandlimited_field(g, rng))
+        p_vals = op.values + 1e-3 * mixed_pattern(g, rng)
+        m_vals = om.values.copy()
+        m_vals[..., 0, 0] += 1e-3 * cos_axis_field(g, 0).values
+        if g.k == g.l == 2:
+            p_vals = op.values.copy()
+            bump = 1e-3j * cos_axis_field(g, 4).values
+            p_vals[..., 0, 1] += bump
+            p_vals[..., 1, 0] -= bump
+            m_vals = om.values.copy()
+            m_vals[..., 0, 1] += 1e-3 * cos_axis_field(g, 0).values
+            m_vals[..., 1, 0] += 1e-3 * cos_axis_field(g, 0).values
+        return (HermitianMatrixField(g, "plus", p_vals, check=False),
+                HermitianMatrixField(g, "minus", m_vals, check=False))
+
+    @pytest.mark.parametrize("k,l", KL)
+    def test_bitwise_equal_to_eager_formula(self, k, l):
+        g = block_grid(k, l)
+        rng = np.random.default_rng(k + 2 * l)
+        for blocks, tol in ((square_operator(bandlimited_field(g, rng)), 1e-8),
+                            (self.perturbed(g, rng), 1.0)):
+            dec = solve_square(*blocks, tol_compat=tol)
+            ref = reference_residuals(*blocks, dec._f_hat)
+            assert [dec.residual_plus, dec.residual_minus] == ref
+            if tol == 1.0:
+                assert max(ref) > 1e-4
+
+    def test_one_inverse_transform_unless_read(self, monkeypatch, rng):
+        g = BicomplexGrid.regular(1, 1, 8)
+        calls = []
+        real_irfftn = scipy.fft.irfftn
+        monkeypatch.setattr(scipy.fft, "irfftn",
+                            lambda *a, **kw: calls.append(1) or real_irfftn(*a, **kw))
+        dec = solve_square(*square_operator(bandlimited_field(g, rng)))
+        assert len(calls) == 1
+        dec.residual_plus, dec.residual_minus
+        assert len(calls) == 3
+        dec.residual_plus, dec.residual_minus
+        assert len(calls) == 3
 
 
 class TestCompatibilityResidual:
