@@ -9,10 +9,10 @@ from .grid import (BicomplexGrid, HermitianMatrixField, ScalarField,
                    det_plus, export_csv, hermitian_hessian, load_field,
                    min_eigenvalue, save_field)
 from .forms import (BackgroundData, CohomologyClassRep, background_at,
-                    chi_from_weights, fgk_residual, flat_background,
-                    gauge_shift_weights, max_existence_time, positivity_check)
+                    chi_from_weights, flat_background, gauge_shift_weights,
+                    max_existence_time, positivity_check)
 from .potential import (SquareDecomposition, compatibility_residual,
-                        solve_square, square_operator)
+                        fgk_residual, solve_square, square_operator)
 from .flow import (BarrierPair, FlowState, Trajectory, admissibility,
                    barriers, run, stable_dt, step, twisted_rhs)
 from .viscosity import (ComparisonVerdict, Jet, ViolationReport,

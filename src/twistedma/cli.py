@@ -119,6 +119,8 @@ class ScenarioConfig:
             raise ConfigError("checks: tolerance must be finite and > 0")
         if self.jet_samples < 0:
             raise ConfigError("checks: jet_samples must be >= 0")
+        if self.seed < 0:
+            raise ConfigError("run: seed must be >= 0")
 
 
 def _diag(raw, m, what):
@@ -140,8 +142,8 @@ def load_config(path):
         raise ConfigError(f"unparseable config {path}: {exc}") from exc
     try:
         g = parser["grid"]
-        k = g.getint("k")
-        l = g.getint("l")
+        k = int(g["k"])
+        l = int(g["l"])
         n_raw = g.get("n", "16")
         period = g.getfloat("period", fallback=2.0 * math.pi)
         counts = [int(v) for v in n_raw.replace(",", " ").split()]
@@ -174,7 +176,7 @@ def load_config(path):
             raise ConfigError("initial: kind=file needs a file path")
 
         r = parser["run"]
-        t_end = r.getfloat("t_end")
+        t_end = float(r["t_end"])
         safety = r.getfloat("safety", fallback=0.5)
         emit_every = r.getint("emit_every", fallback=10)
         seed = r.getint("seed", fallback=0)

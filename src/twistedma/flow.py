@@ -213,7 +213,9 @@ def _linearization(state):
                    np.array([[mean[1, 1], -mean[0, 1]], [-mean[1, 0], mean[0, 0]]]))
             A = adj / det_values(mean)
             means.append(mean)
-            norms.append(float(np.linalg.norm(A)))
+            # beyond the float range: inf, and stable_dt collapses the step
+            with np.errstate(over="ignore"):
+                norms.append(float(np.linalg.norm(A)))
             # tr(A H) = sum_ij A_ji H_ij; the pair (i, j), (j, i) with
             # H_ij = re + i im contributes 2 Re(A_ji (re + i im))
             for (i, j), (re, im) in sym.items():
@@ -370,11 +372,13 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
 
     _set_monitors(state, math.nan)
     emit()
-    while state.t < t_end - 1e-14 and n_step < _MAX_STEPS:
+    # relative, so that a t_end below the tolerance is still reached
+    t_stop = t_end * (1.0 - 1e-14)
+    while state.t < t_stop and n_step < _MAX_STEPS:
         explicit_dt = stable_dt(state, safety)
-        dt = min(_ETD_STEP_FACTOR * explicit_dt, _remainder_dt(state, safety),
-                 _drift_dt(state, safety), t_end - state.t)
-        if dt < 1e-12 * max(t_end, 1.0):
+        bound = min(_ETD_STEP_FACTOR * explicit_dt, _remainder_dt(state, safety),
+                    _drift_dt(state, safety))
+        if bound < 1e-12 * max(t_end, 1.0):
             # the step bounds collapsed: an ellipticity block is
             # degenerating and the flow cannot advance past this time
             rep = admissibility(state)
@@ -386,12 +390,13 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
                        else rep.minus_worst_point),
                 eigenvalue=min(rep.plus_margin, rep.minus_margin),
                 block=block)
+        dt = min(bound, t_end - state.t)
         state = step(state, dt)
         n_step += 1
         tol_dt = min(dt, explicit_dt)
         before, explicit_steps = explicit_steps, explicit_steps + dt / explicit_dt
         if (explicit_steps // emit_every > before // emit_every
-                or state.t >= t_end - 1e-14):
+                or state.t >= t_stop):
             emit()
     if keep_states == "none" or not states or states[-1].t != state.t:
         states.append(state.copy())

@@ -1,6 +1,6 @@
-"""Background geometry: the characteristic representative chi, the
-formally-generalized-Kahler residual, the positive cone, the background
-family omega_hat(t) = omega_0 - t*chi, and the maximal time tau_star.
+"""Background geometry: the characteristic representative chi, the positive
+cone, the background family omega_hat(t) = omega_0 - t*chi, and the maximal
+time tau_star.  The FGK cross residual is ``potential.fgk_residual``.
 
 Sign conventions.  Forms are stored by their matrix blocks in the split
 coordinate frame; the minus block of a *metric* form is positive definite
@@ -25,14 +25,13 @@ from functools import cached_property
 import numpy as np
 
 from .errors import NotAdmissible
-from .grid import (BicomplexGrid, HermitianMatrixField, ScalarField,
-                   hermitian_hessian, hessian_block_values, min_eig_values)
+from .grid import (HermitianMatrixField, ScalarField, _require_hermitian,
+                   hermitian_hessian, min_eig_values)
 
 __all__ = [
     "BackgroundData",
     "CohomologyClassRep",
     "chi_from_weights",
-    "fgk_residual",
     "positivity_check",
     "max_existence_time",
     "background_at",
@@ -54,12 +53,11 @@ class CohomologyClassRep:
     mean_minus: np.ndarray
 
     def __post_init__(self):
-        for m in (self.mean_plus, self.mean_minus):
+        for m, block in ((self.mean_plus, "plus"), (self.mean_minus, "minus")):
             arr = np.asarray(m)
             if not np.all(np.isfinite(arr)):
                 raise ValueError("class representative has non-finite entries")
-            if np.abs(arr - arr.conj().T).max() > 1e-12 * (1.0 + np.abs(arr).max()):
-                raise ValueError("class representative blocks must be Hermitian")
+            _require_hermitian(arr, block)
 
     @classmethod
     def of(cls, omega_plus, omega_minus):
@@ -80,33 +78,6 @@ def chi_from_weights(phi_plus, phi_minus):
     return chi_plus, chi_minus
 
 
-def cross_residual_values(omega_plus, omega_minus):
-    """Entrywise discrete cross (pluriclosedness) condition.
-
-    R[a, b, c, d] = hess_minus(omega_plus[a,b])[c,d]
-                  + hess_plus(omega_minus[c,d])[a,b],
-    returned as an array of shape grid.shape + (k, k, l, l).  Zero means
-    formally generalized Kahler to discretization accuracy.
-    """
-    grid = omega_plus.grid
-    k, l = grid.k, grid.l
-    out = np.empty(grid.shape + (k, k, l, l), dtype=np.complex128)
-    for a in range(k):
-        for b in range(k):
-            hm = hessian_block_values(omega_plus.values[..., a, b], grid, "minus")
-            out[..., a, b, :, :] = hm
-    for c in range(l):
-        for d in range(l):
-            hp = hessian_block_values(omega_minus.values[..., c, d], grid, "plus")
-            out[..., :, :, c, d] += hp
-    return out
-
-
-def fgk_residual(omega_plus, omega_minus):
-    """Max norm of the discrete formally-generalized-Kahler residual."""
-    return float(np.abs(cross_residual_values(omega_plus, omega_minus)).max())
-
-
 def positivity_check(omega_plus, omega_minus):
     """True iff both blocks are positive definite everywhere."""
     return bool(min_eig_values(omega_plus.values).min() > 0.0
@@ -120,13 +91,15 @@ def _block_tau(omega0, chi):
     if evals.min() <= 0.0:
         raise NotAdmissible("omega_0 class block is not positive definite",
                             eigenvalue=float(evals.min()))
-    # whitened spectrum: eigenvalues of L^{-1} chi L^{-H}, omega0 = L L^H
+    # whitened spectrum: eigenvalues of L^{-1} chi L^{-H}, omega0 = L L^H, of
+    # chi / 2^b (exact), so that it stays in range where chi / omega0 is not
+    b = max(math.frexp(float(np.abs(chi).max()))[1], -1000)
     l_inv = np.linalg.inv(np.linalg.cholesky(omega0))
-    lam = np.linalg.eigvalsh(l_inv @ chi @ l_inv.conj().T)
+    lam = np.linalg.eigvalsh(l_inv @ (chi * 2.0 ** -b) @ l_inv.conj().T)
     lam_max = lam.max()
     if lam_max <= 0.0:
         return math.inf
-    return 1.0 / float(lam_max)
+    return 2.0 ** -b / float(lam_max)
 
 
 def max_existence_time(omega0, chi):
@@ -192,9 +165,11 @@ class BackgroundData:
             raise NotAdmissible("omega_0 plus block is not positive definite")
         if min_eig_values(self.omega0_minus.values).min() <= 0.0:
             raise NotAdmissible("omega_0 minus block is not positive definite")
-        self._chi_norms = tuple(
-            float(np.sqrt(np.square(np.abs(chi.values)).sum(axis=(-2, -1)).max()))
-            for chi in (self.chi_plus, self.chi_minus))
+        # beyond the float range: inf, which collapses the flow's drift step
+        with np.errstate(over="ignore"):
+            self._chi_norms = tuple(
+                float(np.sqrt(np.square(np.abs(chi.values)).sum(axis=(-2, -1)).max()))
+                for chi in (self.chi_plus, self.chi_minus))
         self._chi_zero = self._chi_norms == (0.0, 0.0)
         # omega_hat(t) = omega_0 for every t when chi = 0: one slice serves all
         self._static_slice = (BackgroundSlice(self.omega0_plus, self.omega0_minus)
@@ -238,14 +213,9 @@ class BackgroundData:
         with np.errstate(over="ignore", invalid="ignore"):
             return self.zeta_minus.values - self.zeta_plus.values - self.F_at(t)
 
-    def class_rep(self):
-        return CohomologyClassRep.of(self.omega0_plus, self.omega0_minus)
-
-    def chi_rep(self):
-        return CohomologyClassRep.of(self.chi_plus, self.chi_minus)
-
     def tau_star(self):
-        return max_existence_time(self.class_rep(), self.chi_rep())
+        return max_existence_time(CohomologyClassRep.of(self.omega0_plus, self.omega0_minus),
+                                  CohomologyClassRep.of(self.chi_plus, self.chi_minus))
 
 
 def background_at(data, t):

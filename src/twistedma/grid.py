@@ -39,7 +39,7 @@ __all__ = [
 PD_GATE = 1e-12
 
 _MAGIC = b"TMAF"
-_VERSION = 1
+_VERSION = 2
 
 
 @dataclass(frozen=True)
@@ -66,10 +66,10 @@ class BicomplexGrid:
                 and np.all(np.isfinite(arr) & (arr >= 4) & (arr % 2 == 0))):
             raise ValueError(f"every axis needs an even integer count >= 4, got {counts}")
         counts = tuple(int(n) for n in arr)
-        # the stencils divide by h^2
-        if not all(0 < h < np.inf and 0 < h * h and 1.0 / (h * h) < np.inf
+        # the stencils divide by h^2, and coordinates stay far from overflow
+        if not all(0 < h and 0 < h * h < np.inf and 1.0 / (h * h) < np.inf
                    for h in spacing):
-            raise ValueError(f"spacings must be positive with a finite 1/h^2, got {spacing}")
+            raise ValueError(f"spacings must be positive with finite h^2 and 1/h^2, got {spacing}")
         # ints and tuples keep the grid hashable, its shape a tuple and its
         # block axes valid indices
         object.__setattr__(self, "k", int(self.k))
@@ -80,13 +80,9 @@ class BicomplexGrid:
     @classmethod
     def regular(cls, k, l, n, period=2.0 * np.pi):
         """Grid with ``n`` points and the given period on every axis."""
-        n_axes = 2 * k + 2 * l
-        if np.isscalar(n):
-            n = (int(n),) * n_axes
-        else:
-            n = tuple(int(v) for v in n)
-        spacing = tuple(period / v for v in n)
-        return cls(k, l, n, spacing)
+        n = (n,) * (2 * k + 2 * l) if np.isscalar(n) else tuple(n)
+        # the constructor checks the counts, a zero one too
+        return cls(k, l, n, tuple(period / v if v else period for v in n))
 
     @property
     def shape(self):
@@ -396,7 +392,8 @@ def min_eigenvalue(H):
 
 
 # ---------------------------------------------------------------------------
-# serialization: 32-byte header + flat little-endian float64 payload
+# serialization: 32-byte header, then (from version 2) one little-endian
+# float64 spacing per axis, then the flat little-endian float64 payload
 
 def save_field(f, path):
     grid = f.grid
@@ -405,14 +402,17 @@ def save_field(f, path):
     header = header.ljust(32, b"\x00")
     with open(path, "wb") as fh:
         fh.write(header)
+        fh.write(struct.pack(f"<{grid.real_dim}d", *grid.spacing))
         fh.write(f.values.astype("<f8").tobytes(order="C"))
 
 
 def load_field(path, spacing=None):
     """Load a scalar field.
 
-    The on-disk format carries no spacing; the default reconstructs a
-    2*pi-periodic axis for every count, matching ``BicomplexGrid.regular``.
+    A version 2 file stores its spacings, and a ``spacing`` that differs
+    from them is a ValueError.  A version 1 file stores none: the default
+    reconstructs a 2*pi-periodic axis for every count, matching
+    ``BicomplexGrid.regular``.
     """
     with open(path, "rb") as fh:
         header = fh.read(32)
@@ -422,12 +422,22 @@ def load_field(path, spacing=None):
     if header[:4] != _MAGIC:
         raise ValueError(f"{path}: bad magic {header[:4]!r}")
     version, k, l = struct.unpack("<HHH", header[4:10])
-    if version != _VERSION:
+    if version not in (1, _VERSION):
         raise ValueError(f"{path}: unsupported version {version}")
     n_axes = 2 * k + 2 * l
     if 10 + 2 * n_axes > len(header):
         raise ValueError(f"{path}: block dimensions k={k}, l={l} do not fit the header")
     counts = struct.unpack(f"<{n_axes}H", header[10:10 + 2 * n_axes])
+    if version == _VERSION:
+        if len(payload) < 8 * n_axes:
+            raise ValueError(f"{path}: header has {32 + len(payload)} bytes, expected "
+                             f"{32 + 8 * n_axes} with the {n_axes} spacings")
+        stored = struct.unpack(f"<{n_axes}d", payload[:8 * n_axes])
+        payload = payload[8 * n_axes:]
+        if spacing is not None and tuple(map(float, spacing)) != stored:
+            raise ValueError(f"{path}: stored spacing {stored} differs from "
+                             f"the requested {tuple(spacing)}")
+        spacing = stored
     expected = 8 * int(np.prod(counts))
     if len(payload) != expected:
         raise ValueError(f"{path}: payload has {len(payload)} bytes, "

@@ -26,7 +26,6 @@ import numpy as np
 import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
-from .forms import fgk_residual
 from .grid import (HermitianMatrixField, ScalarField, _require_hermitian,
                    hermitian_hessian, hessian_symbols)
 
@@ -35,12 +34,10 @@ __all__ = [
     "square_operator",
     "solve_square",
     "compatibility_residual",
+    "fgk_residual",
 ]
 
 _symbol_cache = {}
-
-#: max norm of the fourth-order cross condition the inversion needs
-compatibility_residual = fgk_residual
 
 #: relative margin the l1 certificate keeps below the tolerance, far above
 #: the roundoff of the transforms and sums (a few ulps times log2 N)
@@ -182,6 +179,21 @@ def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):
             continue
         compat = max(compat, float(np.abs(_to_lattice(r_hat, grid.shape)).max()))
     return compat
+
+
+def compatibility_residual(omega_plus, omega_minus):
+    """Max norm of the cross condition ``solve_square`` needs, zero to
+    roundoff for formally generalized Kahler blocks: the solver's own
+    evaluation at tolerance 0, which certifies only a tuple whose spectrum
+    is zero, so the value is exact.  Blocks must be Hermitian (ValueError)."""
+    for omega in (omega_plus, omega_minus):
+        _require_hermitian(omega.values, omega.block)
+    grid = omega_plus.grid
+    return _cross_residual(_entry_spectra(omega_plus), _entry_spectra(omega_minus),
+                           *_grid_symbols(grid), grid, 0.0)
+
+
+fgk_residual = compatibility_residual
 
 
 def _residual(omega, sym, hat):

@@ -1,10 +1,16 @@
+import configparser
+import contextlib
+import io
 import os
 import re
 import subprocess
 import sys
+import tempfile
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from twistedma import BicomplexGrid, ScalarField, save_field
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
@@ -164,6 +170,15 @@ class TestMain:
         assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
         assert "expected 32768" in capsys.readouterr().err
 
+    def test_initial_file_spacing_mismatch_exit_two(self, tmp_path, capsys):
+        # saved on a period-1 grid, read by a config with the default 2*pi
+        field = tmp_path / "period_one.bin"
+        save_field(ScalarField.zeros(BicomplexGrid.regular(1, 1, 8, period=1.0)), field)
+        cfg = self._file_scenario(tmp_path, field)
+        assert main(["run", cfg, "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: initial: cannot load") and "stored spacing" in err
+
     @pytest.mark.parametrize("old,new", [
         ("t_end = 0.05", "t_end = nan"),
         ("t_end = 0.05", "t_end = inf"),
@@ -201,6 +216,39 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
         assert code != 3 or "at point (" in err
+
+    @pytest.mark.parametrize("name,old,new,extra,code", [
+        ("flat_stationary.cfg", "t_end = 0.05\n", "", [], 2),
+        ("flat_stationary.cfg", "k = 1\n", "", [], 2),
+        ("flat_stationary.cfg", "seed = 0", "seed = -1", [], 2),
+        ("flat_stationary.cfg", "seed = 0", "seed = 0", ["--seed", "-1"], 2),
+        ("flat_stationary.cfg", "n = 8", "n = 0", [], 2),
+        ("cosine_decay.cfg", "n = 16", "n = 16\nperiod = 1e308", [], 2),
+        ("flat_stationary.cfg", "omega_minus = 1", "omega_minus = 1e-300", [], 3),
+        ("finite_tau_star.cfg", "chi_plus = 2", "chi_plus = 1e300",
+         ["--override-tau-star"], 3),
+        ("finite_tau_star.cfg", "omega_plus = 1\nomega_minus = 1\nchi_plus = 2",
+         "omega_plus = 1e-300\nomega_minus = 1\nchi_plus = -1e300", [], 3),
+    ], ids=["no_t_end", "no_k", "negative_seed", "negative_seed_option", "zero_count",
+            "period_1e308", "omega_minus_1e-300", "chi_plus_1e300",
+            "omega_chi_ratio_overflow"])
+    def test_mutated_scenario_typed_error(self, tmp_path, capsys, name, old, new, extra, code):
+        # inputs that once ended in a traceback (or a float warning)
+        text = open(scenario(name)).read()
+        assert old in text
+        p = tmp_path / "mutated.cfg"
+        p.write_text(text.replace(old, new))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")] + extra) == code
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+
+    def test_t_end_below_absolute_tolerance_is_reached(self, tmp_path):
+        text = open(scenario("flat_stationary.cfg")).read()
+        p = tmp_path / "tiny_t_end.cfg"
+        p.write_text(text.replace("t_end = 0.05", "t_end = 1e-300"))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        assert "t_final = 1e-300" in report(out)
 
     def test_lost_positivity_names_point_and_eigenvalue(self, tmp_path, capsys):
         # h ~ 4e-151 makes the initial cosine's Hessian ~1e298
@@ -265,3 +313,116 @@ def test_exit_codes_distinct():
     codes = list(EXIT_CODES.values())
     assert len(set(codes)) == len(codes)
     assert 0 not in codes and 1 not in codes
+
+
+# Values for every key of the shipped scenarios: ones that parse and run,
+# ones that do not parse, and extremes.  Counts stay at 4 per axis or so
+# (at most 4^8 points), and t_end and safety keep a run to a few hundred
+# steps, so one example takes well under a second.  Every t_end that runs
+# stays below the smallest tau* of ordinary values here (1/4), since an
+# --override-tau-star run that approaches tau* on non-constant data takes
+# hundreds of thousands of steps.
+MUTATION_VALUES = {
+    ("grid", "k"): ["1", "2", "0", "3", "-1", "1.5", "x", ""],
+    ("grid", "l"): ["1", "2", "0", "3", "-1", "1.5", "x", ""],
+    ("grid", "n"): ["4", "4 6 4 6", "4, 4, 4, 4", "3", "5", "0", "-4", "4.5", "x", ""],
+    ("grid", "period"): ["1", "0.5", "1e308", "1e-150", "1e-170", "0", "-1",
+                         "nan", "inf", "x"],
+    ("background", "omega_plus"): ["1", "2", "0.5 2", "0", "-1", "1e-300", "1e300",
+                                   "nan", "x", ""],
+    ("background", "omega_minus"): ["1", "3", "1 0.5", "0", "-2", "1e-300", "1e300",
+                                    "inf", "x"],
+    ("background", "chi_plus"): ["0", "2", "-1", "1 -1", "1e300", "-1e300", "nan", "x"],
+    ("background", "chi_minus"): ["0", "-1", "1", "0.5 0.5", "1e300", "-1e300", "x"],
+    ("background", "zeta_plus"): ["0", "0.5", "-3", "1e308", "-1e308", "nan", "x"],
+    ("background", "zeta_minus"): ["0", "-0.5", "2", "1e308", "-1e308", "inf", "x"],
+    ("background", "forcing"): ["none", "sin", "const", "SIN", "saw", ""],
+    ("background", "forcing_amplitude"): ["0.5", "-2", "1e308", "-1e308", "nan", "x"],
+    ("background", "forcing_axis"): ["0", "1", "3", "4", "7", "8", "-1", "1.5", "x"],
+    ("initial", "kind"): ["zero", "cosine", "file", "Cosine", "x", ""],
+    ("initial", "amplitude"): ["1e-3", "0.5", "-1", "1e300", "nan", "x"],
+    ("initial", "axis"): ["0", "3", "4", "7", "8", "-1", "x"],
+    ("initial", "mode"): ["1", "2", "0", "-2", "1.5", "x"],
+    ("initial", "file"): ["", "{field}", "{absent}"],
+    ("run", "t_end"): ["0.01", "0.05", "0.2", "1e-300", "1e-14", "0", "-0.1",
+                       "nan", "inf", "x", ""],
+    ("run", "safety"): ["0.5", "1", "0.2", "0", "1.5", "-0.5", "nan", "x"],
+    ("run", "emit_every"): ["1", "3", "10", "0", "-1", "1.5", "x"],
+    ("run", "seed"): ["0", "7", "-1", "99999999999999999999", "1.5", "x"],
+    ("checks", "viscosity"): ["true", "false", "yes", "0", "x"],
+    ("checks", "roundtrip"): ["true", "false"],
+    ("checks", "jet_samples"): ["0", "1", "3", "-1", "x"],
+    ("checks", "tolerance"): ["", "1e-300", "1e-6", "1", "1e308", "0", "-1",
+                              "nan", "inf", "x"],
+}
+
+_MUTATION = st.one_of(
+    st.tuples(st.just("set"), st.sampled_from(sorted(MUTATION_VALUES)))
+    .flatmap(lambda t: st.tuples(st.just(t[0]), st.just(t[1]),
+                                 st.sampled_from(MUTATION_VALUES[t[1]]))),
+    st.tuples(st.just("drop"), st.sampled_from(sorted(MUTATION_VALUES)), st.none()),
+    st.tuples(st.just("drop_section"),
+              st.sampled_from(sorted({sec for sec, _ in MUTATION_VALUES})), st.none()),
+    st.tuples(st.just("unknown_key"),
+              st.sampled_from(sorted({sec for sec, _ in MUTATION_VALUES})),
+              st.sampled_from(["1", "x", ""])),
+)
+
+
+def mutated_scenario(name, mutations, paths):
+    """The shipped scenario on 4 points per axis with t_end = 0.05, with
+    ``mutations`` applied in order; the text of the resulting INI file."""
+    parser = configparser.ConfigParser()
+    parser.read(scenario(name))
+    parser["grid"]["n"] = "4"
+    parser["run"]["t_end"] = "0.05"
+    for op, target, value in mutations:
+        if op == "set":
+            section, key = target
+            if not parser.has_section(section):
+                parser.add_section(section)
+            parser[section][key] = value.format(**paths)
+        elif op == "drop":
+            section, key = target
+            if parser.has_section(section):
+                parser.remove_option(section, key)
+        elif op == "drop_section":
+            parser.remove_section(target)
+        elif parser.has_section(target):
+            parser[target]["no_such_key"] = value
+    text = io.StringIO()
+    parser.write(text)
+    return text.getvalue()
+
+
+DOCUMENTED_EXIT_CODES = {0, 1} | set(EXIT_CODES.values())
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(SCENARIOS),
+       mutations=st.lists(_MUTATION, min_size=1, max_size=3),
+       override=st.booleans())
+def test_mutated_scenarios_exit_with_documented_code(name, mutations, override):
+    # every input either runs or fails with its typed error and documented
+    # exit code: no traceback, and exit 0 only after reaching t_end
+    with tempfile.TemporaryDirectory() as tmp:
+        paths = {"field": os.path.join(tmp, "field.bin"),
+                 "absent": os.path.join(tmp, "absent.bin")}
+        save_field(ScalarField.zeros(BicomplexGrid.regular(1, 1, 4)), paths["field"])
+        cfg = os.path.join(tmp, "mutated.cfg")
+        with open(cfg, "w") as fh:
+            fh.write(mutated_scenario(name, mutations, paths))
+        out = os.path.join(tmp, "out")
+        argv = ["run", cfg, "--out", out] + (["--override-tau-star"] if override else [])
+        stdout, stderr = io.StringIO(), io.StringIO()
+        with contextlib.redirect_stdout(stdout), contextlib.redirect_stderr(stderr):
+            code = main(argv)
+        assert code in DOCUMENTED_EXIT_CODES
+        assert "Traceback" not in stderr.getvalue()
+        if code != 0:
+            assert stderr.getvalue().startswith("error:") or code == 1
+            return
+        t_end = load_config(cfg).t_end
+        t_final = float(dict(line.split(" = ", 1) for line in report(out))["t_final"])
+        assert t_final == pytest.approx(t_end, rel=1e-12, abs=0.0)

@@ -183,6 +183,19 @@ class TestPositivityAndTauStar:
         assert bg.tau_star() == max_existence_time(CohomologyClassRep(M, M),
                                                    CohomologyClassRep(C, C))
 
+    def test_class_rep_hermitian_rule_is_the_grid_rule(self):
+        # a 1e-1 asymmetry is named by block, entry and deviation
+        with pytest.raises(ValueError, match=r"^minus block is not Hermitian at entry "
+                                             r"\(0, 1\) \(deviation 1\.000e-01\)$"):
+            CohomologyClassRep(np.eye(2), np.array([[1.0, 0.5], [0.4, 1.0]]))
+        with pytest.raises(ValueError, match=r"^plus block is not Hermitian at entry \(0, 0\)"):
+            CohomologyClassRep(np.array([[1.0 + 1e-6j]]), np.eye(1))
+        # the tolerance is 1e-12 (1 + max |v|): max |v| = 3 allows 4e-12
+        inside = np.array([[3.0, 1.0], [1.0 + 3.9e-12, 3.0]])
+        CohomologyClassRep(inside, np.eye(1))
+        with pytest.raises(ValueError, match=r"^plus block .* entry \(0, 1\)"):
+            CohomologyClassRep(inside + np.array([[0.0, 0.0], [2e-12, 0.0]]), np.eye(1))
+
     def test_rejects_non_positive_omega0(self):
         rep0 = CohomologyClassRep(np.array([[-1.0]]), np.array([[1.0]]))
         chi = CohomologyClassRep(np.array([[1.0]]), np.array([[1.0]]))

@@ -59,6 +59,19 @@ class TestGridConstruction:
         with pytest.raises(ValueError, match="spacings"):
             BicomplexGrid(1, 1, (4,) * 4, (1.0, h, 1.0, 1.0))
 
+    @pytest.mark.parametrize("h", [1e155, 1e300])
+    def test_spacing_needs_finite_square(self, h):
+        # a period near the float range would overflow the coordinates
+        with pytest.raises(ValueError, match="finite h\\^2 and 1/h\\^2"):
+            BicomplexGrid(1, 1, (4,) * 4, (1.0, h, 1.0, 1.0))
+
+    @pytest.mark.parametrize("n", [0, 4.5, (4, 0, 4, 4)])
+    def test_regular_leaves_counts_to_the_constructor(self, n):
+        # a zero count is a ValueError, not a ZeroDivisionError, and a
+        # non-integral count is rejected rather than truncated
+        with pytest.raises(ValueError, match="integer count"):
+            BicomplexGrid.regular(1, 1, n)
+
     @pytest.mark.parametrize("count", [4.5, "4", 6.25])
     def test_non_integral_count_rejected(self, count):
         with pytest.raises(ValueError, match="integer count"):
@@ -317,7 +330,7 @@ class TestSerialization:
         save_field(ScalarField.zeros(small_grid), tmp_path / "f.bin")
         raw = (tmp_path / "f.bin").read_bytes()
         assert raw[:4] == b"TMAF"
-        assert len(raw) == 32 + 8 * small_grid.size
+        assert len(raw) == 32 + 8 * small_grid.real_dim + 8 * small_grid.size
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"XXXX" + b"\x00" * 60)
@@ -341,6 +354,40 @@ class TestSerialization:
         (tmp_path / "f.bin").write_bytes(header)
         with pytest.raises(ValueError, match="header"):
             load_field(tmp_path / "f.bin")
+
+    def test_period_one_roundtrip_keeps_spacing(self, rng, tmp_path):
+        g = BicomplexGrid.regular(1, 2, 4, period=1.0)
+        u = bandlimited_field(g, rng)
+        path = tmp_path / "f.bin"
+        save_field(u, path)
+        back = load_field(path)
+        assert back.grid == g and back.grid.spacing == (0.25,) * 6
+        assert np.array_equal(back.values, u.values)
+        assert load_field(path, spacing=g.spacing).grid == g
+        with pytest.raises(ValueError, match="stored spacing .* differs from the requested"):
+            load_field(path, spacing=BicomplexGrid.regular(1, 2, 4).spacing)
+
+    def test_version_one_still_read(self, tmp_path):
+        # a hand-written version 1 file: header, payload, no spacings
+        counts = (4, 6, 4, 4)
+        values = np.arange(float(np.prod(counts))).reshape(counts)
+        header = (b"TMAF" + struct.pack("<HHH", 1, 1, 1)
+                  + struct.pack("<4H", *counts)).ljust(32, b"\x00")
+        path = tmp_path / "v1.bin"
+        path.write_bytes(header + values.astype("<f8").tobytes())
+        back = load_field(path)
+        assert back.grid == BicomplexGrid(1, 1, counts, [2.0 * np.pi / n for n in counts])
+        assert np.array_equal(back.values, values)
+        assert load_field(path, spacing=[0.5] * 4).grid.spacing == (0.5,) * 4
+
+    @pytest.mark.parametrize("keep", [32, 33, 32 + 8 * 3])
+    def test_truncated_spacings_rejected(self, small_grid, tmp_path, keep):
+        path = tmp_path / "f.bin"
+        save_field(ScalarField.zeros(small_grid), path)
+        path.write_bytes(path.read_bytes()[:keep])
+        with pytest.raises(ValueError, match=f"header has {keep} bytes, expected 64 "
+                                             "with the 4 spacings"):
+            load_field(path)
 
     def test_csv_export(self, small_grid, tmp_path):
         export_csv(ScalarField.zeros(small_grid), tmp_path / "f.csv")

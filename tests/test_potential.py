@@ -9,7 +9,7 @@ from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
                        square_operator)
 from twistedma import potential
 from twistedma.errors import IncompatibleData, NonzeroMeanObstruction
-from twistedma.grid import hermitian_hessian
+from twistedma.grid import hermitian_hessian, hessian_block_values
 from twistedma.potential import _grid_symbols
 
 from conftest import bandlimited_field, cos_axis_field
@@ -520,3 +520,59 @@ class TestCompatibilityResidual:
         op = HermitianMatrixField(g, "plus", vals, check=False)
         om = HermitianMatrixField.zeros(g, "minus")
         assert compatibility_residual(op, om) > 1e-3
+
+
+def lattice_cross_residual(omega_plus, omega_minus):
+    """The cross condition as first evaluated on the lattice by the direct
+    stencils: R[a, b, c, d] = hess_minus(w+[a,b])[c,d] + hess_plus(w-[c,d])[a,b]
+    as a grid.shape + (k, k, l, l) array, and its max norm."""
+    grid = omega_plus.grid
+    k, l = grid.k, grid.l
+    out = np.empty(grid.shape + (k, k, l, l), dtype=np.complex128)
+    for a in range(k):
+        for b in range(k):
+            out[..., a, b, :, :] = hessian_block_values(omega_plus.values[..., a, b],
+                                                        grid, "minus")
+    for c in range(l):
+        for d in range(l):
+            out[..., :, :, c, d] += hessian_block_values(omega_minus.values[..., c, d],
+                                                         grid, "plus")
+    return float(np.abs(out).max())
+
+
+def random_hermitian(grid, block, rng):
+    """A + A^H for white complex noise A: exactly Hermitian, not FGK."""
+    m = grid.block_dim(block)
+    a = rng.standard_normal(grid.shape + (m, m)) + 1j * rng.standard_normal(grid.shape + (m, m))
+    return HermitianMatrixField(grid, block, a + a.conj().swapaxes(-1, -2))
+
+
+class TestCompatibilityResidualReference:
+    """The spectral residual against the lattice formula it replaced."""
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 2)])
+    def test_gk_data_at_roundoff(self, k, l):
+        g = block_grid(k, l)
+        op, om = square_operator(bandlimited_field(g, np.random.default_rng(k + 3 * l)))
+        got, ref = compatibility_residual(op, om), lattice_cross_residual(op, om)
+        assert got <= 1e-13 and ref <= 1e-13
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 2)])
+    def test_non_gk_data_agrees(self, k, l):
+        g = block_grid(k, l)
+        rng = np.random.default_rng(10 * k + l)
+        op, om = random_hermitian(g, "plus", rng), random_hermitian(g, "minus", rng)
+        got, ref = compatibility_residual(op, om), lattice_cross_residual(op, om)
+        assert ref > 1.0
+        assert got == pytest.approx(ref, rel=1e-13)
+
+    @pytest.mark.parametrize("block", ["plus", "minus"])
+    def test_non_hermitian_block_named(self, block, rng):
+        g = block_grid(2, 2)
+        blocks = {b: random_hermitian(g, b, rng) for b in ("plus", "minus")}
+        vals = blocks[block].values.copy()
+        vals[0, 1, 2, 3, 0, 0, 1, 0, 1, 0] += 1e-3
+        blocks[block] = HermitianMatrixField(g, block, vals, check=False)
+        with pytest.raises(ValueError, match=rf"^{block} block is not Hermitian "
+                                             r"at entry \(0, 1\) \(deviation 1\.000e-03\)$"):
+            compatibility_residual(blocks["plus"], blocks["minus"])
