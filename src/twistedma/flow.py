@@ -115,12 +115,16 @@ def form_block_values(state):
     if state._blocks is None:
         bg = state._slice = background_at(state.background, state.t)
         grid = state.u.grid
-        plus = bg.omega_hat_plus.values + hessian_block_values(state.u.values, grid, "plus")
-        minus = bg.omega_hat_minus.values - hessian_block_values(state.u.values, grid, "minus")
+        # a Hessian beyond the float range is left to the record and to the
+        # rhs's typed non-finite error
+        with np.errstate(over="ignore", invalid="ignore"):
+            plus = bg.omega_hat_plus.values + hessian_block_values(state.u.values, grid, "plus")
+            minus = bg.omega_hat_minus.values - hessian_block_values(state.u.values, grid,
+                                                                     "minus")
+            if state._report is None:
+                (p_margin, p_point), (m_margin, m_point) = _worst(plus), _worst(minus)
+                state._report = AdmissibilityReport(p_margin, m_margin, p_point, m_point)
         state._blocks = (plus, minus)
-        if state._report is None:
-            (p_margin, p_point), (m_margin, m_point) = _worst(plus), _worst(minus)
-            state._report = AdmissibilityReport(p_margin, m_margin, p_point, m_point)
     return state._blocks
 
 
@@ -159,8 +163,9 @@ def twisted_rhs(state):
     or a non-finite value."""
     plus, minus = form_block_values(state)
     _require_admissible(state)
-    vals = (np.log(det_values(plus)) - np.log(det_values(minus))
-            + state.background.source_at(state.t))
+    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+        vals = (np.log(det_values(plus)) - np.log(det_values(minus))
+                + state.background.source_at(state.t))
     return _finite(state.u.grid, vals, "rhs", state.t)
 
 
@@ -204,25 +209,26 @@ def _linearization(state):
         grid = state.u.grid
         ax = tuple(range(grid.real_dim))
         means, norms, symbol = [], [], 0.0
-        for omega, sym in zip((bg.omega_hat_plus, bg.omega_hat_minus),
-                              hessian_symbols(grid)):
-            mean = omega.values.mean(axis=ax)
-            # adj / det (m <= 2) keeps LAPACK, and the memory its first
-            # call maps, off the flow's path
-            adj = (np.eye(1) if len(mean) == 1 else
-                   np.array([[mean[1, 1], -mean[0, 1]], [-mean[1, 0], mean[0, 0]]]))
-            A = adj / det_values(mean)
-            means.append(mean)
-            # beyond the float range: inf, and stable_dt collapses the step
-            with np.errstate(over="ignore"):
+        # an A beyond the float range is inf or nan, and the step collapses
+        # on stable_dt before the symbol is used
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            for omega, sym in zip((bg.omega_hat_plus, bg.omega_hat_minus),
+                                  hessian_symbols(grid)):
+                mean = omega.values.mean(axis=ax)
+                # adj / det (m <= 2) keeps LAPACK, and the memory its first
+                # call maps, off the flow's path
+                adj = (np.eye(1) if len(mean) == 1 else
+                       np.array([[mean[1, 1], -mean[0, 1]], [-mean[1, 0], mean[0, 0]]]))
+                A = adj / det_values(mean)
+                means.append(mean)
                 norms.append(float(np.linalg.norm(A)))
-            # tr(A H) = sum_ij A_ji H_ij; the pair (i, j), (j, i) with
-            # H_ij = re + i im contributes 2 Re(A_ji (re + i im))
-            for (i, j), (re, im) in sym.items():
-                if i == j:
-                    symbol = symbol + A[i, i].real * re
-                else:
-                    symbol = symbol + 2.0 * (A[j, i].real * re - A[j, i].imag * im)
+                # tr(A H) = sum_ij A_ji H_ij; the pair (i, j), (j, i) with
+                # H_ij = re + i im contributes 2 Re(A_ji (re + i im))
+                for (i, j), (re, im) in sym.items():
+                    if i == j:
+                        symbol = symbol + A[i, i].real * re
+                    else:
+                        symbol = symbol + 2.0 * (A[j, i].real * re - A[j, i].imag * im)
         bg._linear = _Linearization(tuple(means), tuple(norms), symbol)
     return bg._linear
 
@@ -242,7 +248,9 @@ def _remainder_dt(state, safety):
     for values, mean, norm, margin in zip(form_block_values(state), lin.mean_forms,
                                           lin.norms, (report.plus_margin,
                                                       report.minus_margin)):
-        dev = np.square(np.abs(values - mean)).sum(axis=(-2, -1)).max()
+        # beyond the float range: inf, and the min keeps the other bound
+        with np.errstate(over="ignore"):
+            dev = np.square(np.abs(values - mean)).sum(axis=(-2, -1)).max()
         stiffness.append(min(norm * math.sqrt(float(dev)), max(1.0, norm * margin))
                          / margin)
     return _parabolic_bound(state.u.grid, safety, stiffness)

@@ -92,14 +92,18 @@ def _block_tau(omega0, chi):
         raise NotAdmissible("omega_0 class block is not positive definite",
                             eigenvalue=float(evals.min()))
     # whitened spectrum: eigenvalues of L^{-1} chi L^{-H}, omega0 = L L^H, of
-    # chi / 2^b (exact), so that it stays in range where chi / omega0 is not
+    # chi / 2^b and omega0 / 4^c (both exact, and 4^c balances omega0's
+    # extreme eigenvalues about 1), so that it stays in range where
+    # chi / omega0 is not; tau* = 4^c 2^-b / lam_max.  2^c is applied twice
+    # because 4^c alone may leave the float range
     b = max(math.frexp(float(np.abs(chi).max()))[1], -1000)
-    l_inv = np.linalg.inv(np.linalg.cholesky(omega0))
+    c = (math.frexp(evals.min())[1] + math.frexp(evals.max())[1]) // 4
+    l_inv = np.linalg.inv(np.linalg.cholesky(omega0 * 2.0 ** -c * 2.0 ** -c))
     lam = np.linalg.eigvalsh(l_inv @ (chi * 2.0 ** -b) @ l_inv.conj().T)
     lam_max = lam.max()
     if lam_max <= 0.0:
         return math.inf
-    return 2.0 ** -b / float(lam_max)
+    return 2.0 ** -b / float(lam_max) * 2.0 ** c * 2.0 ** c
 
 
 def max_existence_time(omega0, chi):
@@ -161,12 +165,14 @@ class BackgroundData:
                   self.zeta_plus, self.zeta_minus, *self.f_fields]
         if any(f.grid != self.grid for f in fields):
             raise ValueError("all background fields must share one grid")
-        if min_eig_values(self.omega0_plus.values).min() <= 0.0:
-            raise NotAdmissible("omega_0 plus block is not positive definite")
-        if min_eig_values(self.omega0_minus.values).min() <= 0.0:
-            raise NotAdmissible("omega_0 minus block is not positive definite")
-        # beyond the float range: inf, which collapses the flow's drift step
-        with np.errstate(over="ignore"):
+        # beyond the float range a closed-form eigenvalue is inf or nan and
+        # passes, and the flow's rhs ends in its typed non-finite error; a
+        # norm of chi is inf, which collapses the flow's drift step
+        with np.errstate(over="ignore", invalid="ignore"):
+            if min_eig_values(self.omega0_plus.values).min() <= 0.0:
+                raise NotAdmissible("omega_0 plus block is not positive definite")
+            if min_eig_values(self.omega0_minus.values).min() <= 0.0:
+                raise NotAdmissible("omega_0 minus block is not positive definite")
             self._chi_norms = tuple(
                 float(np.sqrt(np.square(np.abs(chi.values)).sum(axis=(-2, -1)).max()))
                 for chi in (self.chi_plus, self.chi_minus))

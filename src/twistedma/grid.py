@@ -139,11 +139,20 @@ class ScalarField:
         return float(self.values.mean())
 
 
+def _block_dtype(m, values):
+    """float64 for a real 1x1 block, which is a real number; complex128
+    for a complex one and for every m = 2 block."""
+    return np.float64 if m == 1 and not np.iscomplexobj(values) else np.complex128
+
+
 def _require_hermitian(values, block):
     """max |values|, after checking that every entry (j, i) is the conjugate
     of (i, j) to within 1e-12 (1 + max |values|); ValueError otherwise.  On
-    the diagonal the deviation is 2 |Im v_ii|, read without a temporary."""
+    the diagonal the deviation is 2 |Im v_ii|, read without a temporary.
+    A real 1x1 block is Hermitian by type."""
     peak = float(np.abs(values).max())
+    if values.shape[-1] == 1 and not np.iscomplexobj(values):
+        return peak
     for i, j in itertools.combinations_with_replacement(range(values.shape[-1]), 2):
         if i == j:
             im = values[..., i, i].imag
@@ -159,7 +168,11 @@ def _require_hermitian(values, block):
 @dataclass
 class HermitianMatrixField:
     """One small Hermitian matrix per lattice point for one block: ``values`` has
-    shape ``grid.shape + (m, m)`` or, if constant in space, ``(1,) * real_dim + (m, m)``."""
+    shape ``grid.shape + (m, m)`` or, if constant in space, ``(1,) * real_dim + (m, m)``.
+
+    A real m = 1 block is stored as float64; a complex m = 1 block and
+    every m = 2 block as complex128.
+    """
 
     grid: BicomplexGrid
     block: str
@@ -168,7 +181,7 @@ class HermitianMatrixField:
 
     def __post_init__(self):
         m = self.grid.block_dim(self.block)
-        self.values = np.asarray(self.values, dtype=np.complex128)
+        self.values = np.asarray(self.values, dtype=_block_dtype(m, self.values))
         full, const = self.grid.shape + (m, m), (1,) * self.grid.real_dim + (m, m)
         if self.values.shape not in (full, const):
             raise ValueError(f"values shape {self.values.shape} is neither {full} nor {const}")
@@ -178,7 +191,7 @@ class HermitianMatrixField:
     @classmethod
     def constant(cls, grid, block, matrix):
         m = grid.block_dim(block)
-        matrix = np.array(matrix, dtype=np.complex128)
+        matrix = np.array(matrix, dtype=_block_dtype(m, matrix))
         return cls(grid, block, matrix.reshape((1,) * grid.real_dim + (m, m)))
 
     @classmethod
@@ -288,13 +301,16 @@ def hessian_block_values(values, grid, block):
     per entry and shifted along b for each mixed D_ab, and the weights are
     folded into the stencil scales.  Entry (j, i) of real values is the
     exact conjugate of (i, j); complex values are stencilled part by part.
+    The output has ``HermitianMatrixField``'s dtype: float64 for real
+    values and m = 1, complex128 otherwise.
     """
     if np.iscomplexobj(values):
-        out = hessian_block_values(values.real, grid, block)
+        out = hessian_block_values(values.real, grid, block).astype(np.complex128, copy=False)
         out += 1j * hessian_block_values(values.imag, grid, block)
         return out
     h, m = grid.spacing, grid.block_dim(block)
-    out = np.empty(grid.shape + (m, m), dtype=np.complex128)
+    if m > 1:
+        out = np.empty(grid.shape + (m, m), dtype=np.complex128)
     for (i, j), terms in _hessian_terms(grid, block):
         parts, c_axis = [None, None], None
         for part, a, b, w in terms:
@@ -307,6 +323,9 @@ def hessian_block_values(values, grid, block):
             acc = parts[part]
             parts[part] = d if acc is None else np.add(acc, d, out=acc)
         re, im = parts
+        if m == 1:
+            # the one real entry is the output
+            return re[..., None, None]
         out[..., i, j].real = re
         out[..., i, j].imag = 0.0 if im is None else im
         if i != j:
@@ -378,7 +397,7 @@ def det_plus(matrix):
     Accepts a single matrix or a stacked (..., m, m) array; returns a
     scalar or an array of the leading shape.
     """
-    values = np.asarray(matrix, dtype=np.complex128)
+    values = np.asarray(matrix, dtype=np.complex128 if np.iscomplexobj(matrix) else np.float64)
     single = values.ndim == 2
     if single:
         values = values[None]

@@ -26,8 +26,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
-from .grid import (HermitianMatrixField, ScalarField, _require_hermitian,
-                   hermitian_hessian, hessian_symbols)
+from .grid import (ScalarField, _require_hermitian, hermitian_hessian,
+                   hessian_symbols)
 
 __all__ = [
     "SquareDecomposition",
@@ -78,9 +78,9 @@ def square_operator(f):
     The minus block is stored so that its positivity means the potential
     is plurisuperharmonic relative to background in the minus variables.
     """
-    plus = hermitian_hessian(f, "plus")
-    minus_vals = -hermitian_hessian(f, "minus").values
-    return plus, HermitianMatrixField(f.grid, "minus", minus_vals, check=False)
+    plus, minus = hermitian_hessian(f, "plus"), hermitian_hessian(f, "minus")
+    np.negative(minus.values, out=minus.values)
+    return plus, minus
 
 
 def _grid_symbols(grid):
@@ -135,8 +135,8 @@ def _times(sym, hat):
 
 
 def _plus(x, y):
-    """Sum of two (re, im) pairs; None is zero."""
-    return tuple(u if v is None else v if u is None else u + v
+    """Sum of two (re, im) pairs, added into x's parts; None is zero."""
+    return tuple(u if v is None else v if u is None else np.add(u, v, out=u)
                  for u, v in zip(x, y))
 
 
@@ -307,8 +307,9 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
 
     # the minus block stores -hess_minus f, so negate its symbols
     f_hat = _block_estimate(hat_p, sym_plus, 1.0)
+    del hat_p
     est_m = _block_estimate(hat_m, sym_minus, -1.0)
-    del hat_p, hat_m
+    del hat_m
     # plus-invisible modes come from the minus form; both vanish at zero
     f_hat[zero_p] = est_m[zero_p]
     # overlap frequencies (both blocks nonzero) must agree

@@ -17,13 +17,15 @@ where the perturbation cone forces ellipticity.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
 
 from .errors import PreconditionFailed, WindowTooSmall
+from .flow import _finite
 from .forms import background_at
-from .grid import det_plus, det_values, hessian_block_values
+from .grid import _block_dtype, det_plus, det_values, hessian_block_values
 
 __all__ = [
     "Jet",
@@ -71,22 +73,24 @@ def _cone(grid, side, samples, seed):
     sign is +1 from above and -1 from below.  The increments (dp_t, dH+,
     dH-) are the base jet's (zero) and one per sampled jet: sign * (-c, P+,
     P-) with P blocks PSD and c >= 0, magnitudes log-uniform in [1e-4, 1].
+    A 1x1 increment is real, so that the jets of real blocks stay real.
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
     sign = 1.0 if side == "above" else -1.0
     rng = np.random.default_rng(seed)
-    cone = [(0.0, np.zeros((grid.k,) * 2, complex), np.zeros((grid.l,) * 2, complex))]
+    cone = [(0.0, *(np.zeros((m, m), _block_dtype(m, 0.0)) for m in (grid.k, grid.l)))]
     for s in range(samples):
         rho = 10.0 ** rng.uniform(np.log10(_MAG_LO), np.log10(_MAG_HI), size=3)
         mats = []
         for m, r in zip((grid.k, grid.l), rho[:2]):
             if s % 2 == 0:
-                mats.append(r * np.eye(m, dtype=np.complex128))
+                mat = r * np.eye(m, dtype=np.complex128)
             else:
                 v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 v /= np.linalg.norm(v)
-                mats.append(r * np.outer(v, v.conj()))
+                mat = r * np.outer(v, v.conj())
+            mats.append(mat.real if m == 1 else mat)
         cone.append((-sign * float(rho[2]), sign * mats[0], sign * mats[1]))
     return sign, cone
 
@@ -153,10 +157,18 @@ class ViolationReport:
                 fh.write(f"{idx},{v.time_index},{v.t!r},{v.slack!r},{v.side}\n")
 
 
-def _default_tol(grid, dt, lhs, rhs):
+def _below_tol(slack, tol, grid, dt, lhs, rhs):
+    """Mask of slack < -tol.  The default tol is c 2^e max(1, |lhs|, |rhs|)
+    with c 2^e = 10 (h_max^2 + dt), e >= 0 and c < 1.  It is tested as
+    slack 2^-e < -c max(...): powers of two scale exactly, so that is the
+    same test, and it stays finite where the tolerance would overflow."""
+    if tol is not None:
+        return slack < -tol
     h_max = max(grid.spacing)
+    factor = 10.0 * (h_max * h_max + dt)
+    e = max(math.frexp(factor)[1], 0)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return 10.0 * (h_max * h_max + dt) * scale
+    return slack * 2.0 ** -e < -math.ldexp(factor, -e) * scale
 
 
 def _run_check(u_stack, times, background, tol, samples, seed, side):
@@ -170,29 +182,33 @@ def _run_check(u_stack, times, background, tol, samples, seed, side):
     det_p, det_m = (det_values, det_plus) if sign > 0 else (det_plus, det_values)
 
     report = ViolationReport(side="sub" if sign > 0 else "super")
-    exp_zp = np.exp(background.zeta_plus.values)
-    exp_zm = np.exp(background.zeta_minus.values)
-    for n in range(1, len(times)):
-        t = float(times[n])
-        dt = float(times[n] - times[n - 1])
-        bg = background_at(background, t)
-        Fv = background.F_at(t)
-        p_t, hp, hm = _slice_jet(u_stack, times, grid, n)
-        plus = bg.omega_hat_plus.values + hp
-        minus = bg.omega_hat_minus.values - hm
-        for dp, dhp, dhm in cone:
-            lhs = det_p(plus + dhp) * exp_zm
-            rhs = np.exp(p_t + dp + Fv) * det_m(minus - dhm) * exp_zp
-            slack = sign * (lhs - rhs)
-            tol_arr = _default_tol(grid, dt, lhs, rhs) if tol is None else tol
-            report.n_points_checked += slack.size
-            # only this jet's worst _VIOLATION_CAP can reach the report;
-            # the stable sort keeps ties in lattice order
-            bad = np.flatnonzero(slack < -tol_arr)
-            worst = bad[np.argsort(slack.flat[bad], kind="stable")[:_VIOLATION_CAP]]
-            points = np.transpose(np.unravel_index(worst, slack.shape)).tolist()
-            report.violations += [Violation(tuple(point), n, t, value, report.side)
-                                  for point, value in zip(points, slack.flat[worst].tolist())]
+    # a value beyond the float range makes its slack non-finite, which is
+    # the typed error of _finite: a check cannot certify it
+    with np.errstate(over="ignore", invalid="ignore"):
+        exp_zp = np.exp(background.zeta_plus.values)
+        exp_zm = np.exp(background.zeta_minus.values)
+        for n in range(1, len(times)):
+            t = float(times[n])
+            dt = float(times[n] - times[n - 1])
+            bg = background_at(background, t)
+            Fv = background.F_at(t)
+            p_t, hp, hm = _slice_jet(u_stack, times, grid, n)
+            plus = bg.omega_hat_plus.values + hp
+            minus = bg.omega_hat_minus.values - hm
+            for dp, dhp, dhm in cone:
+                lhs = det_p(plus + dhp) * exp_zm
+                rhs = np.exp(p_t + dp + Fv) * det_m(minus - dhm) * exp_zp
+                slack = sign * (lhs - rhs)
+                _finite(grid, slack, f"{report.side}solution check slack", t)
+                report.n_points_checked += slack.size
+                # only this jet's worst _VIOLATION_CAP can reach the report;
+                # the stable sort keeps ties in lattice order
+                bad = np.flatnonzero(_below_tol(slack, tol, grid, dt, lhs, rhs))
+                worst = bad[np.argsort(slack.flat[bad], kind="stable")[:_VIOLATION_CAP]]
+                points = np.transpose(np.unravel_index(worst, slack.shape)).tolist()
+                report.violations += [
+                    Violation(tuple(point), n, t, value, report.side)
+                    for point, value in zip(points, slack.flat[worst].tolist())]
     return report.finalize()
 
 

@@ -229,9 +229,17 @@ class TestMain:
          ["--override-tau-star"], 3),
         ("finite_tau_star.cfg", "omega_plus = 1\nomega_minus = 1\nchi_plus = 2",
          "omega_plus = 1e-300\nomega_minus = 1\nchi_plus = -1e300", [], 3),
+        # the checks' tolerance once overflowed; now a jet's exp(u_t) does
+        ("flat_stationary.cfg", "n = 8\n\n[background]\nomega_plus = 1\n",
+         "n = 4\n\n[background]\nomega_plus = 1.7e308\n", [], 3),
+        # tau* = 5e-311 once overflowed in the whitening
+        ("finite_tau_star.cfg", "omega_plus = 1\n", "omega_plus = 1e-310\n", [], 2),
+        ("finite_tau_star.cfg", "omega_plus = 1\n", "omega_plus = 1e-310\n",
+         ["--override-tau-star"], 3),
     ], ids=["no_t_end", "no_k", "negative_seed", "negative_seed_option", "zero_count",
             "period_1e308", "omega_minus_1e-300", "chi_plus_1e300",
-            "omega_chi_ratio_overflow"])
+            "omega_chi_ratio_overflow", "omega_plus_1.7e308_checks",
+            "omega_plus_subnormal", "omega_plus_subnormal_override"])
     def test_mutated_scenario_typed_error(self, tmp_path, capsys, name, old, new, extra, code):
         # inputs that once ended in a traceback (or a float warning)
         text = open(scenario(name)).read()
@@ -329,18 +337,21 @@ MUTATION_VALUES = {
     ("grid", "period"): ["1", "0.5", "1e308", "1e-150", "1e-170", "0", "-1",
                          "nan", "inf", "x"],
     ("background", "omega_plus"): ["1", "2", "0.5 2", "0", "-1", "1e-300", "1e300",
-                                   "nan", "x", ""],
+                                   "1.7e308", "1e-310", "5e-324", "nan", "x", ""],
     ("background", "omega_minus"): ["1", "3", "1 0.5", "0", "-2", "1e-300", "1e300",
-                                    "inf", "x"],
-    ("background", "chi_plus"): ["0", "2", "-1", "1 -1", "1e300", "-1e300", "nan", "x"],
-    ("background", "chi_minus"): ["0", "-1", "1", "0.5 0.5", "1e300", "-1e300", "x"],
+                                    "1.7e308", "1e-310", "5e-324", "inf", "x"],
+    ("background", "chi_plus"): ["0", "2", "-1", "1 -1", "1e300", "-1e300", "1.7e308",
+                                 "1e-310", "5e-324", "nan", "x"],
+    ("background", "chi_minus"): ["0", "-1", "1", "0.5 0.5", "1e300", "-1e300", "1.7e308",
+                                  "1e-310", "5e-324", "x"],
     ("background", "zeta_plus"): ["0", "0.5", "-3", "1e308", "-1e308", "nan", "x"],
     ("background", "zeta_minus"): ["0", "-0.5", "2", "1e308", "-1e308", "inf", "x"],
     ("background", "forcing"): ["none", "sin", "const", "SIN", "saw", ""],
     ("background", "forcing_amplitude"): ["0.5", "-2", "1e308", "-1e308", "nan", "x"],
     ("background", "forcing_axis"): ["0", "1", "3", "4", "7", "8", "-1", "1.5", "x"],
     ("initial", "kind"): ["zero", "cosine", "file", "Cosine", "x", ""],
-    ("initial", "amplitude"): ["1e-3", "0.5", "-1", "1e300", "nan", "x"],
+    ("initial", "amplitude"): ["1e-3", "0.5", "-1", "1e300", "1.7e308", "1e-310",
+                               "5e-324", "nan", "x"],
     ("initial", "axis"): ["0", "3", "4", "7", "8", "-1", "x"],
     ("initial", "mode"): ["1", "2", "0", "-2", "1.5", "x"],
     ("initial", "file"): ["", "{field}", "{absent}"],

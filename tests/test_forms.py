@@ -196,6 +196,20 @@ class TestPositivityAndTauStar:
         with pytest.raises(ValueError, match=r"^plus block .* entry \(0, 1\)"):
             CohomologyClassRep(inside + np.array([[0.0, 0.0], [2e-12, 0.0]]), np.eye(1))
 
+    @pytest.mark.parametrize("w,c", [(1e-310, 2.0), (3e-320, 1e-3), (5e-324, 0.5),
+                                     (1.7e308, 1.0), (1e300, 1e-300)])
+    def test_extreme_omega0_matches_closed_form(self, w, c):
+        # omega_0 / 4^c keeps the Cholesky factor exact and its inverse in
+        # range; 1x1 blocks give w / c to within the last subnormal unit
+        rep0 = CohomologyClassRep(np.array([[w]]), np.array([[1.0]]))
+        chi = CohomologyClassRep(np.array([[c]]), np.array([[-1.0]]))
+        assert max_existence_time(rep0, chi) == pytest.approx(w / c, rel=1e-12, abs=5e-324)
+
+    def test_subnormal_diagonal_omega0(self):
+        rep0 = CohomologyClassRep(np.diag([1e-310, 3e-310]), np.diag([1e-310, 1.0]))
+        chi = CohomologyClassRep(np.diag([2.0, 1.0]), np.diag([-1.0, 4.0]))
+        assert max_existence_time(rep0, chi) == pytest.approx(5e-311, rel=1e-12)
+
     def test_rejects_non_positive_omega0(self):
         rep0 = CohomologyClassRep(np.array([[-1.0]]), np.array([[1.0]]))
         chi = CohomologyClassRep(np.array([[1.0]]), np.array([[1.0]]))

@@ -198,7 +198,8 @@ class TestStencil:
     # sha256 of hessian_block_values(...).tobytes() on the seeded inputs of
     # pinned_input, recorded from the stencil before the table existed; the
     # stencil is built from +, - and * only, so the bytes do not depend on
-    # the platform
+    # the platform.  A real m = 1 output is float64 and is hashed as the
+    # complex128 array it was recorded as
     PINNED = {
         (1, 1): "9536b3614016d583e5cb30df0212b991265ef1d6aa86d36278a3b58809edeff9",
         (1, 2): "aa09a855e84e3d6f150ae0fc022d72ed76ce9ac388c8023102ca8777ac65202f",
@@ -217,7 +218,10 @@ class TestStencil:
         sha = hashlib.sha256()
         for values in (real, cplx):
             for block in ("plus", "minus"):
-                sha.update(hessian_block_values(values, g, block).tobytes())
+                out = hessian_block_values(values, g, block)
+                real_block = g.block_dim(block) == 1 and not np.iscomplexobj(values)
+                assert out.dtype == (np.float64 if real_block else np.complex128)
+                sha.update(out.astype(np.complex128).tobytes())
         assert sha.hexdigest() == self.PINNED[k, l]
 
     def test_table_shared_across_spacings(self):
@@ -259,6 +263,45 @@ class TestHermitianMatrixFieldShape:
         H = HermitianMatrixField.constant(small_grid, "plus", M)
         M[0, 0] = -1.0
         assert H.values.ravel()[0] == 1.0
+
+
+class TestRealBlockStorage:
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1), (1, 2), (2, 2)])
+    def test_real_one_by_one_blocks_are_float64(self, k, l, rng):
+        g = BicomplexGrid.regular(k, l, 4)
+        f = bandlimited_field(g, rng)
+        squares = dict(zip(("plus", "minus"), square_operator(f)))
+        for block, m in (("plus", k), ("minus", l)):
+            want = np.float64 if m == 1 else np.complex128
+            for values in (HermitianMatrixField.constant(g, block, np.eye(m)).values,
+                           HermitianMatrixField.zeros(g, block).values,
+                           hessian_block_values(f.values, g, block),
+                           hermitian_hessian(f, block).values,
+                           squares[block].values):
+                assert values.dtype == want
+
+    def test_complex_one_by_one_block_stays_complex(self, small_grid, rng):
+        g = small_grid
+        M = np.eye(1, dtype=complex)
+        assert HermitianMatrixField.constant(g, "plus", M).values.dtype == np.complex128
+        z = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        out = hessian_block_values(z, g, "plus")
+        assert out.dtype == np.complex128
+        assert np.array_equal(out.real, hessian_block_values(z.real, g, "plus"))
+        # and keeps the full check: its diagonal must be real
+        vals = np.ones(g.shape + (1, 1), dtype=complex)
+        HermitianMatrixField(g, "plus", vals)
+        vals[1, 2, 3, 0, 0, 0] += 1e-6j
+        with pytest.raises(ValueError, match=r"plus block is not Hermitian at entry \(0, 0\)"):
+            HermitianMatrixField(g, "plus", vals)
+
+    def test_real_kernels_match_complex_storage(self, rng):
+        # the closed forms read .real: a float64 block gives the bits its
+        # complex128 copy gives
+        g = BicomplexGrid.regular(1, 1, 8)
+        vals = hessian_block_values(bandlimited_field(g, rng).values, g, "plus") + 0.5
+        for kernel in (det_values, min_eig_values, pd_gate, det_plus):
+            assert np.array_equal(kernel(vals), kernel(vals.astype(complex)))
 
 
 class TestDetPlus:

@@ -1,4 +1,6 @@
+import hashlib
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -242,12 +244,13 @@ class TestStencilTable:
     def test_diagonal_must_be_real(self, small_grid, rng):
         op, om = square_operator(bandlimited_field(small_grid, rng))
         peak = float(np.abs(op.values).max())
-        vals = op.values.copy()
+        # a real 1x1 block is float64: a complex one keeps the full check
+        vals = op.values.astype(complex)
         vals[1, 2, 3, 0, 0, 0] += 1e-6j
         with pytest.raises(ValueError, match=r"plus block is not Hermitian at entry \(0, 0\)"):
             solve_square(HermitianMatrixField(small_grid, "plus", vals, check=False), om)
         # within HermitianMatrixField's tolerance 1e-12 (1 + max |v|) it runs
-        vals = op.values.copy()
+        vals = op.values.astype(complex)
         vals[1, 2, 3, 0, 0, 0] += 0.4e-12j * (1.0 + peak)
         solve_square(HermitianMatrixField(small_grid, "plus", vals, check=False), om)
 
@@ -576,3 +579,43 @@ class TestCompatibilityResidualReference:
         with pytest.raises(ValueError, match=rf"^{block} block is not Hermitian "
                                              r"at entry \(0, 1\) \(deviation 1\.000e-03\)$"):
             compatibility_residual(blocks["plus"], blocks["minus"])
+
+
+class TestRealBlockRoundtrip:
+    """k = l = 1 blocks are real numbers; the roundtrip is pinned bitwise
+    and its memory is bounded in lattice fields and half spectra."""
+
+    grid = BicomplexGrid.regular(1, 1, 16)
+
+    def field(self):
+        return bandlimited_field(self.grid, np.random.default_rng(2024))
+
+    # sha256 of f.values and the two residuals (float64), recorded while the
+    # blocks were stored as complex128; the transforms are scipy.fft's
+    # pocketfft, whose rounding another FFT build may not share
+    PINNED = "a7745fe44afdbab88d858f57e871fdcc6e1d1c62f9b675808522c488e1edae90"
+
+    def test_pinned_bitwise(self):
+        dec = solve_square(*square_operator(self.field()))
+        sha = hashlib.sha256(dec.f.values.tobytes())
+        sha.update(np.float64([dec.residual_plus, dec.residual_minus]).tobytes())
+        assert sha.hexdigest() == self.PINNED
+
+    def test_traced_memory(self):
+        f = self.field()
+        solve_square(*square_operator(f))            # symbols cached
+        lattice_bytes = 8 * self.grid.size
+        half_bytes = 16 * self.grid.size // 16 * 9   # rfftn of 16^4
+        tracemalloc.start()
+        try:
+            blocks = square_operator(f)
+            held = tracemalloc.get_traced_memory()[0]
+            tracemalloc.reset_peak()
+            dec = solve_square(*blocks)
+            peak = tracemalloc.get_traced_memory()[1] - held
+        finally:
+            tracemalloc.stop()
+        assert dec.f.values.dtype == np.float64
+        # two float64 lattice fields, one per block
+        assert held <= 2.1 * lattice_bytes
+        assert peak <= 4.5 * half_bytes

@@ -5,8 +5,9 @@ from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
                        ScalarField, background_at, barriers, comparison_test,
                        delta_lift, flat_background, run, subsolution_check,
                        sup_patch, supersolution_check, touching_jets)
-from twistedma.errors import PreconditionFailed, WindowTooSmall
+from twistedma.errors import NotAdmissible, PreconditionFailed, WindowTooSmall
 from twistedma.grid import det_plus, det_values, hessian_block_values
+from twistedma import viscosity
 from twistedma.viscosity import Violation, ViolationReport
 
 from conftest import cos_axis_field
@@ -179,6 +180,37 @@ class TestSubSuperChecks:
         assert rep.violations[-1].slack == -5.0
 
 
+class TestFloatRange:
+    def test_default_tolerance_near_float_max(self, grid16):
+        # |lhs| = 1.7e308 makes 10 (h^2 + dt) |lhs| overflow; the test runs
+        # scaled by a power of two instead, and both checks pass
+        big = HermitianMatrixField.constant(grid16, "plus", [[1.7e308]])
+        bg = flat_background(grid16, omega0_plus=big)
+        times = np.array([0.0, 0.01, 0.02])
+        stack = static_stack(ScalarField.zeros(grid16), times)
+        for check in (subsolution_check, supersolution_check):
+            report = check(stack, times, bg, samples=2)
+            assert report.ok and report.n_points_checked == 2 * 3 * grid16.size
+
+    def test_scaled_tolerance_is_the_plain_one(self, grid16, rng):
+        # slacks within a few ulps of the plain tolerance decide alike
+        h, dt = max(grid16.spacing), 0.37
+        lhs = 10.0 ** rng.uniform(-3, 3, grid16.shape)
+        rhs = 10.0 ** rng.uniform(-3, 3, grid16.shape)
+        tol = 10.0 * (h * h + dt) * np.maximum(1.0, np.maximum(lhs, rhs))
+        slack = -tol * (1.0 + rng.integers(-3, 4, grid16.shape) * 2.0 ** -52)
+        got = viscosity._below_tol(slack, None, grid16, dt, lhs, rhs)
+        assert np.array_equal(got, slack < -tol) and 0 < got.sum() < got.size
+
+    def test_slack_beyond_float_range_is_typed(self, grid16):
+        # a time slope of 709.9 makes exp(u_t) overflow at every point
+        times = np.array([0.0, 0.01])
+        stack = sloped_stack(ScalarField.zeros(grid16), times, 709.9)
+        with pytest.raises(NotAdmissible, match=r"^supersolution check slack is not "
+                                                r"finite at point \(0, 0, 0, 0\), t=0\.01$"):
+            supersolution_check(stack, times, flat_background(grid16), samples=2)
+
+
 class TestDeltaLift:
     def test_plain_value(self):
         stack = np.zeros((2, 4))
@@ -301,6 +333,9 @@ def reference_perturbations(m_plus, m_minus, samples, rng):
                 v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
                 v /= np.linalg.norm(v)
                 mats.append(r * np.outer(v, v.conj()))
+        # a 1x1 increment is real: the imaginary part of r |v|^2 computed
+        # in complex arithmetic is roundoff (an FMA leaves ~1e-18)
+        mats = [P.real if P.shape == (1, 1) else P for P in mats]
         out.append((mats[0], mats[1], float(rho[2])))
     return out
 
