@@ -15,7 +15,7 @@ Subcommands::
 Exit codes (one fixed code per error family)::
 
     0   all enabled checks passed
-    1   a check failed / missing artifact
+    1   a check failed / missing artifact / the run stopped short of t_end
     2   ConfigError
     3   NotAdmissible
     4   BarrierViolation
@@ -292,7 +292,9 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     lines.append(f"steps_emitted = {len(traj.rows)}")
     lines.append(f"barrier_A = {traj.barrier.A!r}")
 
-    ok = True
+    ok = traj.t_end_reached    # False when the step cap stopped the run
+    if not ok:
+        lines.append(f"t_end_reached = False (stopped at t={traj.states[-1].t!r})")
     if cfg.check_viscosity and len(traj.states) >= 2:
         stack = np.stack([s.u.values for s in traj.states])
         times = np.array([s.t for s in traj.states])

@@ -40,7 +40,7 @@ import scipy.fft
 
 from .errors import BarrierViolation, NotAdmissible
 from .forms import background_at
-from .grid import (ScalarField, det_values, hessian_block_values,
+from .grid import (ScalarField, _finite, det_values, hessian_block_values,
                    hessian_symbols, min_eig_values)
 
 __all__ = [
@@ -147,15 +147,6 @@ def _require_admissible(state):
                 f"{tuple(int(i) for i in point)} (eigenvalue {margin:.3e})",
                 point=point, eigenvalue=margin, block=block)
     return report
-
-
-def _finite(grid, values, what, t):
-    """ScalarField of ``values``; NotAdmissible at the first non-finite point."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        point = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), finite.shape))
-        raise NotAdmissible(f"{what} is not finite at point {point}, t={t:.6g}", point=point)
-    return ScalarField(grid, values)
 
 
 def twisted_rhs(state):
@@ -318,10 +309,14 @@ class BarrierPair:
         return self.u0.values + t * self.A
 
 
+def _barrier(state):
+    """The sandwich around the state's u: slope A = sup |rhs| of the state."""
+    return BarrierPair(float(np.abs(twisted_rhs(state).values).max()), state.u.copy())
+
+
 def barriers(u0, background):
     """Barrier slope A = sup |rhs| at t = 0."""
-    rhs = twisted_rhs(FlowState(0.0, u0, background))
-    return BarrierPair(float(np.abs(rhs.values).max()), u0.copy())
+    return _barrier(FlowState(0.0, u0, background))
 
 
 @dataclass
@@ -329,6 +324,7 @@ class Trajectory:
     rows: list
     states: list
     barrier: BarrierPair
+    t_end_reached: bool = True    # False when _MAX_STEPS stopped the run
 
     def write_monitor_csv(self, path, comment=None):
         with open(path, "w") as fh:
@@ -346,7 +342,7 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     bound, the background drift bound, t_end - t).  ``emit_every`` counts
     explicit steps: elapsed time is accumulated in units of the state's
     ``stable_dt``, and a row is emitted when that count crosses a multiple
-    of ``emit_every`` and at t_end.  A sandwich failure beyond
+    of ``emit_every``, at t_end and at _MAX_STEPS.  A sandwich failure beyond
     tol = _BARRIER_TOL_FACTOR * min(dt, stable_dt) * A indicates a scheme
     bug and is fatal.  The affine sandwich is a theorem only for
     time-independent backgrounds (chi = 0 and a single F knot); on
@@ -355,10 +351,9 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     """
     if keep_states not in ("emitted", "none"):
         raise ValueError(f"keep_states must be 'emitted' or 'none', got {keep_states!r}")
-    background = state0.background
-    barrier = barriers(state0.u, background)
-    enforce_barrier = background.chi_is_zero and len(background.f_times) == 1
     state = state0.copy()
+    barrier = _barrier(state)
+    enforce_barrier = state.background.chi_is_zero and len(state.background.f_times) == 1
     rows = []
     states = []
     n_step = 0
@@ -404,8 +399,9 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
         tol_dt = min(dt, explicit_dt)
         before, explicit_steps = explicit_steps, explicit_steps + dt / explicit_dt
         if (explicit_steps // emit_every > before // emit_every
-                or state.t >= t_stop):
+                or state.t >= t_stop or n_step == _MAX_STEPS):
             emit()
     if keep_states == "none" or not states or states[-1].t != state.t:
         states.append(state.copy())
-    return Trajectory(rows=rows, states=states, barrier=barrier)
+    return Trajectory(rows=rows, states=states, barrier=barrier,
+                      t_end_reached=state.t >= t_stop)

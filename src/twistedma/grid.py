@@ -23,6 +23,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from .errors import NotAdmissible
+
 __all__ = [
     "BicomplexGrid",
     "ScalarField",
@@ -137,6 +139,15 @@ class ScalarField:
 
     def mean(self):
         return float(self.values.mean())
+
+
+def _finite(grid, values, what, t):
+    """ScalarField of ``values``; NotAdmissible at the first non-finite point."""
+    finite = np.isfinite(values)
+    if not finite.all():
+        point = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), finite.shape))
+        raise NotAdmissible(f"{what} is not finite at point {point}, t={t:.6g}", point=point)
+    return ScalarField(grid, values)
 
 
 def _block_dtype(m, values):
@@ -344,23 +355,19 @@ def hermitian_hessian(u, block):
 
 
 # ---------------------------------------------------------------------------
-# pointwise Hermitian matrix kernels (m = 1, 2 closed form)
+# pointwise Hermitian matrix kernels: closed forms for m in {1, 2}, the
+# only block sizes a grid allows
 
 def _eig_bounds(values):
-    """(min, max) eigenvalue arrays for stacked Hermitian matrices."""
-    m = values.shape[-1]
-    if m == 1:
-        ev = values[..., 0, 0].real
-        return ev, ev
-    if m == 2:
-        a = values[..., 0, 0].real
-        d = values[..., 1, 1].real
-        b2 = np.abs(values[..., 0, 1]) ** 2
-        half = 0.5 * (a + d)
-        disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b2, 0.0))
-        return half - disc, half + disc
-    ev = np.linalg.eigvalsh(values)
-    return ev[..., 0], ev[..., -1]
+    """(min, max) eigenvalue arrays for stacked 1x1 or 2x2 Hermitian matrices."""
+    if values.shape[-1] == 1:
+        return (values[..., 0, 0].real,) * 2
+    a = values[..., 0, 0].real
+    d = values[..., 1, 1].real
+    b2 = np.abs(values[..., 0, 1]) ** 2
+    half = 0.5 * (a + d)
+    disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b2, 0.0))
+    return half - disc, half + disc
 
 
 def min_eig_values(values):
@@ -368,36 +375,28 @@ def min_eig_values(values):
 
 
 def det_values(values):
-    m = values.shape[-1]
-    if m == 1:
-        return values[..., 0, 0].real
-    if m == 2:
-        return (values[..., 0, 0].real * values[..., 1, 1].real
-                - np.abs(values[..., 0, 1]) ** 2)
-    return np.linalg.det(values).real
-
-
-def trace_norm_values(values):
-    lo, hi = _eig_bounds(values)
     if values.shape[-1] == 1:
-        return np.abs(lo)
-    if values.shape[-1] == 2:
-        return np.abs(lo) + np.abs(hi)
-    return np.abs(np.linalg.eigvalsh(values)).sum(axis=-1)
+        return values[..., 0, 0].real
+    return (values[..., 0, 0].real * values[..., 1, 1].real
+            - np.abs(values[..., 0, 1]) ** 2)
 
 
 def pd_gate(values):
     """Scale-aware positive-definiteness mask: lambda_min > 1e-12 (1 + tr-norm)."""
-    return min_eig_values(values) > PD_GATE * (1.0 + trace_norm_values(values))
+    lo, hi = _eig_bounds(values)
+    norm = np.abs(lo) if values.shape[-1] == 1 else np.abs(lo) + np.abs(hi)
+    return lo > PD_GATE * (1.0 + norm)
 
 
 def det_plus(matrix):
     """det(H) gated to zero unless H is positive definite.
 
-    Accepts a single matrix or a stacked (..., m, m) array; returns a
-    scalar or an array of the leading shape.
+    Accepts a single matrix or a stacked (..., m, m) array, m in {1, 2}
+    (ValueError otherwise); returns a scalar or an array of the leading shape.
     """
     values = np.asarray(matrix, dtype=np.complex128 if np.iscomplexobj(matrix) else np.float64)
+    if values.shape[-2:] not in ((1, 1), (2, 2)):
+        raise ValueError(f"det_plus takes 1x1 or 2x2 matrices, got shape {values.shape}")
     single = values.ndim == 2
     if single:
         values = values[None]

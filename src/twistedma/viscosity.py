@@ -23,9 +23,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import PreconditionFailed, WindowTooSmall
-from .flow import _finite
 from .forms import background_at
-from .grid import _block_dtype, det_plus, det_values, hessian_block_values
+from .grid import _block_dtype, _finite, det_plus, det_values, hessian_block_values
 
 __all__ = [
     "Jet",
@@ -157,6 +156,12 @@ class ViolationReport:
                 fh.write(f"{idx},{v.time_index},{v.t!r},{v.slack!r},{v.side}\n")
 
 
+def _default_tol(grid, dt):
+    """The checks' default tolerance unit, 10 (h_max^2 + dt)."""
+    h_max = max(grid.spacing)
+    return 10.0 * (h_max * h_max + dt)
+
+
 def _below_tol(slack, tol, grid, dt, lhs, rhs):
     """Mask of slack < -tol.  The default tol is c 2^e max(1, |lhs|, |rhs|)
     with c 2^e = 10 (h_max^2 + dt), e >= 0 and c < 1.  It is tested as
@@ -164,8 +169,7 @@ def _below_tol(slack, tol, grid, dt, lhs, rhs):
     same test, and it stays finite where the tolerance would overflow."""
     if tol is not None:
         return slack < -tol
-    h_max = max(grid.spacing)
-    factor = 10.0 * (h_max * h_max + dt)
+    factor = _default_tol(grid, dt)
     e = max(math.frexp(factor)[1], 0)
     scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
     return slack * 2.0 ** -e < -math.ldexp(factor, -e) * scale
@@ -257,10 +261,8 @@ def comparison_test(sub_stack, super_stack, times, background, T=None,
     super_stack, _ = _stack(super_stack, times)
     if T is None:
         T = float(times[-1] + max(times[-1] - times[0], 1.0))
-    grid = background.grid
-    h_max = max(grid.spacing)
     dt = float(np.diff(times).max())
-    tol_order = 10.0 * (h_max * h_max + dt) if tol is None else tol
+    tol_order = _default_tol(background.grid, dt) if tol is None else tol
 
     sub_report = subsolution_check(sub_stack, times, background, tol, samples, seed)
     if not sub_report.ok:

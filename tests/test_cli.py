@@ -12,7 +12,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistedma import BicomplexGrid, ScalarField, save_field
+from twistedma import BicomplexGrid, ScalarField, flow, save_field
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
 from twistedma.errors import ConfigError
 
@@ -60,6 +60,7 @@ class TestRunScenario:
                       "summary.txt"):
             assert (tmp_path / fname).exists()
         assert any(l.startswith("checks_passed = True") for l in lines)
+        assert not any(l.startswith("t_end_reached") for l in lines)
 
     def test_tau_star_guard(self, tmp_path):
         # shipped config stays below tau_star; pushing t_end past it trips
@@ -257,6 +258,25 @@ class TestMain:
         out = tmp_path / "o"
         assert main(["run", str(p), "--out", str(out)]) == 0
         assert "t_final = 1e-300" in report(out)
+
+    @pytest.mark.parametrize("cap", [1, 2])
+    def test_step_cap_short_of_t_end_exits_one(self, tmp_path, monkeypatch, capsys, cap):
+        # a run that stops short of t_end did not run the config: exit 1
+        # even though its checks pass on what did run
+        monkeypatch.setattr(flow, "_MAX_STEPS", cap)
+        out = tmp_path / "o"
+        assert main(["run", scenario("cosine_decay.cfg"), "--out", str(out)]) == 1
+        summary = (out / "summary.txt").read_text().splitlines()
+        stopped = [l for l in summary if l.startswith("t_end_reached")]
+        assert len(stopped) == 1
+        t = float(re.fullmatch(r"t_end_reached = False \(stopped at t=(.*)\)",
+                               stopped[0]).group(1))
+        assert 0.0 < t < 0.5
+        # the monitor's last row is the state the run stopped at
+        assert f"t_final = {t!r}" in report(out)
+        assert "sub_check_ok = True (0 violations)" in summary
+        assert summary[-1] == "checks_passed = False"
+        assert capsys.readouterr().out.splitlines() == summary
 
     def test_lost_positivity_names_point_and_eigenvalue(self, tmp_path, capsys):
         # h ~ 4e-151 makes the initial cosine's Hessian ~1e298

@@ -251,6 +251,23 @@ class TestBarriers:
         rhs = twisted_rhs(FlowState(0.0, u0, bg))
         assert bp.A == pytest.approx(np.abs(rhs.values).max())
 
+    @pytest.mark.parametrize("chi", [0.0, 0.5])
+    def test_run_barrier_is_barriers(self, chi):
+        # run reads its slope from its own first state: the bits of barriers,
+        # on a static background and on a drifting one
+        g = BicomplexGrid.regular(1, 1, 8)
+        F = ScalarField(g, 0.3 * np.sin(g.axis_coords(2)).reshape(1, 1, -1, 1)
+                        * np.ones(g.shape))
+        bg = flat_background(
+            g, f_times=np.array([0.0]), f_fields=[F],
+            chi_plus=HermitianMatrixField.constant(g, "plus", chi * np.eye(1)),
+            chi_minus=HermitianMatrixField.constant(g, "minus", -chi * np.eye(1)))
+        u0 = cos_axis_field(g, 0, amplitude=0.05)
+        expected = barriers(u0, bg)
+        traj = run(FlowState(0.0, u0, bg), 0.05, keep_states="none")
+        assert expected.A > 0.0 and traj.barrier.A == expected.A
+        assert np.array_equal(traj.barrier.u0.values, u0.values)
+
 
 class TestRun:
     def test_stationary_trajectory_constant(self, small_grid):
@@ -307,6 +324,15 @@ class TestRun:
         state = FlowState(0.0, ScalarField.zeros(small_grid), flat_background(small_grid))
         traj = run(state, 0.05, emit_every=1, keep_states="none")
         assert len(traj.states) == 1 and traj.states[0].t == traj.rows[-1][0]
+
+    def test_step_cap_short_of_t_end_recorded(self, monkeypatch):
+        g = BicomplexGrid.regular(1, 1, 16)
+        state = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3), flat_background(g))
+        assert run(state, 0.5, keep_states="none").t_end_reached
+        monkeypatch.setattr(flow, "_MAX_STEPS", 2)
+        traj = run(state, 0.5, keep_states="none")
+        assert not traj.t_end_reached and 0.0 < traj.states[-1].t < 0.5
+        assert traj.rows[-1][0] == traj.states[-1].t
 
     def test_finite_tau_star_scenario_completes(self):
         g = BicomplexGrid.regular(1, 1, 8)
@@ -377,6 +403,21 @@ class TestStateRecord:
         eig = self._count(monkeypatch, "min_eig_values")
         step(state, dt)
         assert (len(hess), len(eig)) == (2, 2)
+
+    def test_run_builds_each_state_once(self, monkeypatch):
+        # on a drifting background every state built costs 2 Hessians and
+        # 1 slice, the t = 0 state included: the barrier, the first row and
+        # the first step read the same one
+        g = BicomplexGrid.regular(1, 1, 16)
+        bg = flat_background(
+            g, chi_plus=HermitianMatrixField.constant(g, "plus", 0.5 * np.eye(1)),
+            chi_minus=HermitianMatrixField.constant(g, "minus", -0.5 * np.eye(1)))
+        hess = self._count(monkeypatch, "hessian_block_values")
+        slices = self._count(monkeypatch, "background_at")
+        steps = self._count(monkeypatch, "step")
+        run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-2), bg), 0.5)
+        assert len(steps) >= 2
+        assert (len(hess), len(slices)) == (2 * (1 + len(steps)), 1 + len(steps))
 
     def test_record_matches_direct_eigenvalues(self, rng):
         g = BicomplexGrid.regular(2, 2, 4)

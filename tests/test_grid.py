@@ -9,8 +9,9 @@ from hypothesis import strategies as st
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
                        det_plus, export_csv, hermitian_hessian, load_field,
                        min_eigenvalue, save_field, solve_square, square_operator)
-from twistedma.grid import (_hessian_terms, det_values, hessian_block_values,
-                            min_eig_values, pd_gate)
+from twistedma import grid as grid_module
+from twistedma.grid import (PD_GATE, _eig_bounds, _hessian_terms, det_values,
+                            hessian_block_values, min_eig_values, pd_gate)
 
 from conftest import bandlimited_field, cos_axis_field
 
@@ -314,6 +315,12 @@ class TestDetPlus:
     def test_positive_diag(self):
         assert det_plus(np.diag([2.0, 3.0])) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("shape", [(3, 3), (5, 3, 3), (2, 1), (2,), ()])
+    def test_rejects_blocks_a_grid_cannot_have(self, shape):
+        # the closed forms cover m in {1, 2}, the only block sizes of a grid
+        with pytest.raises(ValueError, match="1x1 or 2x2"):
+            det_plus(np.ones(shape))
+
     @given(st.integers(0, 1000))
     @settings(max_examples=30, deadline=None)
     def test_nonnegative_and_monotone(self, seed):
@@ -444,3 +451,39 @@ class TestPdGate:
         tiny = np.array([[[1e-20 + 0j]]])
         assert not pd_gate(tiny)[0]
         assert pd_gate(np.array([[[1.0 + 0j]]]))[0]
+
+    @staticmethod
+    def two_pass_gate(values):
+        """The gate as two eigenvalue passes: lambda_min, then the trace norm."""
+        lo = _eig_bounds(values)[0]
+        ev_lo, ev_hi = _eig_bounds(values)
+        norm = np.abs(ev_lo) if values.shape[-1] == 1 else np.abs(ev_lo) + np.abs(ev_hi)
+        return lo > PD_GATE * (1.0 + norm)
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_one_pass_matches_two_pass(self, rng, monkeypatch, m, dtype):
+        # lambda_min within a factor 2 of the gate 1e-12 (1 + trace norm) on
+        # either side, with lambda_max spread over [0.1, 10]
+        n = 2000
+        hi = rng.uniform(0.1, 10.0, n) if m == 2 else np.zeros(n)
+        lo = rng.uniform(0.5, 1.5, n) * PD_GATE * (1.0 + np.abs(hi))
+        q = rng.standard_normal((n, m, m))
+        if dtype is np.complex128:
+            q = q + 1j * rng.standard_normal((n, m, m))
+        q, _ = np.linalg.qr(q)
+        ev = np.stack([lo, hi], axis=-1)[:, :m]
+        values = (q * ev[:, None, :]) @ q.conj().transpose(0, 2, 1)
+        if dtype is np.float64:
+            values = values.real
+        expected = self.two_pass_gate(values)
+        assert 0 < expected.sum() < n
+        calls = []
+        real = grid_module._eig_bounds
+
+        def counted(v):
+            calls.append(v.shape)
+            return real(v)
+        monkeypatch.setattr(grid_module, "_eig_bounds", counted)
+        assert np.array_equal(pd_gate(values), expected)
+        assert len(calls) == 1
