@@ -72,15 +72,16 @@ class FlowState:
     _blocks: tuple = field(default=None, repr=False, compare=False)
     _slice: object = field(default=None, repr=False, compare=False)
     _report: object = field(default=None, repr=False, compare=False)
+    _rhs: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("flow time must be >= 0")
 
     def copy(self):
-        # the record is a few scalars; the blocks and the background slice
-        # are not kept, so that a trajectory does not hold every emitted
-        # state's blocks alive
+        # the record is a few scalars; the blocks, the background slice and
+        # the rhs are not kept, so that a trajectory does not hold every
+        # emitted state's lattice arrays alive
         return FlowState(self.t, self.u.copy(), self.background, dict(self.monitors),
                          _report=self._report)
 
@@ -151,13 +152,15 @@ def _require_admissible(state):
 
 def twisted_rhs(state):
     """Pointwise u_t of the flow; raises NotAdmissible on block breakdown
-    or a non-finite value."""
-    plus, minus = form_block_values(state)
-    _require_admissible(state)
-    with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
-        vals = (np.log(det_values(plus)) - np.log(det_values(minus))
-                + state.background.source_at(state.t))
-    return _finite(state.u.grid, vals, "rhs", state.t)
+    or a non-finite value.  Cached on the state, like its blocks."""
+    if state._rhs is None:
+        plus, minus = form_block_values(state)
+        _require_admissible(state)
+        with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
+            vals = (np.log(det_values(plus)) - np.log(det_values(minus))
+                    + state.background.source_at(state.t))
+        state._rhs = _finite(state.u.grid, vals, "rhs", state.t)
+    return state._rhs
 
 
 def _parabolic_bound(grid, safety, stiffness):

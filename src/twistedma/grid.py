@@ -40,6 +40,10 @@ __all__ = [
 #: scale-aware positive-definiteness gate (relative to 1 + trace norm)
 PD_GATE = 1e-12
 
+#: points per slab of ``hessian_block_values`` (see its docstring); chosen
+#: from a sweep of slab sizes on 32^4 and 4^8 grids recorded in CHANGES.md
+_SLAB_POINTS = 2 ** 14
+
 _MAGIC = b"TMAF"
 _VERSION = 2
 
@@ -304,24 +308,13 @@ def _centred(values, axis, scale=None):
     return d
 
 
-def hessian_block_values(values, grid, block):
-    """Raw (shape + (m, m)) array of the discrete i del delbar Hessian.
-
-    Evaluates the ``_hessian_terms`` table one entry at a time: each part
-    accumulates in place, the centred difference along a is taken once
-    per entry and shifted along b for each mixed D_ab, and the weights are
-    folded into the stencil scales.  Entry (j, i) of real values is the
-    exact conjugate of (i, j); complex values are stencilled part by part.
-    The output has ``HermitianMatrixField``'s dtype: float64 for real
-    values and m = 1, complex128 otherwise.
-    """
-    if np.iscomplexobj(values):
-        out = hessian_block_values(values.real, grid, block).astype(np.complex128, copy=False)
-        out += 1j * hessian_block_values(values.imag, grid, block)
-        return out
+def _block_stencil(values, grid, block):
+    """The ``_hessian_terms`` loop on real ``values``: the whole grid, or a
+    slab of it along axes the block's stencil does not couple.  The
+    output is sized from ``values``."""
     h, m = grid.spacing, grid.block_dim(block)
     if m > 1:
-        out = np.empty(grid.shape + (m, m), dtype=np.complex128)
+        out = np.empty(values.shape + (m, m), dtype=np.complex128)
     for (i, j), terms in _hessian_terms(grid, block):
         parts, c_axis = [None, None], None
         for part, a, b, w in terms:
@@ -345,6 +338,39 @@ def hessian_block_values(values, grid, block):
     return out
 
 
+def hessian_block_values(values, grid, block):
+    """Raw (shape + (m, m)) array of the discrete i del delbar Hessian.
+
+    Evaluates the ``_hessian_terms`` table one entry at a time: each part
+    accumulates in place, the centred difference along a is taken once
+    per entry and shifted along b for each mixed D_ab, and the weights are
+    folded into the stencil scales.  Entry (j, i) of real values is the
+    exact conjugate of (i, j); complex values are stencilled part by part.
+    The output has ``HermitianMatrixField``'s dtype: float64 for real
+    values and m = 1, complex128 otherwise.
+
+    A block's stencil never couples the other block's axes, so an array
+    of more than ``_SLAB_POINTS`` points is evaluated in slabs along the
+    other block's first axis (at least one index each), which keeps the
+    passes of each entry in cache.  Every point gets the same operations
+    in the same order, so the output is bitwise that of one whole pass.
+    """
+    if np.iscomplexobj(values):
+        out = hessian_block_values(values.real, grid, block).astype(np.complex128, copy=False)
+        out += 1j * hessian_block_values(values.imag, grid, block)
+        return out
+    if values.size <= _SLAB_POINTS:
+        return _block_stencil(values, grid, block)
+    axis = grid.block_axes("minus" if block == "plus" else "plus")[0][0]
+    n, m = values.shape[axis], grid.block_dim(block)
+    width = max(1, _SLAB_POINTS * n // values.size)
+    out = np.empty(values.shape + (m, m), dtype=_block_dtype(m, values))
+    for start in range(0, n, width):
+        slab = (slice(None),) * axis + (slice(start, start + width),)
+        out[slab] = _block_stencil(np.ascontiguousarray(values[slab]), grid, block)
+    return out
+
+
 def hermitian_hessian(u, block):
     """Discrete block complex Hessian of a scalar field (the entries are
     stated in ``_hessian_terms``); Hermitian by construction."""
@@ -358,16 +384,49 @@ def hermitian_hessian(u, block):
 # pointwise Hermitian matrix kernels: closed forms for m in {1, 2}, the
 # only block sizes a grid allows
 
+def _half_disc(a, d, b2):
+    """(a + d) / 2 and sqrt(((a - d) / 2)^2 + b2): the eigenvalues of
+    [[a, b], [conj b, d]], b2 = |b|^2, are half -+ disc."""
+    half = 0.5 * (a + d)
+    disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b2, 0.0))
+    return half, disc
+
+
 def _eig_bounds(values):
-    """(min, max) eigenvalue arrays for stacked 1x1 or 2x2 Hermitian matrices."""
+    """(min, max) eigenvalue arrays for stacked 1x1 or 2x2 Hermitian matrices.
+
+    Where the 2x2 closed form overflows on finite entries, those matrices
+    are scaled exactly by a power of two into [-1, 1], and the eigenvalue
+    that cancels in half -+ disc is det / the other one: finite wherever
+    it fits the float range, and positive for a positive definite matrix
+    such as diag(1, 3e154).  Every other matrix keeps the closed form.
+    """
     if values.shape[-1] == 1:
         return (values[..., 0, 0].real,) * 2
     a = values[..., 0, 0].real
     d = values[..., 1, 1].real
-    b2 = np.abs(values[..., 0, 1]) ** 2
-    half = 0.5 * (a + d)
-    disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + b2, 0.0))
-    return half - disc, half + disc
+    b = values[..., 0, 1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        half, disc = _half_disc(a, d, np.abs(b) ** 2)
+        lo, hi = half - disc, half + disc
+        bad = ~(np.isfinite(lo) & np.isfinite(hi))
+    if bad.any():
+        a, d, br, bi = (x[bad] for x in (a, d, b.real, b.imag))
+        peak = np.maximum(np.maximum(np.abs(a), np.abs(d)),
+                          np.maximum(np.abs(br), np.abs(bi)))
+        keep = np.isfinite(peak)
+        bad[bad] = keep
+        e = np.frexp(peak[keep])[1]
+        a, d, br, bi = (np.ldexp(x[keep], -e) for x in (a, d, br, bi))
+        b2 = br * br + bi * bi
+        half, disc = _half_disc(a, d, b2)
+        # |big| = |half| + disc > 0: an overflowed matrix is not zero
+        big = np.where(half < 0.0, half - disc, half + disc)
+        small = (a * d - b2) / big
+        with np.errstate(over="ignore"):
+            lo[bad] = np.ldexp(np.where(half < 0.0, big, small), e)
+            hi[bad] = np.ldexp(np.where(half < 0.0, small, big), e)
+    return lo, hi
 
 
 def min_eig_values(values):

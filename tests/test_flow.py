@@ -404,6 +404,27 @@ class TestStateRecord:
         step(state, dt)
         assert (len(hess), len(eig)) == (2, 2)
 
+    def test_run_computes_each_rhs_once(self, monkeypatch):
+        # the barrier slope and the first step read the same t = 0 rhs
+        g = BicomplexGrid.regular(1, 1, 16)
+        state0 = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-2), flat_background(g))
+        real, rhs_times = flow._finite, []
+
+        def counted(grid, values, what, t):
+            if what == "rhs":
+                rhs_times.append(t)
+            return real(grid, values, what, t)
+        monkeypatch.setattr(flow, "_finite", counted)
+        steps = self._count(monkeypatch, "step")
+        traj = run(state0, 0.5)
+        assert len(steps) >= 2
+        assert rhs_times[0] == 0.0
+        assert len(rhs_times) == len(set(rhs_times)) == len(steps)
+        # a copy drops the cached rhs with the blocks
+        assert all(s._rhs is None for s in traj.states)
+        assert twisted_rhs(state0) is twisted_rhs(state0)
+        assert state0.copy()._rhs is None
+
     def test_run_builds_each_state_once(self, monkeypatch):
         # on a drifting background every state built costs 2 Hessians and
         # 1 slice, the t = 0 state included: the barrier, the first row and

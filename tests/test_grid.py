@@ -1,5 +1,7 @@
 import hashlib
+import itertools
 import struct
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -7,7 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
-                       det_plus, export_csv, hermitian_hessian, load_field,
+                       det_plus, export_csv, flat_background, hermitian_hessian, load_field,
                        min_eigenvalue, save_field, solve_square, square_operator)
 from twistedma import grid as grid_module
 from twistedma.grid import (PD_GATE, _eig_bounds, _hessian_terms, det_values,
@@ -197,23 +199,35 @@ class TestStencil:
 
 
     # sha256 of hessian_block_values(...).tobytes() on the seeded inputs of
-    # pinned_input, recorded from the stencil before the table existed; the
+    # pinned_input, recorded from the stencil before the table existed
+    # ((2, 1): from the whole-array stencil before slabs existed); the
     # stencil is built from +, - and * only, so the bytes do not depend on
     # the platform.  A real m = 1 output is float64 and is hashed as the
     # complex128 array it was recorded as
     PINNED = {
         (1, 1): "9536b3614016d583e5cb30df0212b991265ef1d6aa86d36278a3b58809edeff9",
         (1, 2): "aa09a855e84e3d6f150ae0fc022d72ed76ce9ac388c8023102ca8777ac65202f",
+        (2, 1): "0a640f1b8b873804185efd661b2ec5367c8d6b96ecf38e1c4147db1a699abb6a",
         (2, 2): "ad410e4349af9c8a447ea2b6df42b4b768be478cfee756323056ca3c9ff5ada1",
     }
 
-    @pytest.mark.parametrize("k,l", sorted(PINNED))
-    def test_pinned_bitwise(self, k, l):
+    # _SLAB_POINTS as a function of the grid size: one whole-array pass
+    # (the unsuffixed ids); one index per slab; and 3/4 of the points,
+    # which on counts (6, 4, ...) cuts the minus block's 6 indices into
+    # slabs of 4 and 2 and the plus block's 4 into 3 and 1
+    SLABS = {"whole": lambda size: size, "one_index": lambda size: 1,
+             "short_last": lambda size: 3 * size // 4}
+
+    @pytest.mark.parametrize("k,l,slab", [
+        pytest.param(k, l, slab, id=f"{k}-{l}" + ("" if slab == "whole" else f"-{slab}"))
+        for (k, l), slab in itertools.product(sorted(PINNED), SLABS)])
+    def test_pinned_bitwise(self, k, l, slab, monkeypatch):
         rng = np.random.default_rng(40 + 10 * k + l)
         n_axes = 2 * k + 2 * l
         counts = (6,) + (4,) * (n_axes - 1)
         spacing = tuple(float(s) for s in rng.uniform(0.2, 1.5, size=n_axes))
         g = BicomplexGrid(k, l, counts, spacing)
+        monkeypatch.setattr(grid_module, "_SLAB_POINTS", self.SLABS[slab](g.size))
         real = rng.standard_normal(counts)
         cplx = rng.standard_normal(counts) + 1j * rng.standard_normal(counts)
         sha = hashlib.sha256()
@@ -224,6 +238,31 @@ class TestStencil:
                 assert out.dtype == (np.float64 if real_block else np.complex128)
                 sha.update(out.astype(np.complex128).tobytes())
         assert sha.hexdigest() == self.PINNED[k, l]
+
+    def test_slabs_match_whole_array_on_32_4(self, monkeypatch):
+        g = BicomplexGrid.regular(1, 1, 32)
+        f = ScalarField(g, np.random.default_rng(7).standard_normal(g.shape))
+        assert g.size > grid_module._SLAB_POINTS
+        slabbed = square_operator(f)
+        monkeypatch.setattr(grid_module, "_SLAB_POINTS", g.size)
+        whole = square_operator(f)
+        for got, ref in zip(slabbed, whole):
+            assert got.values.dtype == ref.values.dtype
+            assert np.array_equal(got.values, ref.values)
+
+    @pytest.mark.parametrize("block", ["plus", "minus"])
+    def test_slabs_bound_the_peak_memory(self, block):
+        # a whole-array pass peaks at 3x its output on 32^4: the output
+        # and two shifted copies of the input
+        g = BicomplexGrid.regular(1, 1, 32)
+        values = np.random.default_rng(8).standard_normal(g.shape)
+        tracemalloc.start()
+        try:
+            out = hessian_block_values(values, g, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.5 * out.nbytes
 
     def test_table_shared_across_spacings(self):
         a = BicomplexGrid.regular(2, 1, 4)
@@ -365,6 +404,48 @@ class TestMinEigenvalue:
             roots = np.roots([1.0, -tr, det])
             assert min_eig_values(H[None])[0] == pytest.approx(
                 roots.real.min(), abs=1e-10)
+
+
+class TestEigBoundsRange:
+    # the closed form's (a + d) / 2 and (a - d)^2 / 4 overflow here
+    REAL = [([[1.0, 0.0], [0.0, 3e154]], 1.0, 3e154),
+            ([[3e154, 0.0], [0.0, 1.0]], 1.0, 3e154),
+            ([[1.7e308, 0.0], [0.0, 1.7e308]], 1.7e308, 1.7e308),
+            ([[-1.7e308, 0.0], [0.0, -1.0]], -1.7e308, -1.0),
+            ([[0.0, 1e200], [1e200, 0.0]], -1e200, 1e200)]
+    # [[1, i], [-i, 2]] has the eigenvalues (3 -+ sqrt 5) / 2
+    COMPLEX = [([[1e300, 1e300j], [-1e300j, 2e300]], 0.38196601125010515e300,
+                2.618033988749895e300)]
+
+    @pytest.mark.parametrize("matrix,lo,hi,dtype",
+                             [case + (np.float64,) for case in REAL]
+                             + [case + (np.complex128,) for case in REAL + COMPLEX])
+    def test_finite_where_the_closed_form_overflows(self, matrix, lo, hi, dtype):
+        got_lo, got_hi = _eig_bounds(np.array(matrix, dtype=dtype)[None])
+        assert got_lo[0] == pytest.approx(lo, rel=1e-14)
+        assert got_hi[0] == pytest.approx(hi, rel=1e-14)
+
+    def test_closed_form_bits_kept_below_overflow(self, rng):
+        # the closed form, written out: the bits of every matrix it does
+        # not overflow on, next to one it does
+        A = rng.standard_normal((200, 2, 2)) + 1j * rng.standard_normal((200, 2, 2))
+        values = (A + A.conj().transpose(0, 2, 1)) * np.logspace(-150, 150, 200)[:, None, None]
+        values[17] = np.diag([1.0, 3e154])
+        a, d = values[..., 0, 0].real, values[..., 1, 1].real
+        half = 0.5 * (a + d)
+        with np.errstate(over="ignore"):
+            disc = np.sqrt(np.maximum(0.25 * (a - d) ** 2 + np.abs(values[..., 0, 1]) ** 2, 0.0))
+        lo, hi = _eig_bounds(values)
+        kept = np.arange(200) != 17
+        assert np.array_equal(lo[kept], (half - disc)[kept])
+        assert np.array_equal(hi[kept], (half + disc)[kept])
+        assert (lo[17], hi[17]) == (1.0, 3e154)
+
+    def test_background_accepts_wide_positive_block(self):
+        g = BicomplexGrid.regular(2, 1, 4)
+        bg = flat_background(g, omega0_plus=HermitianMatrixField.constant(
+            g, "plus", np.diag([1.0, 3e154])))
+        assert min_eig_values(bg.omega0_plus.values).min() == 1.0
 
 
 class TestSerialization:
