@@ -22,7 +22,7 @@ u0 = ScalarField(grid, np.broadcast_to(
 
 state0 = FlowState(0.0, u0, background)
 dt = stable_dt(state0)
-print(f"stable step: {dt:.5f} (h^2/16 = {grid.spacing[0]**2 / 16:.5f})")
+print(f"explicit step bound: {dt:.5f} (h^2/16 = {grid.spacing[0]**2 / 16:.5f})")
 
 h = grid.spacing[0]
 rate = np.sin(0.5 * h) ** 2 / h ** 2
@@ -31,6 +31,8 @@ rows = np.array(traj.rows)
 mask = rows[:, 0] > 0
 fitted = -np.polyfit(rows[mask, 0], np.log(rows[mask, 1]), 1)[0]
 print(f"decay rate: fitted {fitted:.6f}, stencil prediction {rate:.6f}")
+print(f"{traj.steps} exponential steps of {traj.dt_min / dt:.1f} to "
+      f"{traj.dt_max / dt:.1f} explicit steps, {traj.rejected_trials} rejected trials")
 
 print(f"barrier slope A = {traj.barrier.A:.3e} "
       f"(zero forcing, tiny data -> tiny slope)")

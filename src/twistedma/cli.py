@@ -291,6 +291,8 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     save_field(traj.states[-1].u, os.path.join(out_dir, "final.bin"))
     lines.append(f"steps_emitted = {len(traj.rows)}")
     lines.append(f"barrier_A = {traj.barrier.A!r}")
+    lines += [f"steps = {traj.steps}", f"rejected_trials = {traj.rejected_trials}",
+              f"dt_min = {traj.dt_min!r}", f"dt_max = {traj.dt_max!r}"]
 
     ok = traj.t_end_reached    # False when the step cap stopped the run
     if not ok:

@@ -1,4 +1,4 @@
-"""Exponential Euler time stepping of the twisted Monge-Ampere flow.
+"""Exponential time stepping of the twisted Monge-Ampere flow.
 
 The evolved quantities are the two ellipticity blocks
 
@@ -14,20 +14,30 @@ Positivity of *both* blocks is the admissibility condition; breakdown is
 recorded and stopped on, never projected away, since the degenerations
 are exactly what the surrounding theory is about.
 
-A step is exponential Euler (ETD1) on the constant-coefficient
-linearization L du = tr(A+ hess+ du) + tr(A- hess- du), with
-A = (spatial mean of omega_hat(t))^-1 per block:
+Steps are exponential on the constant-coefficient linearization
+L du = tr(A+ hess+ du) + tr(A- hess- du), with A = (spatial mean of
+omega_hat(t))^-1 per block, applied with the exact stencil symbol of L on
+the rfftn half spectrum.  L is integrated exactly and the remainder
+N = rhs - L u explicitly, so the step is bounded by the stiffness of
+form^-1 - A rather than of form^-1.  A first step is exponential Euler
+(ETD1):
 
-    u+ = u + dt phi_1(dt L) rhs(u),    phi_1(z) = (e^z - 1) / z,
+    u+ = u + dt phi_1(dt L) rhs(u),    phi_1(z) = (e^z - 1) / z.
 
-applied with the exact stencil symbol of L on the rfftn half spectrum.
-L is integrated exactly and the remainder rhs - L u explicitly, so the
-step is bounded by the stiffness of form^-1 - A rather than of form^-1
-(and by an accuracy cap of ``_ETD_STEP_FACTOR`` explicit steps).
-Forward Euler is the case L = 0, and ``stable_dt`` stays its bound: the
-unit in which ``run``'s ``emit_every`` counts.  For k = l = 1 the kernel
-of phi_1(dt L) is non-negative; for k, l >= 2 the centred mixed
-differences break that, as they do for forward Euler.
+A later step adds the multistep ETD2 correction (Cox & Matthews, J.
+Comput. Phys. 176, 2002) from the previous step's rhs and update spectra,
+
+    dt^2 / dt_prev phi_2(dt L) (N - N_prev),    phi_2(z) = (e^z - 1 - z) / z^2,
+
+whose spectral l1 bound is the embedded estimate of ETD1's local error
+(Whalen, Brio & Moloney, J. Comput. Phys. 280, 2015): the correction is
+kept only when that bound is within _ETD2_TOL, and ``run`` grows dt from
+it.  The ETD1 step of at most ``_ETD_STEP_FACTOR`` explicit steps stays
+the floor of every step and its fallback.  Forward Euler is the case
+L = 0, and ``stable_dt`` stays its bound: the unit in which ``run``'s
+``emit_every`` counts.  For k = l = 1 the kernel of phi_1(dt L) is
+non-negative; for k, l >= 2 the centred mixed differences break that, as
+they do for forward Euler.
 """
 
 from __future__ import annotations
@@ -40,8 +50,8 @@ import scipy.fft
 
 from .errors import BarrierViolation, NotAdmissible
 from .forms import background_at
-from .grid import (ScalarField, _finite, det_values, hessian_block_values,
-                   hessian_symbols, min_eig_values)
+from .grid import (ScalarField, _finite, _l1_bound, det_values,
+                   hessian_block_values, hessian_symbols, min_eig_values)
 
 __all__ = [
     "FlowState",
@@ -59,7 +69,8 @@ __all__ = [
 MONITOR_HEADER = ("t", "sup_u", "inf_u", "rhs_sup", "plus_margin",
                   "minus_margin", "barrier_gap_lo", "barrier_gap_hi")
 _BARRIER_TOL_FACTOR = 10.0     # fatal sandwich gap, in units of dt * A
-_ETD_STEP_FACTOR = 16.0         # run's accuracy cap, in explicit steps
+_ETD_STEP_FACTOR = 16.0         # run's ETD1 cap, every step's floor; explicit steps
+_ETD2_TOL = 2e-9                # run's ETD2 correction, relative to 1 + max|u|
 _MAX_STEPS = 10_000_000         # run stops here short of t_end
 
 
@@ -73,6 +84,7 @@ class FlowState:
     _slice: object = field(default=None, repr=False, compare=False)
     _report: object = field(default=None, repr=False, compare=False)
     _rhs: object = field(default=None, repr=False, compare=False)
+    _record: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 0:
@@ -275,23 +287,87 @@ def _set_monitors(state, rhs_sup):
     return state
 
 
-def step(state, dt):
-    """One exponential Euler step; monitors updated, breakdown recorded."""
+@dataclass(frozen=True)
+class _StepRecord:
+    """What a step leaves for the next one and for ``run``'s statistics."""
+
+    dt: float                # the step taken
+    rhs_hat: np.ndarray      # half spectrum of the rhs it read
+    update_hat: np.ndarray   # half spectrum of u+ - u
+    err: float               # l1 bound on the kept ETD2 correction; inf if none
+    tol: float               # the bound err was held to
+    rejected: int            # trials whose correction failed it
+
+
+def _phi2_gain(dt, symbol, gain):
+    """dt^2 phi_2(dt L) = (dt phi_1(dt L) - dt) / L, phi_2(z) = (e^z - 1 - z) / z^2,
+    from ``gain`` = dt phi_1(dt L); its Taylor series 1/2 + z/6 + z^2/24
+    where |z| < 1e-3, the quotient cancelling there."""
+    z = dt * symbol
+    series = dt * dt * (0.5 + z * (1.0 / 6.0 + z / 24.0))
+    return np.divide(gain - dt, symbol, out=series, where=np.abs(z) >= 1e-3)
+
+
+def _scaled(dt, err, tol):
+    """dt times 2^(k/4), k the largest integer in [-4, 4] with
+    err 2^(k/2) <= 0.8 tol, ETD1's local error growing as dt^2.  The factor
+    is one of nine constants, so a last-bit change in err moves dt only
+    where it crosses a threshold."""
+    k = 4
+    while k > -4 and not err * 2.0 ** (k / 2) <= 0.8 * tol:
+        k -= 1
+    return dt * 2.0 ** (k / 4)
+
+
+def step(state, dt, prev=None, floor=None):
+    """One exponential step; monitors updated, breakdown recorded.
+
+    Without ``prev`` the step is ETD1.  ``prev`` is the ``_record`` of the
+    step that made ``state``; with it the multistep ETD2 correction
+    dt^2 / dt_prev phi_2(dt L) (N - N_prev), N = rhs - L u, is added when
+    its spectral l1 bound (a bound on its max norm, and the estimate of
+    ETD1's local error) is at most _ETD2_TOL (1 + max|u|).  Otherwise dt
+    shrinks by the estimate (``_scaled``, at most by half) and the trial is
+    redone on the half spectrum only, not below ``floor`` (default dt); a
+    trial at or below ``floor`` that still fails is the ETD1 step.  The new
+    state's ``_record`` (a ``_StepRecord``) is the next step's ``prev``.
+    """
     rhs = twisted_rhs(state)
     grid = state.u.grid
     symbol = _linearization(state).symbol
-    # dt phi_1(dt L) = expm1(dt L) / L, which is dt on the zero mode
-    gain = np.divide(np.expm1(dt * symbol), symbol,
-                     out=np.full(symbol.shape, float(dt)), where=symbol != 0.0)
+    err, tol, rejected = math.inf, math.nan, 0
     # an rhs near the float range overflows inside the transforms; the
     # new u is checked for it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        spectrum = scipy.fft.rfftn(rhs.values)
-        spectrum *= gain
-        values = state.u.values + scipy.fft.irfftn(spectrum, s=grid.shape)
+        rhs_hat = scipy.fft.rfftn(rhs.values)
+        if prev is not None:
+            # both N against this step's L: N - N_prev = rhs - rhs_prev - L (u - u_prev)
+            dn_hat = rhs_hat - prev.rhs_hat - symbol * prev.update_hat
+            tol = _ETD2_TOL * (1.0 + float(np.abs(state.u.values).max()))
+            floor = dt if floor is None else floor
+        while True:
+            # dt phi_1(dt L) = expm1(dt L) / L, which is dt on the zero mode
+            gain = np.divide(np.expm1(dt * symbol), symbol,
+                             out=np.full(symbol.shape, float(dt)), where=symbol != 0.0)
+            update = rhs_hat * gain
+            if prev is None:
+                break
+            corr = _phi2_gain(dt, symbol, gain) / prev.dt * dn_hat
+            trial_err = _l1_bound((corr,), grid.shape)
+            if trial_err <= tol:
+                err = trial_err
+                update += corr
+                break
+            rejected += 1
+            if dt <= floor:
+                break
+            dt = max(_scaled(dt, trial_err, tol), floor)
+        values = state.u.values + scipy.fft.irfftn(update, s=grid.shape)
     new_u = _finite(grid, values, "u", state.t + dt)
-    return _set_monitors(FlowState(state.t + dt, new_u, state.background),
-                         float(np.abs(rhs.values).max()))
+    new = _set_monitors(FlowState(state.t + dt, new_u, state.background),
+                        float(np.abs(rhs.values).max()))
+    new._record = _StepRecord(dt, rhs_hat, update, err, tol, rejected)
+    return new
 
 
 @dataclass
@@ -328,6 +404,10 @@ class Trajectory:
     states: list
     barrier: BarrierPair
     t_end_reached: bool = True    # False when _MAX_STEPS stopped the run
+    steps: int = 0                # accepted steps
+    rejected_trials: int = 0      # trials whose ETD2 correction failed its bound
+    dt_min: float = math.nan      # over the accepted steps
+    dt_max: float = math.nan
 
     def write_monitor_csv(self, path, comment=None):
         with open(path, "w") as fh:
@@ -341,11 +421,18 @@ class Trajectory:
 def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     """Step to t_end, emitting monitor rows and enforcing the barrier sandwich.
 
-    Each step takes dt = min(_ETD_STEP_FACTOR * stable_dt, the remainder
-    bound, the background drift bound, t_end - t).  ``emit_every`` counts
-    explicit steps: elapsed time is accumulated in units of the state's
-    ``stable_dt``, and a row is emitted when that count crosses a multiple
-    of ``emit_every``, at t_end and at _MAX_STEPS.  A sandwich failure beyond
+    The first step is ETD1 with dt = min(_ETD_STEP_FACTOR * stable_dt, the
+    remainder bound, the background drift bound, t_end - t): the state's
+    ETD1 dt.  Each later step hands ``step`` the previous step's record,
+    which makes it ETD2, and tries the same min with the accuracy cap
+    _ETD_STEP_FACTOR * stable_dt raised to the grown step: the last dt
+    rescaled by its error estimate (``_scaled``: at most doubled, and not
+    raised after a rejected trial).  A failed trial is retried down to, and
+    at worst replaced by, the ETD1 dt, so no step is shorter than the ETD1
+    dt of its state.  ``emit_every`` counts explicit steps: elapsed
+    time is accumulated in units of the state's ``stable_dt``, and a row is
+    emitted when that count crosses a multiple of ``emit_every``, at t_end
+    and at _MAX_STEPS.  A sandwich failure beyond
     tol = _BARRIER_TOL_FACTOR * min(dt, stable_dt) * A indicates a scheme
     bug and is fatal.  The affine sandwich is a theorem only for
     time-independent backgrounds (chi = 0 and a single F knot); on
@@ -359,9 +446,12 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     enforce_barrier = state.background.chi_is_zero and len(state.background.f_times) == 1
     rows = []
     states = []
-    n_step = 0
+    n_step = rejected = 0
+    dt_min, dt_max = math.inf, 0.0
     explicit_steps = 0.0
     tol_dt = 0.0
+    record = None
+    grown = 0.0
 
     def emit():
         gap_lo = float((state.u.values - barrier.lower(state.t)).min())
@@ -382,8 +472,9 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     t_stop = t_end * (1.0 - 1e-14)
     while state.t < t_stop and n_step < _MAX_STEPS:
         explicit_dt = stable_dt(state, safety)
-        bound = min(_ETD_STEP_FACTOR * explicit_dt, _remainder_dt(state, safety),
-                    _drift_dt(state, safety))
+        cap = _ETD_STEP_FACTOR * explicit_dt
+        limit = min(_remainder_dt(state, safety), _drift_dt(state, safety))
+        bound = min(cap, limit)
         if bound < 1e-12 * max(t_end, 1.0):
             # the step bounds collapsed: an ellipticity block is
             # degenerating and the flow cannot advance past this time
@@ -396,9 +487,17 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
                        else rep.minus_worst_point),
                 eigenvalue=min(rep.plus_margin, rep.minus_margin),
                 block=block)
-        dt = min(bound, t_end - state.t)
-        state = step(state, dt)
+        left = t_end - state.t
+        state = step(state, min(max(cap, grown), limit, left), record,
+                     min(bound, left))
+        record = state._record
+        dt = record.dt
+        grown = _scaled(dt, record.err, record.tol)
+        if record.rejected:
+            grown = min(grown, dt)
         n_step += 1
+        rejected += record.rejected
+        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
         tol_dt = min(dt, explicit_dt)
         before, explicit_steps = explicit_steps, explicit_steps + dt / explicit_dt
         if (explicit_steps // emit_every > before // emit_every
@@ -407,4 +506,6 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     if keep_states == "none" or not states or states[-1].t != state.t:
         states.append(state.copy())
     return Trajectory(rows=rows, states=states, barrier=barrier,
-                      t_end_reached=state.t >= t_stop)
+                      t_end_reached=state.t >= t_stop, steps=n_step,
+                      rejected_trials=rejected, dt_min=dt_min if n_step else math.nan,
+                      dt_max=dt_max if n_step else math.nan)

@@ -282,6 +282,23 @@ def hessian_symbols(grid):
     return tuple(out)
 
 
+def _l1_bound(pair, shape):
+    """(1/N) sum over the full spectrum of |Re-part spectrum| + |Im-part
+    spectrum|, which bounds the max norm of the lattice field whose real
+    and imaginary parts have the ``rfftn`` half spectra ``pair`` (a None
+    part is zero; a real field passes its one spectrum).  On the half
+    spectrum a mode counts twice, except the last axis' index 0 and, for
+    an even count, n/2."""
+    n = shape[-1]
+    weight = np.full(n // 2 + 1, 2.0)
+    weight[0] = 1.0
+    if n % 2 == 0:
+        weight[-1] = 1.0
+    lead = tuple(range(len(shape) - 1))
+    return sum(float(weight @ np.abs(p).sum(axis=lead))
+               for p in pair if p is not None) / np.prod(shape)
+
+
 def _shift(values, axis, step):
     """Periodic shift: out[..., i, ...] = values[..., i + step, ...], step = +-1."""
     cut, lead = step % values.shape[axis], (slice(None),) * (axis % values.ndim)

@@ -26,8 +26,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
-from .grid import (ScalarField, _require_hermitian, hermitian_hessian,
-                   hessian_symbols)
+from .grid import (ScalarField, _l1_bound, _require_hermitian,
+                   hermitian_hessian, hessian_symbols)
 
 __all__ = [
     "SquareDecomposition",
@@ -145,21 +145,6 @@ def _to_lattice(pair, shape):
     spectra ``pair`` (a None part is zero)."""
     re, im = (None if p is None else scipy.fft.irfftn(p, s=shape) for p in pair)
     return re if im is None else re + 1j * im
-
-
-def _l1_bound(pair, shape):
-    """(1/N) sum over the full spectrum of |Re-part spectrum| + |Im-part
-    spectrum|, which bounds the max norm of ``_to_lattice(pair)``.  On the
-    half spectrum a mode counts twice, except the last axis' index 0 and,
-    for an even count, n/2."""
-    n = shape[-1]
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0
-    lead = tuple(range(len(shape) - 1))
-    return sum(float(weight @ np.abs(p).sum(axis=lead))
-               for p in pair if p is not None) / np.prod(shape)
 
 
 def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):

@@ -62,6 +62,18 @@ class TestRunScenario:
         assert any(l.startswith("checks_passed = True") for l in lines)
         assert not any(l.startswith("t_end_reached") for l in lines)
 
+    def test_summary_carries_run_statistics(self, tmp_path):
+        code, lines = run_scenario(scenario("cosine_decay.cfg"), tmp_path)
+        assert code == 0
+        assert (tmp_path / "summary.txt").read_text().splitlines() == lines
+        names = [l.split(" = ")[0] for l in lines]
+        i = names.index("steps")
+        assert names[i:i + 4] == ["steps", "rejected_trials", "dt_min", "dt_max"]
+        assert names[-1] == "checks_passed"
+        stats = dict(l.split(" = ") for l in lines[i:i + 4])
+        assert int(stats["steps"]) >= 2 and int(stats["rejected_trials"]) >= 0
+        assert 0.0 < float(stats["dt_min"]) <= float(stats["dt_max"])
+
     def test_tau_star_guard(self, tmp_path):
         # shipped config stays below tau_star; pushing t_end past it trips
         cfg = load_config(scenario("finite_tau_star.cfg"))

@@ -154,6 +154,18 @@ class TestStep:
         assert (un.u.values - vn.u.values).max() <= 1e-10
 
 
+def etd1_run(state, t_end):
+    """ETD1 steps under run's rule before ETD2: dt = min(16 stable_dt, the
+    remainder bound, the drift bound, t_end - t)."""
+    n_steps = 0
+    while state.t < t_end * (1.0 - 1e-14):
+        dt = min(16.0 * stable_dt(state), flow._remainder_dt(state, 0.5),
+                 flow._drift_dt(state, 0.5), t_end - state.t)
+        state = step(state, dt)
+        n_steps += 1
+    return state, n_steps
+
+
 def euler_run(state, t_end):
     """Forward Euler, the L = 0 case of the step, at the explicit bound."""
     n_steps = 0
@@ -206,9 +218,11 @@ class TestExponentialStep:
         state = FlowState(0.0, ScalarField.zeros(small_grid), flat_background(small_grid))
         explicit_dt = stable_dt(state)
         traj = run(state, 100 * explicit_dt, emit_every=32)
-        # steps of 16 explicit steps: a row every second step and at t_end
+        # the zero field's ETD2 correction is 0, so after the first step of
+        # 16 explicit steps each step doubles: 16, 16, 32, then the 36 left;
+        # a row where the count crosses 32 and 64, and at t_end
         times = np.array(traj.rows)[:, 0] / explicit_dt
-        assert np.allclose(times, [0, 32, 64, 96, 100], rtol=1e-12)
+        assert np.allclose(times, [0, 32, 64, 100], rtol=1e-12)
 
     def test_remainder_bound_far_from_the_linearization(self):
         g = BicomplexGrid.regular(1, 1, 16)
@@ -227,6 +241,43 @@ class TestExponentialStep:
             g, "plus", np.broadcast_to(omega, g.shape + (1, 1))))
         state = FlowState(0.0, ScalarField.zeros(g), bg)
         assert flow._remainder_dt(state, 0.5) > stable_dt(state)
+
+
+class TestExponentialMultistep:
+    def test_error_quarters_when_dt_halves(self, monkeypatch):
+        # every correction kept: fixed steps of ETD2 on a nonlinear cosine
+        monkeypatch.setattr(flow, "_ETD2_TOL", np.inf)
+        g = BicomplexGrid.regular(1, 1, [16, 4, 4, 4])
+        state0 = FlowState(0.0, cos_axis_field(g, 0, amplitude=0.3), flat_background(g))
+
+        def fixed(n):
+            state = state0
+            for _ in range(n):
+                state = step(state, 0.4 / n, state._record)
+            return state.u.values
+
+        ref = fixed(256)
+        errs = [np.abs(fixed(n) - ref).max() for n in (8, 16, 32)]
+        assert all(3.5 <= a / b <= 4.5 for a, b in zip(errs, errs[1:]))
+
+    def test_one_step_run_is_the_etd1_step(self):
+        g = BicomplexGrid.regular(1, 1, 16)
+        state0 = FlowState(0.0, cos_axis_field(g, 0, amplitude=0.05), flat_background(g))
+        t_end = 0.5 * stable_dt(state0)
+        traj = run(state0, t_end, keep_states="none")
+        assert traj.steps == 1
+        assert np.array_equal(traj.states[-1].u.values, step(state0, t_end).u.values)
+
+    @pytest.mark.parametrize("amplitude,chi,t_end", [(2.0, 0.0, 0.2), (1e-2, 0.5, 0.5)])
+    def test_run_steps_no_more_than_etd1(self, amplitude, chi, t_end):
+        # amplitude 2: the remainder bound binds; chi = 0.5: a drifting background
+        g = BicomplexGrid.regular(1, 1, 16)
+        bg = flat_background(
+            g, chi_plus=HermitianMatrixField.constant(g, "plus", chi * np.eye(1)),
+            chi_minus=HermitianMatrixField.constant(g, "minus", -chi * np.eye(1)))
+        state0 = FlowState(0.0, cos_axis_field(g, 0, amplitude=amplitude), bg)
+        _, n_etd1 = etd1_run(state0, t_end)
+        assert run(state0, t_end, keep_states="none").steps <= n_etd1
 
 
 class TestBarriers:
@@ -440,6 +491,34 @@ class TestStateRecord:
         assert len(steps) >= 2
         assert (len(hess), len(slices)) == (2 * (1 + len(steps)), 1 + len(steps))
 
+    def test_retried_trial_builds_nothing(self, monkeypatch):
+        g = BicomplexGrid.regular(1, 1, 16)
+        state0 = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3), flat_background(g))
+        cap = 16.0 * stable_dt(state0)
+        state1 = step(state0, cap)
+        twisted_rhs(state1)
+        hess = self._count(monkeypatch, "hessian_block_values")
+        states = self._count(monkeypatch, "FlowState")
+        # four caps fail the bound, and the retry at 2^(3/2) caps passes
+        new = step(state1, 4.0 * cap, state1._record, cap)
+        assert new._record.rejected == 1 and cap < new._record.dt < 4.0 * cap
+        assert (len(hess), len(states)) == (2, 1)
+        assert twisted_rhs(state1) is state1._rhs
+        direct = step(state1, new._record.dt, state1._record)
+        assert direct._record.rejected == 0
+        assert np.array_equal(direct.u.values, new.u.values)
+
+    def test_run_with_rejections_builds_each_state_once(self, monkeypatch):
+        # a tolerance the cap itself misses: every ETD2 trial fails
+        monkeypatch.setattr(flow, "_ETD2_TOL", 1e-14)
+        g = BicomplexGrid.regular(1, 1, 16)
+        hess = self._count(monkeypatch, "hessian_block_values")
+        steps = self._count(monkeypatch, "step")
+        traj = run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-2),
+                             flat_background(g)), 0.5, keep_states="none")
+        assert traj.rejected_trials == traj.steps - 1 >= 2
+        assert len(hess) == 2 * (1 + len(steps))
+
     def test_record_matches_direct_eigenvalues(self, rng):
         g = BicomplexGrid.regular(2, 2, 4)
         u = bandlimited_field(g, rng, amp=0.05)
@@ -465,14 +544,26 @@ class TestStateRecord:
         assert float(state.u.values.max()) == pytest.approx(0.0003674112233761281,
                                                             rel=1e-12)
 
-    def test_exponential_run_pinned(self, monkeypatch):
-        # the same decay in run's exponential Euler steps, capped at 16
-        # explicit steps each; 1e-3 exp(-1) = 3.6788e-4 on the linearization
+    def test_exponential_run_pinned(self):
+        # the same decay in exponential Euler steps, capped at 16 explicit
+        # steps each; 1e-3 exp(-1) = 3.6788e-4 on the linearization
+        g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
+        h = g.spacing[0]
+        t_end = h * h / np.sin(0.5 * h) ** 2
+        state, n_steps = etd1_run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
+                                            flat_background(g)), t_end)
+        assert n_steps == 27
+        assert float(state.u.values.max()) == pytest.approx(0.00036784778402433594,
+                                                            rel=1e-12)
+
+    def test_multistep_run_pinned(self, monkeypatch):
+        # the same decay in run's ETD2 steps; a 2000-step ETD2 run gives
+        # 3.6784896e-4, which this is 2.1e-6 off and the ETD1 pin 3.2e-6
         g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
         h = g.spacing[0]
         t_end = h * h / np.sin(0.5 * h) ** 2
         steps = self._count(monkeypatch, "step")
         traj = run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
                              flat_background(g)), t_end, keep_states="none")
-        assert len(steps) == 27
-        assert traj.rows[-1][1] == pytest.approx(0.00036784778402433594, rel=1e-12)
+        assert len(steps) == traj.steps == 9 and traj.rejected_trials == 0
+        assert traj.rows[-1][1] == pytest.approx(0.00036784973288469787, rel=1e-12)
