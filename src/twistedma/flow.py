@@ -70,7 +70,7 @@ MONITOR_HEADER = ("t", "sup_u", "inf_u", "rhs_sup", "plus_margin",
                   "minus_margin", "barrier_gap_lo", "barrier_gap_hi")
 _BARRIER_TOL_FACTOR = 10.0     # fatal sandwich gap, in units of dt * A
 _ETD_STEP_FACTOR = 16.0         # run's ETD1 cap, every step's floor; explicit steps
-_ETD2_TOL = 2e-9                # run's ETD2 correction, relative to 1 + max|u|
+_ETD2_TOL = 1.5e-9              # run's ETD2 correction, relative to 1 + max|u|
 _MAX_STEPS = 10_000_000         # run stops here short of t_end
 
 
@@ -84,16 +84,16 @@ class FlowState:
     _slice: object = field(default=None, repr=False, compare=False)
     _report: object = field(default=None, repr=False, compare=False)
     _rhs: object = field(default=None, repr=False, compare=False)
-    _record: object = field(default=None, repr=False, compare=False)
+    _last_step: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
         if self.t < 0:
             raise ValueError("flow time must be >= 0")
 
     def copy(self):
-        # the record is a few scalars; the blocks, the background slice and
-        # the rhs are not kept, so that a trajectory does not hold every
-        # emitted state's lattice arrays alive
+        # the report is a few scalars and is kept; the blocks, the background
+        # slice, the rhs and the last step's spectra are not, so that a
+        # trajectory does not hold every emitted state's lattice arrays alive
         return FlowState(self.t, self.u.copy(), self.background, dict(self.monitors),
                          _report=self._report)
 
@@ -296,7 +296,13 @@ class _StepRecord:
     update_hat: np.ndarray   # half spectrum of u+ - u
     err: float               # l1 bound on the kept ETD2 correction; inf if none
     tol: float               # the bound err was held to
-    rejected: int            # trials whose correction failed it
+    rejected: bool           # an ETD2 correction was tried and failed it
+
+
+def _phi1_gain(dt, symbol):
+    """dt phi_1(dt L) = expm1(dt L) / L, which is dt on the zero mode."""
+    return np.divide(np.expm1(dt * symbol), symbol,
+                     out=np.full(symbol.shape, float(dt)), where=symbol != 0.0)
 
 
 def _phi2_gain(dt, symbol, gain):
@@ -319,54 +325,45 @@ def _scaled(dt, err, tol):
     return dt * 2.0 ** (k / 4)
 
 
-def step(state, dt, prev=None, floor=None):
+def step(state, dt, prev=None, fallback_dt=None):
     """One exponential step; monitors updated, breakdown recorded.
 
-    Without ``prev`` the step is ETD1.  ``prev`` is the ``_record`` of the
-    step that made ``state``; with it the multistep ETD2 correction
+    Without ``prev`` the step is ETD1.  ``prev`` is the ``_last_step`` of
+    the step that made ``state``; with it the multistep ETD2 correction
     dt^2 / dt_prev phi_2(dt L) (N - N_prev), N = rhs - L u, is added when
     its spectral l1 bound (a bound on its max norm, and the estimate of
-    ETD1's local error) is at most _ETD2_TOL (1 + max|u|).  Otherwise dt
-    shrinks by the estimate (``_scaled``, at most by half) and the trial is
-    redone on the half spectrum only, not below ``floor`` (default dt); a
-    trial at or below ``floor`` that still fails is the ETD1 step.  The new
-    state's ``_record`` (a ``_StepRecord``) is the next step's ``prev``.
+    ETD1's local error) is at most _ETD2_TOL (1 + max|u|).  Otherwise the
+    step is ETD1 over ``fallback_dt`` (default dt).  The new state's
+    ``_last_step`` (a ``_StepRecord``) is the next step's ``prev``.
     """
     rhs = twisted_rhs(state)
     grid = state.u.grid
     symbol = _linearization(state).symbol
-    err, tol, rejected = math.inf, math.nan, 0
+    err, tol, rejected = math.inf, math.nan, False
     # an rhs near the float range overflows inside the transforms; the
     # new u is checked for it instead
     with np.errstate(over="ignore", invalid="ignore"):
         rhs_hat = scipy.fft.rfftn(rhs.values)
+        gain = _phi1_gain(dt, symbol)
+        update = rhs_hat * gain
         if prev is not None:
             # both N against this step's L: N - N_prev = rhs - rhs_prev - L (u - u_prev)
             dn_hat = rhs_hat - prev.rhs_hat - symbol * prev.update_hat
-            tol = _ETD2_TOL * (1.0 + float(np.abs(state.u.values).max()))
-            floor = dt if floor is None else floor
-        while True:
-            # dt phi_1(dt L) = expm1(dt L) / L, which is dt on the zero mode
-            gain = np.divide(np.expm1(dt * symbol), symbol,
-                             out=np.full(symbol.shape, float(dt)), where=symbol != 0.0)
-            update = rhs_hat * gain
-            if prev is None:
-                break
             corr = _phi2_gain(dt, symbol, gain) / prev.dt * dn_hat
-            trial_err = _l1_bound((corr,), grid.shape)
-            if trial_err <= tol:
-                err = trial_err
+            tol = _ETD2_TOL * (1.0 + float(np.abs(state.u.values).max()))
+            err = _l1_bound((corr,), grid.shape)
+            if err <= tol:
                 update += corr
-                break
-            rejected += 1
-            if dt <= floor:
-                break
-            dt = max(_scaled(dt, trial_err, tol), floor)
+            else:
+                err, rejected = math.inf, True
+                if fallback_dt is not None and fallback_dt != dt:
+                    dt = fallback_dt
+                    update = rhs_hat * _phi1_gain(dt, symbol)
         values = state.u.values + scipy.fft.irfftn(update, s=grid.shape)
     new_u = _finite(grid, values, "u", state.t + dt)
     new = _set_monitors(FlowState(state.t + dt, new_u, state.background),
                         float(np.abs(rhs.values).max()))
-    new._record = _StepRecord(dt, rhs_hat, update, err, tol, rejected)
+    new._last_step = _StepRecord(dt, rhs_hat, update, err, tol, rejected)
     return new
 
 
@@ -426,10 +423,10 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     ETD1 dt.  Each later step hands ``step`` the previous step's record,
     which makes it ETD2, and tries the same min with the accuracy cap
     _ETD_STEP_FACTOR * stable_dt raised to the grown step: the last dt
-    rescaled by its error estimate (``_scaled``: at most doubled, and not
-    raised after a rejected trial).  A failed trial is retried down to, and
-    at worst replaced by, the ETD1 dt, so no step is shorter than the ETD1
-    dt of its state.  ``emit_every`` counts explicit steps: elapsed
+    rescaled by its error estimate (``_scaled``: at most doubled, and
+    halved after a failed correction).  A step whose correction fails is
+    the ETD1 step over the ETD1 dt, so no step is shorter than the ETD1 dt
+    of its state.  ``emit_every`` counts explicit steps: elapsed
     time is accumulated in units of the state's ``stable_dt``, and a row is
     emitted when that count crosses a multiple of ``emit_every``, at t_end
     and at _MAX_STEPS.  A sandwich failure beyond
@@ -490,11 +487,9 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
         left = t_end - state.t
         state = step(state, min(max(cap, grown), limit, left), record,
                      min(bound, left))
-        record = state._record
+        record = state._last_step
         dt = record.dt
         grown = _scaled(dt, record.err, record.tol)
-        if record.rejected:
-            grown = min(grown, dt)
         n_step += 1
         rejected += record.rejected
         dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)

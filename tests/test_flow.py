@@ -253,7 +253,7 @@ class TestExponentialMultistep:
         def fixed(n):
             state = state0
             for _ in range(n):
-                state = step(state, 0.4 / n, state._record)
+                state = step(state, 0.4 / n, state._last_step)
             return state.u.values
 
         ref = fixed(256)
@@ -491,7 +491,7 @@ class TestStateRecord:
         assert len(steps) >= 2
         assert (len(hess), len(slices)) == (2 * (1 + len(steps)), 1 + len(steps))
 
-    def test_retried_trial_builds_nothing(self, monkeypatch):
+    def test_failed_correction_builds_nothing(self, monkeypatch):
         g = BicomplexGrid.regular(1, 1, 16)
         state0 = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3), flat_background(g))
         cap = 16.0 * stable_dt(state0)
@@ -499,14 +499,12 @@ class TestStateRecord:
         twisted_rhs(state1)
         hess = self._count(monkeypatch, "hessian_block_values")
         states = self._count(monkeypatch, "FlowState")
-        # four caps fail the bound, and the retry at 2^(3/2) caps passes
-        new = step(state1, 4.0 * cap, state1._record, cap)
-        assert new._record.rejected == 1 and cap < new._record.dt < 4.0 * cap
+        # four caps fail the bound: the step is ETD1 over one cap
+        new = step(state1, 4.0 * cap, state1._last_step, cap)
+        assert new._last_step.rejected and new._last_step.dt == cap
         assert (len(hess), len(states)) == (2, 1)
         assert twisted_rhs(state1) is state1._rhs
-        direct = step(state1, new._record.dt, state1._record)
-        assert direct._record.rejected == 0
-        assert np.array_equal(direct.u.values, new.u.values)
+        assert np.array_equal(step(state1, cap).u.values, new.u.values)
 
     def test_run_with_rejections_builds_each_state_once(self, monkeypatch):
         # a tolerance the cap itself misses: every ETD2 trial fails
@@ -558,12 +556,12 @@ class TestStateRecord:
 
     def test_multistep_run_pinned(self, monkeypatch):
         # the same decay in run's ETD2 steps; a 2000-step ETD2 run gives
-        # 3.6784896e-4, which this is 2.1e-6 off and the ETD1 pin 3.2e-6
+        # 3.6784896e-4, which this is 1.5e-6 off and the ETD1 pin 3.2e-6
         g = BicomplexGrid.regular(1, 1, [16, 4, 16, 4])
         h = g.spacing[0]
         t_end = h * h / np.sin(0.5 * h) ** 2
         steps = self._count(monkeypatch, "step")
         traj = run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
                              flat_background(g)), t_end, keep_states="none")
-        assert len(steps) == traj.steps == 9 and traj.rejected_trials == 0
-        assert traj.rows[-1][1] == pytest.approx(0.00036784973288469787, rel=1e-12)
+        assert len(steps) == traj.steps == 10 and traj.rejected_trials == 0
+        assert traj.rows[-1][1] == pytest.approx(0.0003678495238662814, rel=1e-12)
