@@ -103,7 +103,21 @@ class ScenarioConfig:
         self.validate()
 
     def validate(self):
-        """Raise ConfigError on an unusable field (run_scenario re-checks)."""
+        """Raise ConfigError on an unusable field: the one statement of a
+        valid config (load_config only parses; run_scenario re-checks)."""
+        if self.forcing not in ("none", "sin", "const"):
+            raise ConfigError(f"background: unknown forcing {self.forcing!r}")
+        if self.initial_kind not in ("zero", "cosine", "file"):
+            raise ConfigError(f"initial: unknown kind {self.initial_kind!r}")
+        if self.initial_kind == "file" and not self.initial_file:
+            raise ConfigError("initial: kind=file needs a file path")
+        if not all(0 <= axis < self.grid.real_dim
+                   for axis in (self.forcing_axis, self.initial_axis)):
+            raise ConfigError("axis index out of range for the grid")
+        for name, m in (("omega_plus_diag", self.grid.k), ("omega_minus_diag", self.grid.l),
+                        ("chi_plus_diag", self.grid.k), ("chi_minus_diag", self.grid.l)):
+            if np.shape(getattr(self, name)) != (m,):
+                raise ConfigError(f"background: {name} must have {m} diagonal entries")
         for name in ("t_end", "zeta_plus", "zeta_minus", "forcing_amplitude",
                      "initial_amplitude", "omega_plus_diag", "omega_minus_diag",
                      "chi_plus_diag", "chi_minus_diag"):
@@ -123,13 +137,10 @@ class ScenarioConfig:
             raise ConfigError("run: seed must be >= 0")
 
 
-def _diag(raw, m, what):
+def _diag(raw, m):
+    """The diagonal entries; a single value stands for all m."""
     vals = np.array([float(v) for v in raw.replace(",", " ").split()])
-    if len(vals) == 1:
-        vals = np.repeat(vals, m)
-    if len(vals) != m:
-        raise ConfigError(f"{what}: expected 1 or {m} diagonal entries")
-    return vals
+    return np.repeat(vals, m) if len(vals) == 1 else vals
 
 
 def load_config(path):
@@ -150,30 +161,25 @@ def load_config(path):
         grid = BicomplexGrid.regular(k, l, counts[0] if len(counts) == 1
                                      else counts, period=period)
 
-        section = lambda name: parser[name] if parser.has_section(name) else {}
+        # an absent section reads as the (usually empty) DEFAULT one
+        section = lambda name: parser[name if parser.has_section(name) else "DEFAULT"]
         get = section("background").get
-        omega_p = _diag(get("omega_plus", "1"), k, "omega_plus")
-        omega_m = _diag(get("omega_minus", "1"), l, "omega_minus")
-        chi_p = _diag(get("chi_plus", "0"), k, "chi_plus")
-        chi_m = _diag(get("chi_minus", "0"), l, "chi_minus")
+        omega_p = _diag(get("omega_plus", "1"), k)
+        omega_m = _diag(get("omega_minus", "1"), l)
+        chi_p = _diag(get("chi_plus", "0"), k)
+        chi_m = _diag(get("chi_minus", "0"), l)
         zeta_p = float(get("zeta_plus", "0"))
         zeta_m = float(get("zeta_minus", "0"))
         forcing = get("forcing", "none").strip().lower()
-        if forcing not in ("none", "sin", "const"):
-            raise ConfigError(f"background: unknown forcing {forcing!r}")
         f_amp = float(get("forcing_amplitude", "0"))
         f_axis = int(get("forcing_axis", "0"))
 
         iget = section("initial").get
         kind = iget("kind", "zero").strip().lower()
-        if kind not in ("zero", "cosine", "file"):
-            raise ConfigError(f"initial: unknown kind {kind!r}")
         amp = float(iget("amplitude", "0"))
         axis = int(iget("axis", "0"))
         mode = int(iget("mode", "1"))
         ifile = iget("file", "")
-        if kind == "file" and not ifile:
-            raise ConfigError("initial: kind=file needs a file path")
 
         r = parser["run"]
         t_end = float(r["t_end"])
@@ -181,19 +187,17 @@ def load_config(path):
         emit_every = r.getint("emit_every", fallback=10)
         seed = r.getint("seed", fallback=0)
 
-        cget = section("checks").get
-        viscosity = str(cget("viscosity", "true")).strip().lower() in ("1", "true", "yes")
-        roundtrip = str(cget("roundtrip", "false")).strip().lower() in ("1", "true", "yes")
-        samples = int(cget("jet_samples", "2"))
-        tol_raw = str(cget("tolerance", "")).strip()
+        checks = section("checks")
+        # ConfigParser.BOOLEAN_STATES, any case: 1/yes/true/on, 0/no/false/off
+        viscosity = checks.getboolean("viscosity", fallback=True)
+        roundtrip = checks.getboolean("roundtrip", fallback=False)
+        samples = int(checks.get("jet_samples", "2"))
+        tol_raw = checks.get("tolerance", "").strip()
         tol = float(tol_raw) if tol_raw else None
     except ConfigError:
         raise
     except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"inconsistent config {path}: {exc}") from exc
-
-    if not (0 <= f_axis < grid.real_dim and 0 <= axis < grid.real_dim):
-        raise ConfigError("axis index out of range for the grid")
     return ScenarioConfig(
         grid=grid, omega_plus_diag=omega_p, omega_minus_diag=omega_m,
         chi_plus_diag=chi_p, chi_minus_diag=chi_m,

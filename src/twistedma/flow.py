@@ -79,7 +79,6 @@ class FlowState:
     t: float
     u: ScalarField
     background: object
-    monitors: dict = field(default_factory=dict)
     _blocks: tuple = field(default=None, repr=False, compare=False)
     _slice: object = field(default=None, repr=False, compare=False)
     _report: object = field(default=None, repr=False, compare=False)
@@ -94,8 +93,7 @@ class FlowState:
         # the report is a few scalars and is kept; the blocks, the background
         # slice, the rhs and the last step's spectra are not, so that a
         # trajectory does not hold every emitted state's lattice arrays alive
-        return FlowState(self.t, self.u.copy(), self.background, dict(self.monitors),
-                         _report=self._report)
+        return FlowState(self.t, self.u.copy(), self.background, _report=self._report)
 
 
 @dataclass(frozen=True)
@@ -275,23 +273,12 @@ def _drift_dt(state, safety):
                                        state.background.chi_norms))
 
 
-def _set_monitors(state, rhs_sup):
-    """The state's monitor record: its margins, sup/inf u and rhs_sup."""
-    report = admissibility(state)
-    state.monitors = {"plus_margin": report.plus_margin,
-                      "minus_margin": report.minus_margin,
-                      "sup_u": float(state.u.values.max()),
-                      "inf_u": float(state.u.values.min()),
-                      "rhs_sup": rhs_sup,
-                      "admissible": report.admissible}
-    return state
-
-
 @dataclass(frozen=True)
 class _StepRecord:
-    """What a step leaves for the next one and for ``run``'s statistics."""
+    """What a step leaves for the next one and for ``run``'s rows and statistics."""
 
     dt: float                # the step taken
+    rhs_sup: float           # max |rhs| of the state it stepped from
     rhs_hat: np.ndarray      # half spectrum of the rhs it read
     update_hat: np.ndarray   # half spectrum of u+ - u
     err: float               # l1 bound on the kept ETD2 correction; inf if none
@@ -326,7 +313,7 @@ def _scaled(dt, err, tol):
 
 
 def step(state, dt, prev=None, fallback_dt=None):
-    """One exponential step; monitors updated, breakdown recorded.
+    """One exponential step; the new state's record built, breakdown recorded.
 
     Without ``prev`` the step is ETD1.  ``prev`` is the ``_last_step`` of
     the step that made ``state``; with it the multistep ETD2 correction
@@ -361,9 +348,10 @@ def step(state, dt, prev=None, fallback_dt=None):
                     update = rhs_hat * _phi1_gain(dt, symbol)
         values = state.u.values + scipy.fft.irfftn(update, s=grid.shape)
     new_u = _finite(grid, values, "u", state.t + dt)
-    new = _set_monitors(FlowState(state.t + dt, new_u, state.background),
-                        float(np.abs(rhs.values).max()))
-    new._last_step = _StepRecord(dt, rhs_hat, update, err, tol, rejected)
+    new = FlowState(state.t + dt, new_u, state.background)
+    admissibility(new)    # its record, which run's bounds and row read
+    new._last_step = _StepRecord(dt, float(np.abs(rhs.values).max()), rhs_hat, update,
+                                 err, tol, rejected)
     return new
 
 
@@ -458,12 +446,13 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
             raise BarrierViolation(
                 f"barrier sandwich failed at t={state.t:.6g} "
                 f"(gap_lo={gap_lo:.3e}, gap_hi={gap_hi:.3e}, tol={tol:.3e})")
-        rows.append((state.t, *(state.monitors[key] for key in MONITOR_HEADER[1:6]),
-                     gap_lo, gap_hi))
+        report = admissibility(state)
+        rhs_sup = math.nan if state._last_step is None else state._last_step.rhs_sup
+        rows.append((state.t, float(state.u.values.max()), float(state.u.values.min()),
+                     rhs_sup, report.plus_margin, report.minus_margin, gap_lo, gap_hi))
         if keep_states == "emitted":
             states.append(state.copy())
 
-    _set_monitors(state, math.nan)
     emit()
     # relative, so that a t_end below the tolerance is still reached
     t_stop = t_end * (1.0 - 1e-14)

@@ -20,7 +20,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from functools import cached_property
 
 import numpy as np
 
@@ -118,11 +117,11 @@ def max_existence_time(omega0, chi):
 
 @dataclass
 class BackgroundSlice:
-    """omega_hat blocks at a fixed time, with a positivity flag.
+    """omega_hat blocks at a fixed time.
 
-    Positivity is flagged rather than enforced: callers may probe beyond
-    the maximal time on purpose.  The flag is computed on first access and
-    cached; the blocks are treated as immutable once the slice exists.
+    Positivity is not enforced (``positivity_check`` tests it): callers may
+    probe beyond the maximal time on purpose.  The blocks are treated as
+    immutable once the slice exists.
     """
 
     omega_hat_plus: HermitianMatrixField
@@ -130,10 +129,6 @@ class BackgroundSlice:
     # the flow's constant-coefficient linearization at this slice, built by
     # the flow layer on first use
     _linear: object = field(default=None, repr=False, compare=False)
-
-    @cached_property
-    def positive(self):
-        return positivity_check(self.omega_hat_plus, self.omega_hat_minus)
 
 
 @dataclass

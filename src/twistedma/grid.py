@@ -213,9 +213,6 @@ class HermitianMatrixField:
     def zeros(cls, grid, block):
         return cls.constant(grid, block, np.zeros((grid.block_dim(block),) * 2))
 
-    def copy(self):
-        return HermitianMatrixField(self.grid, self.block, self.values.copy(), check=False)
-
 
 # ---------------------------------------------------------------------------
 # stencils

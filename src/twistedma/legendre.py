@@ -186,9 +186,9 @@ def inverse_partial_legendre(vf, x_grid=None):
     if not vf.conjugate:
         raise ValueError("input is not a conjugate field")
     if x_grid is None:
-        g = np.gradient(vf.values, vf.second, axis=1, edge_order=2)
+        gmin, gmax = _gradient_range(vf)
         # dv/dp = -x_minus, so the recoverable x range is -grad reversed
-        x_grid = np.linspace(float(-g.max()), float(-g.min()), len(vf.second))
+        x_grid = np.linspace(-gmax, -gmin, len(vf.second))
     else:
         x_grid = _increasing(x_grid, "x_grid")
     out = _lower_envelopes(vf.second, vf.values, x_grid)
@@ -220,7 +220,22 @@ def _check_slices(u_slices, times):
         if not (np.array_equal(s.x_plus, base.x_plus)
                 and np.array_equal(s.second, base.second)):
             raise ValueError("slices must share coordinates")
-    return times, float(dts[0])
+    return times, float(dts[0]), float(base.x_plus[1] - base.x_plus[0])
+
+
+def _residual(slices, times, dt, F, interior_rhs):
+    """(max |residual|, stack) of w_t - rhs at the interior times: w_t by
+    centred difference, trimmed to the interior second-axis points, and
+    ``interior_rhs(w)`` already trimmed, F subtracted."""
+    res = []
+    for n in range(1, len(times) - 1):
+        w_t = (slices[n + 1].values - slices[n - 1].values) / (2.0 * dt)
+        rhs = interior_rhs(slices[n].values)
+        if F is not None:
+            rhs = rhs - F(slices[n].x_plus[:, None], times[n])
+        res.append(w_t[:, 1:-1] - rhs)
+    res = np.stack(res)
+    return float(np.abs(res).max()), res
 
 
 def untransformed_residual(u_slices, times, F=None):
@@ -229,21 +244,14 @@ def untransformed_residual(u_slices, times, F=None):
     Returns (max_residual, stack of interior-time residual arrays).
     Spatial interior in x_minus (wrapped stencil ends dropped); x_plus periodic.
     """
-    times, dt = _check_slices(u_slices, times)
-    hx = float(u_slices[0].x_plus[1] - u_slices[0].x_plus[0])
+    times, dt, hx = _check_slices(u_slices, times)
     hm = u_slices[0].second_spacing()
-    res = []
-    for n in range(1, len(times) - 1):
-        u = u_slices[n].values
-        u_t = (u_slices[n + 1].values - u_slices[n - 1].values) / (2.0 * dt)
-        u_xx = _same_axis(u, 0, 1.0 / (hx * hx))
+
+    def rhs(u):
+        u_xx = _same_axis(u, 0, 1.0 / (hx * hx))[:, 1:-1]
         u_mm = _same_axis(u, 1, 1.0 / (hm * hm))[:, 1:-1]
-        rhs = np.log1p(0.25 * u_xx[:, 1:-1]) - np.log1p(-0.25 * u_mm)
-        if F is not None:
-            rhs = rhs - F(u_slices[n].x_plus[:, None], times[n])
-        res.append(u_t[:, 1:-1] - rhs)
-    res = np.stack(res)
-    return float(np.abs(res).max()), res
+        return np.log1p(0.25 * u_xx) - np.log1p(-0.25 * u_mm)
+    return _residual(u_slices, times, dt, F, rhs)
 
 
 def transformed_residual(u_slices, times, F=None, p_grid=None):
@@ -253,26 +261,18 @@ def transformed_residual(u_slices, times, F=None, p_grid=None):
     per-slice gradient ranges unless given); derivatives are central, with
     the momentum treated as non-periodic interior.
     """
-    times, dt = _check_slices(u_slices, times)
+    times, dt, hx = _check_slices(u_slices, times)
     if p_grid is None:
         los, his = zip(*(_gradient_range(s) for s in u_slices))
         p_grid = np.linspace(max(los), min(his), len(u_slices[0].second))
     v_slices = [partial_legendre(s, p_grid=p_grid) for s in u_slices]
-    hx = float(u_slices[0].x_plus[1] - u_slices[0].x_plus[0])
     hp = float(p_grid[1] - p_grid[0])
-    res = []
-    for n in range(1, len(times) - 1):
-        v = v_slices[n].values
-        v_t = (v_slices[n + 1].values - v_slices[n - 1].values) / (2.0 * dt)
-        v_xx = _same_axis(v, 0, 1.0 / (hx * hx))
+
+    def rhs(v):
+        v_xx = _same_axis(v, 0, 1.0 / (hx * hx))[:, 1:-1]
         v_xp = _centred(_centred(v, 1, 0.5 / hp), 0, 0.5 / hx)[:, 1:-1]
         v_pp = _same_axis(v, 1, 1.0 / (hp * hp))[:, 1:-1]
         if v_pp.min() <= 0:
             raise ConcavityViolated("conjugate lost convexity in momentum")
-        arg = v_xx[:, 1:-1] - v_xp ** 2 / v_pp
-        rhs = np.log1p(0.25 * arg) - np.log1p(0.25 / v_pp)
-        if F is not None:
-            rhs = rhs - F(u_slices[n].x_plus[:, None], times[n])
-        res.append(v_t[:, 1:-1] - rhs)
-    res = np.stack(res)
-    return float(np.abs(res).max()), res
+        return np.log1p(0.25 * (v_xx - v_xp ** 2 / v_pp)) - np.log1p(0.25 / v_pp)
+    return _residual(v_slices, times, dt, F, rhs)

@@ -6,6 +6,7 @@ import re
 import subprocess
 import sys
 import tempfile
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -14,7 +15,7 @@ from hypothesis import strategies as st
 
 from twistedma import BicomplexGrid, ScalarField, flow, save_field
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
-from twistedma.errors import ConfigError
+from twistedma.errors import BarrierViolation, ConfigError
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -49,6 +50,27 @@ class TestLoadConfig:
                      "[background]\nforcing = sawtooth\n[run]\nt_end = 0.1\n")
         with pytest.raises(ConfigError):
             load_config(p)
+
+    @pytest.mark.parametrize("change", [
+        {"initial_kind": "bogus"}, {"forcing": "saw"},
+        {"forcing": "sin", "forcing_axis": 99}, {"initial_kind": "file"},
+        {"omega_plus_diag": np.ones(2)}],
+        ids=["unknown_kind", "unknown_forcing", "axis_99", "file_without_path",
+             "diagonal_length"])
+    def test_api_config_validated(self, change):
+        # a config built in code obeys the same rules as a parsed one
+        with pytest.raises(ConfigError):
+            replace(load_config(scenario("cosine_decay.cfg")), **change)
+
+    @pytest.mark.parametrize("value,expected", [
+        ("true", True), ("On", True), ("1", True), ("yes", True),
+        ("false", False), ("off", False), ("0", False), ("NO", False)])
+    def test_check_flags_read_as_booleans(self, tmp_path, value, expected):
+        p = tmp_path / "flags.cfg"
+        p.write_text(open(scenario("flat_stationary.cfg")).read()
+                     .replace("viscosity = true", f"viscosity = {value}\nroundtrip = {value}"))
+        cfg = load_config(p)
+        assert cfg.check_viscosity is cfg.check_roundtrip is expected
 
 
 class TestRunScenario:
@@ -300,6 +322,36 @@ class TestMain:
         assert "Traceback" not in err
         assert re.fullmatch(r"error: plus block lost positivity at point \(\d+, \d+, \d+, \d+\) "
                             r"\(eigenvalue -\d\.\d{3}e\+\d+\)\n", err)
+
+    @pytest.mark.parametrize("key", ["viscosity", "roundtrip"])
+    def test_check_flag_typo_exit_two(self, tmp_path, capsys, key):
+        # a typo once read as false, skipped the check and exited 0
+        p = tmp_path / "typo.cfg"
+        p.write_text(open(scenario("flat_stationary.cfg")).read()
+                     .replace("viscosity = true", f"{key} = ture"))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "ture" in err
+        assert not (tmp_path / "o").exists()
+
+    def test_roundtrip_check_exit_zero(self, tmp_path, capsys):
+        p = tmp_path / "roundtrip.cfg"
+        p.write_text(open(scenario("cosine_decay.cfg")).read()
+                     .replace("[checks]", "[checks]\nroundtrip = true"))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        err = [float(l.split(" = ")[1]) for l in summary if l.startswith("roundtrip_error")]
+        assert len(err) == 1 and 0.0 <= err[0] < 1e-8
+        assert summary[-1] == "checks_passed = True"
+
+    def test_barrier_violation_exit_four(self, tmp_path, monkeypatch, capsys):
+        # a negative tolerance makes the first row's zero gaps a violation
+        monkeypatch.setattr(flow, "_BARRIER_TOL_FACTOR", -1.0)
+        code = main(["run", scenario("sin_forcing_barrier.cfg"), "--out", str(tmp_path / "o")])
+        assert code == 4 == EXIT_CODES[BarrierViolation]
+        err = capsys.readouterr().err
+        assert err.startswith("error: barrier sandwich failed at t=0 ")
 
     def test_report_missing_dir_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1

@@ -268,6 +268,21 @@ class TestComparison:
         with pytest.raises(PreconditionFailed):
             comparison_test(sup + 5.0, sub, times, bg, samples=2)
 
+    def test_late_crossing_fails_with_first_violation(self):
+        # both candidates pass their checks at tol = 10 (the subsolution's
+        # slope is at most 1/2) and start ordered, but the subsolution ends
+        # 50 above the supersolution
+        g = BicomplexGrid.regular(1, 1, 4)
+        times = np.array([0.0, 100.0, 200.0])
+        sup = np.zeros((3,) + g.shape)
+        sub = sup.copy()
+        sub[2] = 50.0
+        verdict = comparison_test(sub, sup, times, flat_background(g), tol=10.0, samples=2)
+        assert not verdict.holds
+        assert verdict.max_excess == 50.0
+        assert verdict.first_violation == ((0, 0, 0, 0), 200.0)
+        assert all(excess > 0 for _, excess in verdict.delta_trace)
+
     def test_trajectory_below_upper_barrier(self, grid16):
         bg = flat_background(grid16)
         u0 = cos_axis_field(grid16, 0, amplitude=0.2)
