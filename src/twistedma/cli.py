@@ -105,6 +105,18 @@ class ScenarioConfig:
     def validate(self):
         """Raise ConfigError on an unusable field: the one statement of a
         valid config (load_config only parses; run_scenario re-checks)."""
+        # an absent tolerance is None: the check's own default
+        reals = ("zeta_plus", "zeta_minus", "forcing_amplitude", "initial_amplitude",
+                 "t_end", "safety") + ("tolerance",) * (self.tolerance is not None)
+        for kinds, what, names in (
+                ("iu", "an integer", ("forcing_axis", "initial_axis", "initial_mode",
+                                      "emit_every", "seed", "jet_samples")),
+                ("iuf", "a real number", reals)):
+            for name in names:
+                value = getattr(self, name)
+                # numpy's integer or real scalars: no bool, str or int beyond 64 bits
+                if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in kinds:
+                    raise ConfigError(f"{name} must be {what}, not {value!r}")
         if self.forcing not in ("none", "sin", "const"):
             raise ConfigError(f"background: unknown forcing {self.forcing!r}")
         if self.initial_kind not in ("zero", "cosine", "file"):
@@ -116,8 +128,9 @@ class ScenarioConfig:
             raise ConfigError("axis index out of range for the grid")
         for name, m in (("omega_plus_diag", self.grid.k), ("omega_minus_diag", self.grid.l),
                         ("chi_plus_diag", self.grid.k), ("chi_minus_diag", self.grid.l)):
-            if np.shape(getattr(self, name)) != (m,):
-                raise ConfigError(f"background: {name} must have {m} diagonal entries")
+            diag = np.asarray(getattr(self, name))
+            if diag.shape != (m,) or diag.dtype.kind not in "iuf":
+                raise ConfigError(f"background: {name} must have {m} real diagonal entries")
         for name in ("t_end", "zeta_plus", "zeta_minus", "forcing_amplitude",
                      "initial_amplitude", "omega_plus_diag", "omega_minus_diag",
                      "chi_plus_diag", "chi_minus_diag"):
@@ -273,7 +286,7 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     cfg = config if isinstance(config, ScenarioConfig) else load_config(config)
     cfg.validate()
     if seed is not None:
-        cfg = replace(cfg, seed=int(seed))
+        cfg = replace(cfg, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
     background = _build_background(cfg)
     u0 = _build_initial(cfg)

@@ -54,13 +54,31 @@ class TestLoadConfig:
     @pytest.mark.parametrize("change", [
         {"initial_kind": "bogus"}, {"forcing": "saw"},
         {"forcing": "sin", "forcing_axis": 99}, {"initial_kind": "file"},
-        {"omega_plus_diag": np.ones(2)}],
+        {"omega_plus_diag": np.ones(2)}, {"omega_plus_diag": np.array(["1"])}],
         ids=["unknown_kind", "unknown_forcing", "axis_99", "file_without_path",
-             "diagonal_length"])
+             "diagonal_length", "diagonal_str"])
     def test_api_config_validated(self, change):
         # a config built in code obeys the same rules as a parsed one
         with pytest.raises(ConfigError):
             replace(load_config(scenario("cosine_decay.cfg")), **change)
+
+    @pytest.mark.parametrize("field,value", [
+        ("forcing_axis", 1.5), ("initial_axis", 1.5), ("initial_mode", True),
+        ("emit_every", 10.0), ("seed", 1.5), ("jet_samples", 1.5),
+        ("zeta_plus", "0"), ("zeta_minus", None), ("forcing_amplitude", True),
+        ("initial_amplitude", 1j), ("t_end", "0.1"), ("safety", np.array([0.5])),
+        ("tolerance", "1e-8")])
+    def test_api_config_field_types(self, field, value):
+        # each field's type is checked, so a config built in code fails
+        # with a ConfigError rather than a TypeError later in the run
+        cfg = load_config(scenario("cosine_decay.cfg"))
+        with pytest.raises(ConfigError, match=field):
+            replace(cfg, **{field: value})
+
+    @pytest.mark.parametrize("seed", [1.5, True, "3"])
+    def test_seed_argument_type_checked(self, seed, tmp_path):
+        with pytest.raises(ConfigError, match="seed"):
+            run_scenario(scenario("cosine_decay.cfg"), tmp_path, seed=seed)
 
     @pytest.mark.parametrize("value,expected", [
         ("true", True), ("On", True), ("1", True), ("yes", True),

@@ -65,15 +65,24 @@ def test_zero_set_radius_solves_the_ramp():
     assert abs(3 * s * s - 2 * s ** 3 - (2.0 - _ETA) / 26.0) <= 1e-15
 
 
+# the values of the 14-level nested grid search that Newton replaced
+_GRID_SEARCH_PINNED = dict(
+    distances=[0.11753264551787801, 0.02295611988695123,
+               0.002556929007261566, 0.0002586964659254676],
+    hessian_norms=[22.533124093830626, 29.033575677725466,
+                   30.37000862238237, 30.519024687911127],
+    fitted_exponent=-0.044104094021357385)
+
+
 def test_default_probe_pinned(default_probe):
-    # the values of the point-list grid search this search replaced
+    # one grid level, then safeguarded Newton
     assert default_probe.distances.tolist() == [
-        0.11753264551787801, 0.02295611988695123,
-        0.002556929007261566, 0.0002586964659254676]
+        0.11753275547715436, 0.02295610921179847,
+        0.002556933957688745, 0.00025867355387099167]
     assert default_probe.hessian_norms.tolist() == [
-        22.533124093830626, 29.033575677725466,
-        30.37000862238237, 30.519024687911127]
-    assert default_probe.fitted_exponent == -0.044104094021357385
+        22.533119553143354, 29.0335720018603,
+        30.370004783675242, 30.519027046954637]
+    assert default_probe.fitted_exponent == -0.044103323887256934
 
 
 class TestTensorSearch:
@@ -139,11 +148,102 @@ class TestTensorSearch:
 
 
 @pytest.mark.parametrize("kwargs", [
-    dict(n=0), dict(n=1.5), dict(alphas=(1e1, float("nan"))),
+    dict(n=0), dict(n=1.5), dict(n=True), dict(alphas=(1e1, float("nan"))),
     dict(alphas=(1e1, float("inf"))), dict(alphas=(0.0, 1e1)),
-    dict(alphas=(-1.0, 1e1)), dict(search_points=1), dict(search_levels=0)],
-    ids=["n0", "n_float", "alpha_nan", "alpha_inf", "alpha_zero",
-         "alpha_negative", "one_point", "no_levels"])
+    dict(alphas=(-1.0, 1e1)), dict(search_points=1), dict(search_levels=0),
+    dict(search_points=2.5), dict(search_levels=1.5),
+    dict(phi3_scale=float("nan")), dict(phi3_scale=-1.0)],
+    ids=["n0", "n_float", "n_bool", "alpha_nan", "alpha_inf", "alpha_zero",
+         "alpha_negative", "one_point", "no_levels", "points_float",
+         "levels_float", "scale_nan", "scale_negative"])
 def test_rejects_bad_arguments(kwargs):
-    with pytest.raises(ValueError):
+    # the argument check's own ValueError, not a LinAlgError from the fit
+    with pytest.raises(ValueError) as exc:
         localization_gap_probe(**kwargs)
+    assert type(exc.value) is ValueError
+
+
+class TestNewtonSearch:
+    LADDERS = [(1e1, 1e2, 1e3, 1e4), (5.0, 20.0, 80.0),
+               (7.3, 13.1, 23.5, 42.2), (3e2, 3e3, 3e4)]
+
+    @staticmethod
+    def objective(alpha):
+        from twistedma.localization import _construction, _minimg
+        phi3, w_sub, w_super, _, _ = _construction(1, 1.0)
+
+        def f(z):
+            x, y = z[..., :2], z[..., 2:]
+            d2 = (_minimg(y - x) ** 2).sum(axis=-1)
+            return w_sub(x) - w_super(y) - phi3(x, y) - 0.5 * alpha * d2
+        return f
+
+    @staticmethod
+    def grid_search(alphas):
+        """The 14-level nested search with the probe's warm starts."""
+        from twistedma.localization import (_construction, _grid_maximize,
+                                            _minimg, _objective_slabs)
+        _, _, _, x_hat, r_zero = _construction(1, 1.0)
+        center, half_width, found = np.concatenate([x_hat, x_hat]), 2.0, []
+        for alpha in sorted(alphas):
+            z = _grid_maximize(
+                lambda axes: _objective_slabs(axes, x_hat, r_zero, alpha, 1.0),
+                center, half_width, n_levels=14)
+            found.append(z)
+            d = float(np.sqrt((_minimg(z[2:] - z[:2]) ** 2).sum()))
+            center, half_width = z, max(4.0 * d, 0.05)
+        return found
+
+    @pytest.mark.parametrize("alphas", LADDERS, ids=str)
+    def test_newton_beats_the_nested_grid(self, alphas):
+        res = localization_gap_probe(alphas=alphas)
+        for alpha, (x, y), z_grid in zip(res.alphas, res.maximizers,
+                                         self.grid_search(alphas)):
+            f, z = self.objective(alpha), np.concatenate([x, y])
+            best = f(z[None])[0]
+            assert best >= f(z_grid[None])[0] - 1e-13
+            axes = [np.linspace(c - 1e-6, c + 1e-6, 9) for c in z]
+            around = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
+                              axis=-1)
+            assert f(around).max() <= best
+
+    @pytest.mark.parametrize("alphas", LADDERS, ids=str)
+    def test_failed_newton_falls_back_to_the_nested_grid(self, alphas,
+                                                          monkeypatch):
+        from twistedma import localization
+        monkeypatch.setattr(localization, "_newton_maximize",
+                            lambda f, z: None)
+        res = localization_gap_probe(alphas=alphas)
+        for (x, y), z_grid in zip(res.maximizers, self.grid_search(alphas)):
+            assert np.array_equal(np.concatenate([x, y]), z_grid)
+
+    def test_failed_newton_gives_the_grid_search_values(self, monkeypatch):
+        from twistedma import localization
+        monkeypatch.setattr(localization, "_newton_maximize",
+                            lambda f, z: None)
+        res = localization_gap_probe()
+        assert res.distances.tolist() == _GRID_SEARCH_PINNED["distances"]
+        assert res.hessian_norms.tolist() == _GRID_SEARCH_PINNED["hessian_norms"]
+        assert res.fitted_exponent == _GRID_SEARCH_PINNED["fitted_exponent"]
+
+    def test_newton_refuses_a_saddle(self):
+        from twistedma.localization import _newton_maximize
+        f = lambda z: -(z[..., 0] - 1.0) ** 2 + z[..., 1] ** 2
+        assert _newton_maximize(f, np.zeros(2)) is None
+
+    def test_newton_finds_a_concave_maximum(self):
+        from twistedma.localization import _newton_maximize
+        f = lambda z: -np.cosh(z[..., 0] - 0.3) - (z[..., 1] + 0.2) ** 2
+        z = _newton_maximize(f, np.zeros(2))
+        np.testing.assert_allclose(z, [0.3, -0.2], rtol=0, atol=1e-9)
+
+    def test_fd_derivatives_of_a_quadratic(self, rng):
+        from twistedma.localization import _fd_derivatives
+        A = rng.standard_normal((4, 4))
+        A = A + A.T
+        b, z = rng.standard_normal(4), rng.standard_normal(4)
+        f = lambda p: 0.5 * np.einsum("...i,ij,...j->...", p, A, p) + p @ b
+        f0, grad, H = _fd_derivatives(f, z, 1e-3)
+        assert f0 == pytest.approx(0.5 * z @ A @ z + z @ b, rel=1e-14)
+        np.testing.assert_allclose(grad, A @ z + b, rtol=0, atol=1e-9)
+        np.testing.assert_allclose(H, A, rtol=0, atol=1e-6)
