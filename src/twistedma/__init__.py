@@ -17,7 +17,8 @@ from .flow import (BarrierPair, FlowState, Trajectory, admissibility,
                    barriers, run, stable_dt, step, twisted_rhs)
 from .viscosity import (ComparisonVerdict, Jet, ViolationReport,
                         comparison_test, delta_lift, subsolution_check,
-                        sup_patch, supersolution_check, touching_jets)
+                        sup_patch, supersolution_check, touching_jets,
+                        trajectory_checks)
 from .legendre import (ReducedField, inverse_partial_legendre, legendre_roundtrip_error,
                        lift_field, partial_legendre, reduce_field,
                        transformed_residual, untransformed_residual)

@@ -32,6 +32,8 @@ from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
+import hashlib
 import math
 import os
 import sys
@@ -39,7 +41,9 @@ import time
 from dataclasses import dataclass, replace
 
 import numpy as np
+import scipy
 
+from . import __version__
 from .errors import (BarrierViolation, ConcavityViolated, ConfigError,
                      DegenerateFit, IncompatibleData, NonzeroMeanObstruction,
                      NotAdmissible, NotReducible, PreconditionFailed,
@@ -50,7 +54,7 @@ from .grid import (BicomplexGrid, HermitianMatrixField, ScalarField,
                    load_field, save_field)
 from .localization import localization_gap_probe
 from .potential import solve_square, square_operator
-from .viscosity import subsolution_check, supersolution_check
+from .viscosity import trajectory_checks
 
 __all__ = ["ScenarioConfig", "load_config", "run_scenario", "report",
            "main", "EXIT_CODES"]
@@ -281,8 +285,60 @@ def _roundtrip_check(cfg, out):
     return err < 1e-8 * (1.0 + np.abs(f.values).max())
 
 
+class _PhaseClock(dict):
+    """Wall seconds per phase of a run, accumulated by ``with clock(phase):``."""
+
+    def __init__(self):
+        super().__init__(dict.fromkeys(("flow", "checks", "roundtrip", "artifacts"), 0.0))
+
+    @contextlib.contextmanager
+    def __call__(self, phase):
+        start = time.perf_counter()
+        yield
+        self[phase] += time.perf_counter() - start
+
+
+def _flow_and_checks(cfg, background, u0, out_dir, lines, clock):
+    """Run the flow and the viscosity checks and write their artifacts;
+    returns whether the run reached t_end and its checks passed.  The
+    trajectory ends with this call, before the roundtrip check runs."""
+    with clock("flow"):
+        traj = run_flow(FlowState(0.0, u0, background), cfg.t_end, safety=cfg.safety,
+                        emit_every=cfg.emit_every)
+    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
+    with clock("artifacts"):
+        traj.write_monitor_csv(os.path.join(out_dir, "monitor.csv"),
+                               comment=f"written {stamp}")
+        save_field(u0, os.path.join(out_dir, "initial.bin"))
+        save_field(traj.states[-1].u, os.path.join(out_dir, "final.bin"))
+    lines.append(f"steps_emitted = {len(traj.rows)}")
+    lines.append(f"barrier_A = {traj.barrier.A!r}")
+    lines += [f"steps = {traj.steps}", f"rejected_trials = {traj.rejected_trials}",
+              f"dt_min = {traj.dt_min!r}", f"dt_max = {traj.dt_max!r}"]
+
+    ok = traj.t_end_reached    # False when the step cap stopped the run
+    if not ok:
+        lines.append(f"t_end_reached = False (stopped at t={traj.states[-1].t!r})")
+    if cfg.check_viscosity and len(traj.states) >= 2:
+        with clock("checks"):
+            sub, sup = trajectory_checks(traj, tol=cfg.tolerance,
+                                         samples=cfg.jet_samples, seed=cfg.seed)
+        with clock("artifacts"):
+            sub.write_csv(os.path.join(out_dir, "violations_sub.csv"))
+            sup.write_csv(os.path.join(out_dir, "violations_super.csv"))
+        lines.append(f"sub_check_ok = {sub.ok} ({len(sub.violations)} violations)")
+        lines.append(f"super_check_ok = {sup.ok} ({len(sup.violations)} violations)")
+        ok = ok and sub.ok and sup.ok
+    return ok
+
+
 def run_scenario(config, out_dir, seed=None, override_tau_star=False):
-    """Execute the pipeline; returns (exit_code, summary_lines)."""
+    """Execute the pipeline; returns (exit_code, summary_lines).
+
+    Besides the artifacts, writes ``run_info.txt``, one ``key = value`` a
+    line: the versions, the sha256 of the config as run, its seed, and
+    the wall seconds of each phase (flow, checks, roundtrip, artifacts).
+    """
     cfg = config if isinstance(config, ScenarioConfig) else load_config(config)
     cfg.validate()
     if seed is not None:
@@ -298,40 +354,23 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
             f"t_end {cfg.t_end} reaches tau_star {tau}; pass "
             f"--override-tau-star to probe the degeneration on purpose")
 
-    state0 = FlowState(0.0, u0, background)
-    traj = run_flow(state0, cfg.t_end, safety=cfg.safety,
-                    emit_every=cfg.emit_every)
-    stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
-    traj.write_monitor_csv(os.path.join(out_dir, "monitor.csv"),
-                           comment=f"written {stamp}")
-    save_field(u0, os.path.join(out_dir, "initial.bin"))
-    save_field(traj.states[-1].u, os.path.join(out_dir, "final.bin"))
-    lines.append(f"steps_emitted = {len(traj.rows)}")
-    lines.append(f"barrier_A = {traj.barrier.A!r}")
-    lines += [f"steps = {traj.steps}", f"rejected_trials = {traj.rejected_trials}",
-              f"dt_min = {traj.dt_min!r}", f"dt_max = {traj.dt_max!r}"]
-
-    ok = traj.t_end_reached    # False when the step cap stopped the run
-    if not ok:
-        lines.append(f"t_end_reached = False (stopped at t={traj.states[-1].t!r})")
-    if cfg.check_viscosity and len(traj.states) >= 2:
-        stack = np.stack([s.u.values for s in traj.states])
-        times = np.array([s.t for s in traj.states])
-        sub = subsolution_check(stack, times, background, tol=cfg.tolerance,
-                                samples=cfg.jet_samples, seed=cfg.seed)
-        sup = supersolution_check(stack, times, background, tol=cfg.tolerance,
-                                  samples=cfg.jet_samples, seed=cfg.seed + 1)
-        sub.write_csv(os.path.join(out_dir, "violations_sub.csv"))
-        sup.write_csv(os.path.join(out_dir, "violations_super.csv"))
-        lines.append(f"sub_check_ok = {sub.ok} ({len(sub.violations)} violations)")
-        lines.append(f"super_check_ok = {sup.ok} ({len(sup.violations)} violations)")
-        ok = ok and sub.ok and sup.ok
+    clock = _PhaseClock()
+    ok = _flow_and_checks(cfg, background, u0, out_dir, lines, clock)
     if cfg.check_roundtrip:
-        ok = _roundtrip_check(cfg, lines) and ok
+        with clock("roundtrip"):
+            ok = _roundtrip_check(cfg, lines) and ok
 
     lines.append(f"checks_passed = {ok}")
-    with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    with clock("artifacts"):
+        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    info = {"twistedma_version": __version__, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "config_sha256": hashlib.sha256(repr(cfg).encode()).hexdigest(),
+            "seed": cfg.seed}
+    info.update((f"{phase}_s", repr(seconds)) for phase, seconds in clock.items())
+    with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in info.items())
     return (0 if ok else _EXIT_CHECK_FAILED), lines
 
 

@@ -422,7 +422,8 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     bug and is fatal.  The affine sandwich is a theorem only for
     time-independent backgrounds (chi = 0 and a single F knot); on
     drifting backgrounds the gaps are still recorded but not enforced.
-    ``keep_states``: "emitted" | "none" (the final state is always kept).
+    ``keep_states``: "emitted" | "none" (the final state is always kept,
+    with its blocks, background slice and record; emitted copies without).
     """
     if keep_states not in ("emitted", "none"):
         raise ValueError(f"keep_states must be 'emitted' or 'none', got {keep_states!r}")
@@ -487,8 +488,12 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
         if (explicit_steps // emit_every > before // emit_every
                 or state.t >= t_stop or n_step == _MAX_STEPS):
             emit()
-    if keep_states == "none" or not states or states[-1].t != state.t:
-        states.append(state.copy())
+    # the final state keeps its forms and record, which the viscosity
+    # checks read; it replaces its emitted copy
+    if states and states[-1].t == state.t:
+        states.pop()
+    states.append(FlowState(state.t, state.u, state.background, _blocks=state._blocks,
+                            _slice=state._slice, _report=state._report))
     return Trajectory(rows=rows, states=states, barrier=barrier,
                       t_end_reached=state.t >= t_stop, steps=n_step,
                       rejected_trials=rejected, dt_min=dt_min if n_step else math.nan,

@@ -406,8 +406,19 @@ def _half_disc(a, d, b2):
     return half, disc
 
 
-def _eig_bounds(values):
-    """(min, max) eigenvalue arrays for stacked 1x1 or 2x2 Hermitian matrices.
+def _entries(values):
+    """The entries of stacked Hermitian matrices, as views: (a,) for 1x1
+    and (a, d, b) for 2x2, a and d the real diagonal and b the complex
+    entry (0, 1).  The ``*_entries`` kernels take them, so that a caller
+    can add a constant increment entry by entry instead of copying the
+    stack: entry (i, j) of ``values + inc`` is ``values[..., i, j] + inc[i, j]``."""
+    if values.shape[-1] == 1:
+        return (values[..., 0, 0].real,)
+    return values[..., 0, 0].real, values[..., 1, 1].real, values[..., 0, 1]
+
+
+def _eig_bounds_entries(a, d=None, b=None):
+    """(min, max) eigenvalues of [[a, b], [conj b, d]], or of a for m = 1.
 
     Where the 2x2 closed form overflows on finite entries, those matrices
     are scaled exactly by a power of two into [-1, 1], and the eigenvalue
@@ -415,11 +426,8 @@ def _eig_bounds(values):
     it fits the float range, and positive for a positive definite matrix
     such as diag(1, 3e154).  Every other matrix keeps the closed form.
     """
-    if values.shape[-1] == 1:
-        return (values[..., 0, 0].real,) * 2
-    a = values[..., 0, 0].real
-    d = values[..., 1, 1].real
-    b = values[..., 0, 1]
+    if d is None:
+        return a, a
     with np.errstate(over="ignore", invalid="ignore"):
         half, disc = _half_disc(a, d, np.abs(b) ** 2)
         lo, hi = half - disc, half + disc
@@ -443,22 +451,42 @@ def _eig_bounds(values):
     return lo, hi
 
 
+def _eig_bounds(values):
+    """(min, max) eigenvalue arrays for stacked 1x1 or 2x2 Hermitian matrices."""
+    return _eig_bounds_entries(*_entries(values))
+
+
 def min_eig_values(values):
     return _eig_bounds(values)[0]
 
 
+def det_entries(a, d=None, b=None):
+    """det [[a, b], [conj b, d]] = a d - |b|^2, or a for m = 1."""
+    return a if d is None else a * d - np.abs(b) ** 2
+
+
 def det_values(values):
-    if values.shape[-1] == 1:
-        return values[..., 0, 0].real
-    return (values[..., 0, 0].real * values[..., 1, 1].real
-            - np.abs(values[..., 0, 1]) ** 2)
+    return det_entries(*_entries(values))
+
+
+def _gate(lo, hi, one_by_one):
+    """lambda_min > 1e-12 (1 + trace norm), from the eigenvalue bounds."""
+    norm = np.abs(lo) if one_by_one else np.abs(lo) + np.abs(hi)
+    return lo > PD_GATE * (1.0 + norm)
+
+
+def pd_gate_entries(a, d=None, b=None):
+    return _gate(*_eig_bounds_entries(a, d, b), d is None)
 
 
 def pd_gate(values):
     """Scale-aware positive-definiteness mask: lambda_min > 1e-12 (1 + tr-norm)."""
-    lo, hi = _eig_bounds(values)
-    norm = np.abs(lo) if values.shape[-1] == 1 else np.abs(lo) + np.abs(hi)
-    return lo > PD_GATE * (1.0 + norm)
+    return _gate(*_eig_bounds(values), values.shape[-1] == 1)
+
+
+def det_plus_entries(a, d=None, b=None):
+    """det_entries gated to zero unless the matrix is positive definite."""
+    return np.where(pd_gate_entries(a, d, b), det_entries(a, d, b), 0.0)
 
 
 def det_plus(matrix):
@@ -473,7 +501,7 @@ def det_plus(matrix):
     single = values.ndim == 2
     if single:
         values = values[None]
-    out = np.where(pd_gate(values), det_values(values), 0.0)
+    out = det_plus_entries(*_entries(values))
     return float(out[0]) if single else out
 
 

@@ -22,9 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .errors import PreconditionFailed, WindowTooSmall
-from .forms import background_at
-from .grid import _block_dtype, _finite, det_plus, det_values, hessian_block_values
+from .errors import NotAdmissible, PreconditionFailed, WindowTooSmall
+from .flow import FlowState, form_block_values
+# the checks read background_at through form_block_values; the name stays
+# bound here, where bench/test_bench.py checks the tracer's sibling imports
+from .forms import background_at  # noqa: F401
+from .grid import (ScalarField, _block_dtype, _entries, det_entries, det_plus_entries,
+                   hessian_block_values, pd_gate_entries)
 
 __all__ = [
     "Jet",
@@ -33,6 +37,7 @@ __all__ = [
     "touching_jets",
     "subsolution_check",
     "supersolution_check",
+    "trajectory_checks",
     "delta_lift",
     "comparison_test",
     "ComparisonVerdict",
@@ -42,6 +47,7 @@ __all__ = [
 _MAG_LO, _MAG_HI = 1e-4, 1.0
 _VIOLATION_CAP = 1000                 # a report keeps its worst violations
 _DELTA_GRID = (1e-3, 1e-2, 1e-1)      # lifts of the comparison trace
+_LN2 = math.log(2.0)
 
 
 @dataclass
@@ -55,15 +61,18 @@ class Jet:
     H_minus: np.ndarray
 
 
+def _times(times, n_slices):
+    times = np.asarray(times, dtype=np.float64)
+    if n_slices != len(times) or len(times) < 2:
+        raise ValueError("need one slice per time and at least two times")
+    if np.any(np.diff(times) <= 0):
+        raise ValueError("times must be strictly increasing")
+    return times
+
+
 def _stack(u_stack, times):
     u_stack = np.asarray(u_stack, dtype=np.float64)
-    times = np.asarray(times, dtype=np.float64)
-    if u_stack.shape[0] != len(times) or len(times) < 2:
-        raise ValueError("need one slice per time and at least two times")
-    dts = np.diff(times)
-    if np.any(dts <= 0):
-        raise ValueError("times must be strictly increasing")
-    return u_stack, times
+    return u_stack, _times(times, u_stack.shape[0])
 
 
 def _cone(grid, side, samples, seed):
@@ -94,28 +103,25 @@ def _cone(grid, side, samples, seed):
     return sign, cone
 
 
-def _slice_jet(u_stack, times, grid, n):
-    """Base jet of slice n on the lattice: the time slope (backward,
-    matching the parabolic arrow) and both block Hessians (central)."""
-    p_t = (u_stack[n] - u_stack[n - 1]) / (times[n] - times[n - 1])
-    return (p_t, hessian_block_values(u_stack[n], grid, "plus"),
-            hessian_block_values(u_stack[n], grid, "minus"))
-
-
 def touching_jets(u_stack, times, grid, spatial_index, time_index,
                   side="above", samples=4, seed=0):
     """Candidate jets of test functions touching u at one point.
 
-    The base jet is the discrete Taylor data of ``_slice_jet``; additional
-    jets perturb it within the admissible cone for the requested side.
+    The base jet is the discrete Taylor data of slice ``time_index``: the
+    time slope (backward, matching the parabolic arrow) and both block
+    Hessians (central).  The other jets perturb it within the admissible
+    cone for the requested side.
     """
     u_stack, times = _stack(u_stack, times)
     _, cone = _cone(grid, side, samples, seed)
-    if not (1 <= time_index < len(times)):
+    n = time_index
+    if not (1 <= n < len(times)):
         raise WindowTooSmall("need a backward time neighbor for the jet")
     idx = tuple(spatial_index)
-    p_t, hp, hm = (a[idx] for a in _slice_jet(u_stack, times, grid, time_index))
-    return [Jet(idx, time_index, float(p_t + dp), hp + dhp, hm + dhm)
+    p_t = ((u_stack[n] - u_stack[n - 1]) / (times[n] - times[n - 1]))[idx]
+    hp, hm = (hessian_block_values(u_stack[n], grid, block)[idx]
+              for block in ("plus", "minus"))
+    return [Jet(idx, n, float(p_t + dp), hp + dhp, hm + dhm)
             for dp, dhp, dhm in cone]
 
 
@@ -162,17 +168,145 @@ def _default_tol(grid, dt):
     return 10.0 * (h_max * h_max + dt)
 
 
-def _below_tol(slack, tol, grid, dt, lhs, rhs):
-    """Mask of slack < -tol.  The default tol is c 2^e max(1, |lhs|, |rhs|)
-    with c 2^e = 10 (h_max^2 + dt), e >= 0 and c < 1.  It is tested as
-    slack 2^-e < -c max(...): powers of two scale exactly, so that is the
-    same test, and it stays finite where the tolerance would overflow."""
+def _below_tol(slack, tol, grid, dt, lhs, rhs, e=None):
+    """Mask of slack < -tol.  The default tol is c 2^f max(1, |lhs|, |rhs|)
+    with c 2^f = 10 (h_max^2 + dt), f >= 0 and c < 1.  It is tested as
+    slack 2^-f < -c max(...): powers of two scale exactly, so that is the
+    same test, and it stays finite where the tolerance would overflow.
+    With ``e`` (an integer per point), slack, lhs and rhs are the values
+    scaled by 2^-e, and tol and the 1 of the max are scaled alike."""
     if tol is not None:
-        return slack < -tol
+        return slack < -(tol if e is None else np.ldexp(tol, -e))
     factor = _default_tol(grid, dt)
-    e = max(math.frexp(factor)[1], 0)
-    scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-    return slack * 2.0 ** -e < -math.ldexp(factor, -e) * scale
+    f = max(math.frexp(factor)[1], 0)
+    one = 1.0 if e is None else np.ldexp(1.0, -e)
+    scale = np.maximum(one, np.maximum(np.abs(lhs), np.abs(rhs)))
+    return slack * 2.0 ** -f < -math.ldexp(factor, -f) * scale
+
+
+def _jet_entries(entries, increment, op):
+    """op(form, increment) entry by entry: entry (i, j) of a stacked form
+    plus or minus a constant 2x2 (or 1x1) increment."""
+    if len(entries) == 1:
+        parts = (increment[0, 0].real,)
+    else:
+        parts = (increment[0, 0].real, increment[1, 1].real, increment[0, 1])
+    return tuple(op(x, c) for x, c in zip(entries, parts))
+
+
+def _scaled_det(entries, gated):
+    """(det 2^-s, s) at some points: the entries scaled exactly by a
+    power of two into [-1, 1] (s is that power for m = 1, twice it for
+    m = 2); where ``gated``, zero unless the matrix is positive definite,
+    as read on the entries themselves."""
+    parts = entries[:1] if len(entries) == 1 else (*entries[:2], entries[2].real,
+                                                   entries[2].imag)
+    peak = np.abs(parts[0])
+    for x in parts[1:]:
+        peak = np.maximum(peak, np.abs(x))
+    e = np.frexp(peak)[1]
+    scaled = [np.ldexp(x, -e) for x in parts]
+    if len(scaled) == 1:
+        det, s = scaled[0], e
+    else:
+        a, d, br, bi = scaled
+        det, s = a * d - (br * br + bi * bi), 2 * e
+    if gated:
+        det = np.where(pd_gate_entries(*entries), det, 0.0)
+    return det, s
+
+
+def _rescaled(sign, jet_p, jet_m, arg, zeta_p, zeta_m):
+    """(lhs, rhs, slack, e) of jets at points where their plain evaluation
+    is not finite, all three scaled by 2^-e with one integer e per point:
+    the forms' determinants by ``_scaled_det`` and the exponentials by
+    e^(x - k ln 2) = e^x 2^-k.  Each side is then at most 2 in magnitude,
+    and a slack that is still not finite has no decision."""
+    det_p, s_p = _scaled_det(jet_p, sign < 0)
+    det_m, s_m = _scaled_det(jet_m, sign > 0)
+    log_rhs = arg + zeta_p
+    e = np.ceil(np.maximum(s_p + zeta_m / _LN2, s_m + log_rhs / _LN2))
+    lhs = det_p * np.exp(zeta_m - (e - s_p) * _LN2)
+    rhs = det_m * np.exp(log_rhs - (e - s_m) * _LN2)
+    return lhs, rhs, sign * (lhs - rhs), e
+
+
+def _check_slice(state, prev, dt, n, exp_z, sides, tol):
+    """Check slice n, whose time step from the values ``prev`` is dt, for
+    each side of ``sides``, (sign, cone, report) triples.
+
+    The forms are the transient ``state``'s blocks, split once into
+    contiguous entries; a jet adds its increments to them entry by entry.
+    Where a slack is not finite, the point is decided on both sides
+    scaled by a power of two (``_rescaled``), and its slack is that value
+    scaled back, infinite where it leaves the float range; a point whose
+    decision is undefined even so is NotAdmissible, since a check cannot
+    certify it.
+    """
+    background, t = state.background, state.t
+    grid = background.grid
+    exp_zp, exp_zm = exp_z
+    # a value beyond the float range is decided scaled, below
+    with np.errstate(over="ignore", invalid="ignore"):
+        # the time slope is backward, matching the parabolic arrow
+        p_t = (state.u.values - prev) / dt
+        Fv = background.F_at(t)
+        plus, minus = (tuple(np.ascontiguousarray(x) for x in _entries(form))
+                       for form in form_block_values(state))
+        for sign, cone, report in sides:
+            # the one-sided inequality gates the block the cone does not
+            # force elliptic: the minus block from above, the plus block
+            # from below
+            det_p, det_m = ((det_entries, det_plus_entries) if sign > 0
+                            else (det_plus_entries, det_entries))
+            for dp, dhp, dhm in cone:
+                jet_p = _jet_entries(plus, dhp, np.add)
+                jet_m = _jet_entries(minus, dhm, np.subtract)
+                arg = p_t + dp + Fv
+                lhs = det_p(*jet_p) * exp_zm
+                rhs = np.exp(arg) * det_m(*jet_m) * exp_zp
+                slack = sign * (lhs - rhs)
+                below = _below_tol(slack, tol, grid, dt, lhs, rhs)
+                bad = ~np.isfinite(slack)
+                if bad.any():
+                    at = lambda x: np.broadcast_to(x, slack.shape)[bad]
+                    lhs_s, rhs_s, slack_s, e = _rescaled(
+                        sign, [at(x) for x in jet_p], [at(x) for x in jet_m], at(arg),
+                        at(background.zeta_plus.values), at(background.zeta_minus.values))
+                    undefined = ~np.isfinite(slack_s)
+                    if undefined.any():
+                        flat = np.flatnonzero(bad)[np.argmax(undefined)]
+                        point = tuple(int(i) for i in np.unravel_index(flat, slack.shape))
+                        raise NotAdmissible(f"{report.side}solution check slack is not "
+                                            f"finite at point {point}, t={t:.6g}",
+                                            point=point)
+                    # |e| beyond 2^20 saturates ldexp as it is
+                    e = np.clip(e, -2 ** 20, 2 ** 20).astype(np.int64)
+                    below[bad] = _below_tol(slack_s, tol, grid, dt, lhs_s, rhs_s, e)
+                    slack[bad] = np.ldexp(slack_s, e)
+                report.n_points_checked += slack.size
+                # only this jet's worst _VIOLATION_CAP can reach the report;
+                # the stable sort keeps ties in lattice order
+                bad = np.flatnonzero(below)
+                worst = bad[np.argsort(slack.flat[bad], kind="stable")[:_VIOLATION_CAP]]
+                points = np.transpose(np.unravel_index(worst, slack.shape)).tolist()
+                report.violations += [
+                    Violation(tuple(point), n, t, value, report.side)
+                    for point, value in zip(points, slack.flat[worst].tolist())]
+
+
+def _sides(grid, sides, samples, seed):
+    """(sign, cone, report) per side; side i samples its cone with seed + i."""
+    out = []
+    for i, side in enumerate(sides):
+        sign, cone = _cone(grid, side, samples, seed + i)
+        out.append((sign, cone, ViolationReport(side="sub" if sign > 0 else "super")))
+    return out
+
+
+def _exp_z(background):
+    with np.errstate(over="ignore"):
+        return np.exp(background.zeta_plus.values), np.exp(background.zeta_minus.values)
 
 
 def _run_check(u_stack, times, background, tol, samples, seed, side):
@@ -180,40 +314,13 @@ def _run_check(u_stack, times, background, tol, samples, seed, side):
     grid = background.grid
     if u_stack.shape[1:] != grid.shape:
         raise ValueError("stack slices must live on the background grid")
-    sign, cone = _cone(grid, side, samples, seed)
-    # the one-sided inequality gates the block the cone does not force
-    # elliptic: the minus block from above, the plus block from below
-    det_p, det_m = (det_values, det_plus) if sign > 0 else (det_plus, det_values)
-
-    report = ViolationReport(side="sub" if sign > 0 else "super")
-    # a value beyond the float range makes its slack non-finite, which is
-    # the typed error of _finite: a check cannot certify it
-    with np.errstate(over="ignore", invalid="ignore"):
-        exp_zp = np.exp(background.zeta_plus.values)
-        exp_zm = np.exp(background.zeta_minus.values)
-        for n in range(1, len(times)):
-            t = float(times[n])
-            dt = float(times[n] - times[n - 1])
-            bg = background_at(background, t)
-            Fv = background.F_at(t)
-            p_t, hp, hm = _slice_jet(u_stack, times, grid, n)
-            plus = bg.omega_hat_plus.values + hp
-            minus = bg.omega_hat_minus.values - hm
-            for dp, dhp, dhm in cone:
-                lhs = det_p(plus + dhp) * exp_zm
-                rhs = np.exp(p_t + dp + Fv) * det_m(minus - dhm) * exp_zp
-                slack = sign * (lhs - rhs)
-                _finite(grid, slack, f"{report.side}solution check slack", t)
-                report.n_points_checked += slack.size
-                # only this jet's worst _VIOLATION_CAP can reach the report;
-                # the stable sort keeps ties in lattice order
-                bad = np.flatnonzero(_below_tol(slack, tol, grid, dt, lhs, rhs))
-                worst = bad[np.argsort(slack.flat[bad], kind="stable")[:_VIOLATION_CAP]]
-                points = np.transpose(np.unravel_index(worst, slack.shape)).tolist()
-                report.violations += [
-                    Violation(tuple(point), n, t, value, report.side)
-                    for point, value in zip(points, slack.flat[worst].tolist())]
-    return report.finalize()
+    sides = _sides(grid, (side,), samples, seed)
+    exp_z = _exp_z(background)
+    for n in range(1, len(times)):
+        state = FlowState(float(times[n]), ScalarField(grid, u_stack[n]), background)
+        _check_slice(state, u_stack[n - 1], float(times[n] - times[n - 1]), n, exp_z,
+                     sides, tol)
+    return sides[0][2].finalize()
 
 
 def subsolution_check(u_stack, times, background, tol=None, samples=4, seed=0):
@@ -229,6 +336,29 @@ def subsolution_check(u_stack, times, background, tol=None, samples=4, seed=0):
 def supersolution_check(v_stack, times, background, tol=None, samples=4, seed=0):
     """Dual check: jets touch from below, gating swaps blocks."""
     return _run_check(v_stack, times, background, tol, samples, seed, "below")
+
+
+def trajectory_checks(traj, tol=None, samples=4, seed=0):
+    """(sub report, super report) of a flow trajectory, in one pass per slice.
+
+    Bitwise ``subsolution_check`` (with ``seed``) and ``supersolution_check``
+    (with ``seed + 1``) on the stack of its states.  Each slice's forms
+    are taken once, for both sides, from ``flow.form_block_values`` on a
+    transient state: the final state's blocks, which ``run`` keeps, are
+    read as they are, and no other slice's blocks outlive its check.
+    """
+    states = traj.states
+    times = _times([s.t for s in states], len(states))
+    background = states[0].background
+    sides = _sides(background.grid, ("above", "below"), samples, seed)
+    exp_z = _exp_z(background)
+    for n in range(1, len(times)):
+        s, prev = states[n], states[n - 1]
+        state = FlowState(s.t, s.u, s.background, _blocks=s._blocks, _slice=s._slice,
+                          _report=s._report)
+        _check_slice(state, prev.u.values, float(times[n] - times[n - 1]), n, exp_z,
+                     sides, tol)
+    return tuple(report.finalize() for _, _, report in sides)
 
 
 def delta_lift(v_stack, times, delta, T):

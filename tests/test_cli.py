@@ -1,5 +1,6 @@
 import configparser
 import contextlib
+import hashlib
 import io
 import os
 import re
@@ -13,9 +14,15 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from twistedma import BicomplexGrid, ScalarField, flow, save_field
+import scipy
+
+import twistedma
+from twistedma import (BicomplexGrid, ScalarField, cli, flow, grid, load_field,
+                       save_field, viscosity)
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
 from twistedma.errors import BarrierViolation, ConfigError
+
+from conftest import log_space_violations
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -101,6 +108,42 @@ class TestRunScenario:
             assert (tmp_path / fname).exists()
         assert any(l.startswith("checks_passed = True") for l in lines)
         assert not any(l.startswith("t_end_reached") for l in lines)
+
+    def test_run_info_parses_with_every_key(self, tmp_path):
+        code, _ = run_scenario(scenario("cosine_decay.cfg"), tmp_path, seed=5)
+        assert code == 0
+        info = dict(line.split(" = ", 1)
+                    for line in (tmp_path / "run_info.txt").read_text().splitlines())
+        assert list(info) == ["twistedma_version", "numpy_version", "scipy_version",
+                              "config_sha256", "seed", "flow_s", "checks_s",
+                              "roundtrip_s", "artifacts_s"]
+        assert info["twistedma_version"] == twistedma.__version__
+        assert info["numpy_version"] == np.__version__
+        assert info["scipy_version"] == scipy.__version__
+        assert info["seed"] == "5"
+        cfg = replace(load_config(scenario("cosine_decay.cfg")), seed=5)
+        assert info["config_sha256"] == hashlib.sha256(repr(cfg).encode()).hexdigest()
+        phases = {k: float(info[k]) for k in ("flow_s", "checks_s", "roundtrip_s",
+                                              "artifacts_s")}
+        # cosine_decay runs its checks but not the roundtrip
+        assert phases["roundtrip_s"] == 0.0
+        assert all(0.0 < v < 60.0 for k, v in phases.items() if k != "roundtrip_s")
+
+    def test_six_hessians_per_drift_run(self, tmp_path, monkeypatch):
+        # 2 for the t = 0 state, 2 for the one step's state, 2 for the
+        # roundtrip's square_operator: the checks read the final state's
+        # blocks (10 calls when each side took its own Hessians)
+        calls = []
+        real = grid.hessian_block_values
+
+        def counted(*args, **kwargs):
+            calls.append(args[0].shape)
+            return real(*args, **kwargs)
+        for module in (grid, flow, viscosity):
+            monkeypatch.setattr(module, "hessian_block_values", counted)
+        code, lines = run_scenario(scenario("drift_k2l2.cfg"), tmp_path)
+        assert code == 0 and "steps = 1" in lines
+        assert len(calls) == 6
 
     def test_summary_carries_run_statistics(self, tmp_path):
         code, lines = run_scenario(scenario("cosine_decay.cfg"), tmp_path)
@@ -282,17 +325,13 @@ class TestMain:
          ["--override-tau-star"], 3),
         ("finite_tau_star.cfg", "omega_plus = 1\nomega_minus = 1\nchi_plus = 2",
          "omega_plus = 1e-300\nomega_minus = 1\nchi_plus = -1e300", [], 3),
-        # the checks' tolerance once overflowed; now a jet's exp(u_t) does
-        ("flat_stationary.cfg", "n = 8\n\n[background]\nomega_plus = 1\n",
-         "n = 4\n\n[background]\nomega_plus = 1.7e308\n", [], 3),
         # tau* = 5e-311 once overflowed in the whitening
         ("finite_tau_star.cfg", "omega_plus = 1\n", "omega_plus = 1e-310\n", [], 2),
         ("finite_tau_star.cfg", "omega_plus = 1\n", "omega_plus = 1e-310\n",
          ["--override-tau-star"], 3),
     ], ids=["no_t_end", "no_k", "negative_seed", "negative_seed_option", "zero_count",
             "period_1e308", "omega_minus_1e-300", "chi_plus_1e300",
-            "omega_chi_ratio_overflow", "omega_plus_1.7e308_checks",
-            "omega_plus_subnormal", "omega_plus_subnormal_override"])
+            "omega_chi_ratio_overflow", "omega_plus_subnormal", "omega_plus_subnormal_override"])
     def test_mutated_scenario_typed_error(self, tmp_path, capsys, name, old, new, extra, code):
         # inputs that once ended in a traceback (or a float warning)
         text = open(scenario(name)).read()
@@ -302,6 +341,30 @@ class TestMain:
         assert main(["run", str(p), "--out", str(tmp_path / "o")] + extra) == code
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+
+    def test_check_slack_overflow_decided(self, tmp_path, capsys):
+        # omega_plus = 1.7e308 makes u_t = log(1.7e308) = 709.7, and a jet's
+        # exp(u_t + c) overflows: once exit 3, each such point is now decided
+        # on both sides scaled by a power of two, as in log space
+        text = open(scenario("flat_stationary.cfg")).read()
+        old = "n = 8\n\n[background]\nomega_plus = 1\n"
+        assert old in text
+        p = tmp_path / "overflow.cfg"
+        p.write_text(text.replace(old, "n = 4\n\n[background]\nomega_plus = 1.7e308\n"))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "sub_check_ok = True (0 violations)" in summary
+        assert "super_check_ok = True (0 violations)" in summary
+        cfg = load_config(str(p))
+        stack = np.stack([load_field(out / f).values for f in ("initial.bin", "final.bin")])
+        times = np.array([0.0, cfg.t_end])
+        # the plain evaluation overflows: the base jet's exp(u_t) is within
+        # a factor e of the float maximum, and jets raise u_t by up to 1
+        assert abs(stack[1].max() / cfg.t_end - np.log(1.7e308)) < 1e-9
+        bg = cli._build_background(cfg)
+        for side, seed in (("above", cfg.seed), ("below", cfg.seed + 1)):
+            assert log_space_violations(stack, times, bg, side, cfg.jet_samples, seed) == {}
 
     def test_t_end_below_absolute_tolerance_is_reached(self, tmp_path):
         text = open(scenario("flat_stationary.cfg")).read()

@@ -376,6 +376,27 @@ class TestRun:
         traj = run(state, 0.05, emit_every=1, keep_states="none")
         assert len(traj.states) == 1 and traj.states[0].t == traj.rows[-1][0]
 
+    @pytest.mark.parametrize("keep", ["emitted", "none"])
+    @pytest.mark.parametrize("k,l", [(1, 1), (2, 1)])
+    def test_final_state_keeps_its_blocks(self, keep, k, l):
+        # the final state carries the forms the flow built for it, bitwise
+        # those of a fresh state; emitted copies carry none
+        g = BicomplexGrid.regular(k, l, 4)
+        bg = flat_background(g, chi_plus=HermitianMatrixField.constant(
+            g, "plus", 0.3 * np.eye(k)))
+        traj = run(FlowState(0.0, cos_axis_field(g, 1, amplitude=0.05), bg), 0.05,
+                   emit_every=1, keep_states=keep)
+        final = traj.states[-1]
+        fresh = FlowState(final.t, final.u.copy(), bg)
+        for kept, built in zip(final._blocks, flow.form_block_values(fresh)):
+            assert kept.dtype == built.dtype and np.array_equal(kept, built)
+        assert final._report == admissibility(fresh)
+        assert final._slice is not None
+        assert final._rhs is None and final._last_step is None
+        assert all(s._blocks is None for s in traj.states[:-1])
+        assert [s.t for s in traj.states] == ([r[0] for r in traj.rows] if keep == "emitted"
+                                              else [traj.rows[-1][0]])
+
     def test_step_cap_short_of_t_end_recorded(self, monkeypatch):
         g = BicomplexGrid.regular(1, 1, 16)
         state = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3), flat_background(g))

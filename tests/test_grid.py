@@ -448,6 +448,42 @@ class TestEigBoundsRange:
         assert min_eig_values(bg.omega0_plus.values).min() == 1.0
 
 
+class TestEntryKernels:
+    # the float-extreme matrices of TestEigBoundsRange, indefinite ones,
+    # and an increment added entry by entry as the viscosity jets add it
+    MATRICES = [case[0] for case in TestEigBoundsRange.REAL + TestEigBoundsRange.COMPLEX] + [
+        [[2.0, 1.0 - 1.0j], [1.0 + 1.0j, -3.0]], [[1e-300, 0.0], [0.0, 1e-300]],
+        [[0.0, 0.0], [0.0, 0.0]]]
+
+    @pytest.mark.parametrize("m", [1, 2])
+    @pytest.mark.parametrize("sign", [1.0, -1.0])
+    def test_entries_give_the_stacked_bits(self, rng, m, sign):
+        if m == 2:
+            values = np.array(self.MATRICES, dtype=np.complex128)
+            v = rng.standard_normal(2) + 1j * rng.standard_normal(2)
+            inc = sign * 0.37 * np.outer(v, v.conj())
+            parts = (inc[0, 0].real, inc[1, 1].real, inc[0, 1])
+        else:
+            values = np.array([[[x]] for x in (1.7e308, -1.7e308, 5e-324, 0.0, -2.0, 3.0)])
+            inc = sign * np.array([[0.37]])
+            parts = (inc[0, 0],)
+        entries = tuple(np.ascontiguousarray(x) + c
+                        for x, c in zip(grid_module._entries(values), parts))
+        stacked = values + inc
+        with np.errstate(over="ignore", invalid="ignore"):
+            pairs = [(grid_module.det_entries(*entries), det_values(stacked)),
+                     (grid_module.pd_gate_entries(*entries), pd_gate(stacked)),
+                     (grid_module.det_plus_entries(*entries), det_plus(stacked))]
+            pairs += list(zip(grid_module._eig_bounds_entries(*entries), _eig_bounds(stacked)))
+        for got, want in pairs:
+            assert got.dtype == want.dtype
+            assert np.array_equal(got, want, equal_nan=True)
+        # the extremes keep the overflow-safe branch: diag(1, 3e154) is
+        # positive definite with lambda_min 1
+        if m == 2:
+            assert grid_module._eig_bounds_entries(*grid_module._entries(values))[0][0] == 1.0
+
+
 class TestSerialization:
     def test_roundtrip(self, small_grid, rng, tmp_path):
         u = bandlimited_field(small_grid, rng)

@@ -4,13 +4,14 @@ import pytest
 from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
                        ScalarField, background_at, barriers, comparison_test,
                        delta_lift, flat_background, run, subsolution_check,
-                       sup_patch, supersolution_check, touching_jets)
+                       sup_patch, supersolution_check, touching_jets,
+                       trajectory_checks)
 from twistedma.errors import NotAdmissible, PreconditionFailed, WindowTooSmall
 from twistedma.grid import det_plus, det_values, hessian_block_values
 from twistedma import viscosity
 from twistedma.viscosity import Violation, ViolationReport
 
-from conftest import cos_axis_field
+from conftest import bandlimited_field, cos_axis_field, log_space_violations
 
 
 @pytest.fixture
@@ -202,13 +203,68 @@ class TestFloatRange:
         got = viscosity._below_tol(slack, None, grid16, dt, lhs, rhs)
         assert np.array_equal(got, slack < -tol) and 0 < got.sum() < got.size
 
-    def test_slack_beyond_float_range_is_typed(self, grid16):
-        # a time slope of 709.9 makes exp(u_t) overflow at every point
+    def test_slack_beyond_float_range_is_decided(self, grid16):
+        # a time slope of 709.9 makes exp(u_t) overflow at every point; each
+        # point is decided scaled by a power of two, as in log space (the
+        # default tolerance, above 1 on this grid, passes both checks)
         times = np.array([0.0, 0.01])
         stack = sloped_stack(ScalarField.zeros(grid16), times, 709.9)
-        with pytest.raises(NotAdmissible, match=r"^supersolution check slack is not "
+        bg = flat_background(grid16)
+        for tol in (None, 1.0):
+            sup = supersolution_check(stack, times, bg, tol=tol, samples=2, seed=1)
+            assert sup.ok and sup.n_points_checked == 3 * grid16.size
+            assert log_space_violations(stack, times, bg, "below", 2, 1, tol) == {}
+        assert subsolution_check(stack, times, bg, samples=2).ok
+        assert log_space_violations(stack, times, bg, "above", 2, 0) == {}
+        sub = subsolution_check(stack, times, bg, tol=1.0, samples=2)
+        ref = log_space_violations(stack, times, bg, "above", 2, 0, 1.0)
+        # every point fails; the report keeps a thousand of them
+        assert len(ref) == grid16.size and len(sub.violations) == 1000
+        assert {(v.time_index, v.spatial_index) for v in sub.violations} <= set(ref)
+        # e^709.9 is beyond the float range, and so is every slack
+        assert all(v.slack == -np.inf for v in sub.violations)
+        assert min(ref.values()) > np.log(np.finfo(float).max)
+
+    @pytest.mark.parametrize("slope,tol", [(720.0, None), (720.0, 1e300),
+                                           (np.log(1.7e308) + 5.001, 1e300)])
+    def test_scaled_decision_matches_log_space(self, slope, tol):
+        # lhs = 1.7e308 e^5 and rhs = e^(slope - c) det overflow on both
+        # sides: the subsolution check fails where the log-space slack does,
+        # the supersolution check holds, and a slack beyond the float range
+        # is -inf.  A slope 1e-3 above log lhs leaves the base jet's slack
+        # within the range
+        g = BicomplexGrid.regular(1, 1, 4, period=1.0)
+        bg = flat_background(g, zeta_minus=ScalarField(g, np.full(g.shape, 5.0)),
+                             omega0_plus=HermitianMatrixField.constant(g, "plus", [[1.7e308]]))
+        times = np.array([0.0, 0.01])
+        stack = sloped_stack(cos_axis_field(g, 1, 1e-3), times, slope)
+        log_max = np.log(np.finfo(float).max)
+        refs = {}
+        for check, side, seed in ((subsolution_check, "above", 3),
+                                  (supersolution_check, "below", 4)):
+            report = check(stack, times, bg, tol=tol, samples=2, seed=seed)
+            ref = refs[side] = log_space_violations(stack, times, bg, side, 2, seed, tol)
+            got = {}
+            for v in report.violations:
+                key = (v.time_index, v.spatial_index)
+                got[key] = min(got.get(key, np.inf), v.slack)
+            assert set(got) == set(ref)
+            assert bool(ref) == (side == "above")
+            for key, log_slack in ref.items():
+                if log_slack > log_max + 1e-9:
+                    assert got[key] == -np.inf
+                else:
+                    assert np.log(-got[key]) == pytest.approx(log_slack, rel=1e-12)
+        assert (min(refs["above"].values()) < log_max) == (slope < 715.0)
+
+    def test_undefined_decision_is_typed(self, grid16):
+        # a slice of 1e308 cos x: its time slope and Hessian leave the float
+        # range, and no scaling gives the slack a value
+        times = np.array([0.0, 0.01])
+        stack = np.stack([np.zeros(grid16.shape), cos_axis_field(grid16, 0, 1e308).values])
+        with pytest.raises(NotAdmissible, match=r"^subsolution check slack is not "
                                                 r"finite at point \(0, 0, 0, 0\), t=0\.01$"):
-            supersolution_check(stack, times, flat_background(grid16), samples=2)
+            subsolution_check(stack, times, flat_background(grid16), samples=2)
 
 
 class TestDeltaLift:
@@ -500,3 +556,59 @@ class TestAgainstReference:
             # the check adds a jet's increments to the form, the jet to its
             # Hessian: the two orders round differently
             assert from_jets == pytest.approx(from_check, rel=1e-12, abs=1e-14)
+
+
+class TestTrajectoryChecks:
+    @staticmethod
+    def trajectory(k, l, drift):
+        """A run of several emitted slices on 4^(2k + 2l) points."""
+        rng = np.random.default_rng(100 + 10 * k + l + drift)
+        g = BicomplexGrid.regular(k, l, 4, period=1.0)
+        bg = drifting_background(g, rng) if drift else flat_background(g)
+        u0 = bandlimited_field(g, rng, max_mode=1, amp=0.02)
+        # several steps, fewer on the larger grids
+        traj = run(FlowState(0.0, u0, bg), 0.02 * 4.0 ** (4 - k - l), emit_every=1)
+        assert len(traj.states) >= 3
+        return traj
+
+    @pytest.mark.parametrize("drift", [False, True], ids=["static", "drifting"])
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_one_pass_is_the_stack_checks(self, k, l, drift):
+        traj = self.trajectory(k, l, drift)
+        bg = traj.states[0].background
+        stack = np.stack([s.u.values for s in traj.states])
+        times = np.array([s.t for s in traj.states])
+        counts = []
+        for tol in (None, 0.0):
+            sub, sup = trajectory_checks(traj, tol=tol, samples=3, seed=7)
+            refs = (subsolution_check(stack, times, bg, tol=tol, samples=3, seed=7),
+                    supersolution_check(stack, times, bg, tol=tol, samples=3, seed=8))
+            for got, ref in zip((sub, sup), refs):
+                assert got.violations == ref.violations
+                assert got.worst_slack == ref.worst_slack
+                assert got.n_points_checked == ref.n_points_checked
+                assert got.n_points_checked == 4 * (len(times) - 1) * bg.grid.size
+                counts.append(len(got.violations))
+        # the flow passes its default-tolerance checks; tol = 0 flags roundoff
+        assert counts[:2] == [0, 0] and sum(counts[2:]) > 0
+
+    def test_reads_the_final_blocks_and_keeps_the_rest_unbuilt(self, monkeypatch):
+        traj = self.trajectory(1, 1, True)
+        calls = []
+        real = viscosity.form_block_values
+
+        def counted(state):
+            calls.append(state._blocks is not None)
+            return real(state)
+        monkeypatch.setattr(viscosity, "form_block_values", counted)
+        trajectory_checks(traj, samples=1)
+        # one lookup per slice n >= 1: only the final one finds its blocks
+        assert calls == [False] * (len(traj.states) - 2) + [True]
+        assert all(s._blocks is None for s in traj.states[:-1])
+
+    def test_needs_two_states(self):
+        traj = run(FlowState(0.0, ScalarField.zeros(BicomplexGrid.regular(1, 1, 4)),
+                             flat_background(BicomplexGrid.regular(1, 1, 4))),
+                   0.1, keep_states="none")
+        with pytest.raises(ValueError, match="at least two times"):
+            trajectory_checks(traj)
