@@ -121,6 +121,14 @@ class ScenarioConfig:
                 # numpy's integer or real scalars: no bool, str or int beyond 64 bits
                 if np.ndim(value) != 0 or np.asarray(value).dtype.kind not in kinds:
                     raise ConfigError(f"{name} must be {what}, not {value!r}")
+        for name, kind, what in (
+                ("grid", BicomplexGrid, "a BicomplexGrid"), ("forcing", str, "a string"),
+                ("initial_kind", str, "a string"), ("initial_file", str, "a string"),
+                ("check_viscosity", (bool, np.bool_), "a boolean"),
+                ("check_roundtrip", (bool, np.bool_), "a boolean")):
+            value = getattr(self, name)
+            if not isinstance(value, kind):
+                raise ConfigError(f"{name} must be {what}, not {value!r}")
         if self.forcing not in ("none", "sin", "const"):
             raise ConfigError(f"background: unknown forcing {self.forcing!r}")
         if self.initial_kind not in ("zero", "cosine", "file"):

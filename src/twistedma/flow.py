@@ -46,12 +46,12 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.fft
 
 from .errors import BarrierViolation, NotAdmissible
 from .forms import background_at
 from .grid import (ScalarField, _finite, _l1_bound, det_values,
                    hessian_block_values, hessian_symbols, min_eig_values)
+from .potential import _irfftn, _rfftn
 
 __all__ = [
     "FlowState",
@@ -252,9 +252,13 @@ def _remainder_dt(state, safety):
     for values, mean, norm, margin in zip(form_block_values(state), lin.mean_forms,
                                           lin.norms, (report.plus_margin,
                                                       report.minus_margin)):
-        # beyond the float range: inf, and the min keeps the other bound
+        # ||form - mean||_F^2 entry by entry, in the order of a sum over the
+        # matrix axes; beyond the float range: inf, and the min keeps the
+        # other bound
+        m = len(mean)
         with np.errstate(over="ignore"):
-            dev = np.square(np.abs(values - mean)).sum(axis=(-2, -1)).max()
+            dev = sum(np.square(np.abs(values[..., i, j] - mean[i, j]))
+                      for i in range(m) for j in range(m)).max()
         stiffness.append(min(norm * math.sqrt(float(dev)), max(1.0, norm * margin))
                          / margin)
     return _parabolic_bound(state.u.grid, safety, stiffness)
@@ -330,7 +334,7 @@ def step(state, dt, prev=None, fallback_dt=None):
     # an rhs near the float range overflows inside the transforms; the
     # new u is checked for it instead
     with np.errstate(over="ignore", invalid="ignore"):
-        rhs_hat = scipy.fft.rfftn(rhs.values)
+        rhs_hat = _rfftn(rhs.values)
         gain = _phi1_gain(dt, symbol)
         update = rhs_hat * gain
         if prev is not None:
@@ -346,7 +350,7 @@ def step(state, dt, prev=None, fallback_dt=None):
                 if fallback_dt is not None and fallback_dt != dt:
                     dt = fallback_dt
                     update = rhs_hat * _phi1_gain(dt, symbol)
-        values = state.u.values + scipy.fft.irfftn(update, s=grid.shape)
+        values = state.u.values + _irfftn(update, grid.shape)
     new_u = _finite(grid, values, "u", state.t + dt)
     new = FlowState(state.t + dt, new_u, state.background)
     admissibility(new)    # its record, which run's bounds and row read

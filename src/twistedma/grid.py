@@ -285,15 +285,15 @@ def _l1_bound(pair, shape):
     and imaginary parts have the ``rfftn`` half spectra ``pair`` (a None
     part is zero; a real field passes its one spectrum).  On the half
     spectrum a mode counts twice, except the last axis' index 0 and, for
-    an even count, n/2."""
-    n = shape[-1]
-    weight = np.full(n // 2 + 1, 2.0)
-    weight[0] = 1.0
-    if n % 2 == 0:
-        weight[-1] = 1.0
-    lead = tuple(range(len(shape) - 1))
-    return sum(float(weight @ np.abs(p).sum(axis=lead))
-               for p in pair if p is not None) / np.prod(shape)
+    an even count, n/2: 2 sum |p| - sum |p[..., 0]| - sum |p[..., n/2]|,
+    each a whole-array sum."""
+    total = 0.0
+    for p in pair:
+        if p is not None:
+            a = np.abs(p)
+            total += float(2.0 * a.sum() - a[..., 0].sum()
+                           - (a[..., -1].sum() if shape[-1] % 2 == 0 else 0.0))
+    return total / np.prod(shape)
 
 
 def _shift(values, axis, step):
@@ -470,9 +470,12 @@ def det_values(values):
 
 
 def _gate(lo, hi, one_by_one):
-    """lambda_min > 1e-12 (1 + trace norm), from the eigenvalue bounds."""
-    norm = np.abs(lo) if one_by_one else np.abs(lo) + np.abs(hi)
-    return lo > PD_GATE * (1.0 + norm)
+    """lambda_min > 1e-12 (1 + trace norm), from the eigenvalue bounds.
+
+    Both sides are halved, exactly, so that the trace norm of a matrix
+    near the float maximum such as diag(1e308, 1e308) stays finite."""
+    half = 0.5 * np.abs(lo) if one_by_one else 0.5 * np.abs(lo) + 0.5 * np.abs(hi)
+    return 0.5 * lo > PD_GATE * (0.5 + half)
 
 
 def pd_gate_entries(a, d=None, b=None):

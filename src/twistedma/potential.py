@@ -38,6 +38,7 @@ __all__ = [
 ]
 
 _symbol_cache = {}
+_dense_cache = {}
 
 #: relative margin the l1 certificate keeps below the tolerance, far above
 #: the roundoff of the transforms and sums (a few ulps times log2 N)
@@ -93,6 +94,88 @@ def _grid_symbols(grid):
     return _symbol_cache[key]
 
 
+def _dft(n):
+    """The n-point DFT matrix exp(-2 pi i jk / n), indexed by jk mod n into
+    pocketfft's twiddles: exactly symmetric, and exact at the quarter turns."""
+    k = np.arange(n)
+    return np.fft.fft((k == 1).astype(float))[np.outer(k, k) % n]
+
+
+def _dense_plan(shape):
+    """The matrices of the dense transform pair on ``shape``, built once per
+    shape, or None where ``scipy.fft`` is faster.
+
+    A pair of axes (x_c, y_c) merges into one axis of P = n_x n_y points,
+    on which the pair's 2-D DFT is one product by kron(F, F).  A dense
+    pass costs about P complex multiply-adds per point, against a few
+    passes of pocketfft per axis, so it is taken on a grid of at least
+    three pairs of at most 64 points whose leading sizes plus half the
+    last one stay within 32 per pair (the crossover table in CHANGES.md).
+    The last pair's half spectrum kron(F, F[:h]) is applied to the real
+    values as one real matrix whose columns interleave re and im, so that
+    the product is a complex128 view; its inverse, which takes the real
+    part and so counts every mode of the last axis but 0 and n/2 twice,
+    is the real matrix of (re, im) rows.
+    """
+    if shape not in _dense_cache:
+        sizes = [a * b for a, b in zip(shape[::2], shape[1::2])]
+        plan = None
+        if (len(sizes) >= 3 and max(sizes) <= 64
+                and sum(sizes[:-1]) + sizes[-1] / 2 <= 32 * len(sizes)):
+            (n1, n2), h = shape[-2:], shape[-1] // 2 + 1
+            weight = np.full(h, 2.0 / n2)
+            weight[0] = 1.0 / n2
+            if n2 % 2 == 0:
+                weight[-1] = 1.0 / n2
+            fwd = np.kron(_dft(n1), _dft(n2)[:h])                          # (n1 h, n1 n2)
+            inv = np.kron(_dft(n1).conj() / n1, _dft(n2)[:h].conj().T * weight)
+            fwd_real = np.empty((n1 * n2, 2 * n1 * h))
+            fwd_real[:, 0::2], fwd_real[:, 1::2] = fwd.real.T, fwd.imag.T
+            inv_real = np.empty((2 * n1 * h, n1 * n2))
+            inv_real[0::2], inv_real[1::2] = inv.real.T, -inv.imag.T
+            lead = [np.kron(_dft(a), _dft(b)) for a, b in zip(shape[:-2:2], shape[1:-2:2])]
+            plan = (fwd_real, inv_real, lead, [m.conj() / len(m) for m in lead])
+        _dense_cache[shape] = plan
+    return _dense_cache[shape]
+
+
+def _lead_pairs(spec, mats):
+    """Each leading pair's matrix (symmetric) on the first axis of ``spec``,
+    which then moves to the end: (P0, ..., L) in, (L, P0, ...) out."""
+    for m in mats:
+        spec = spec.reshape(len(m), -1).T @ m
+    return spec
+
+
+def _rfftn(values):
+    """``scipy.fft.rfftn(values)``: the same half spectrum, by dense pair
+    products on the grids of ``_dense_plan``."""
+    plan = _dense_plan(values.shape)
+    if plan is None:
+        return scipy.fft.rfftn(values)
+    fwd, _, lead, _ = plan
+    # non-finite values propagate silently, as in pocketfft
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = np.ascontiguousarray(values, dtype=np.float64).reshape(-1, len(fwd)) @ fwd
+        spec = _lead_pairs(spec.view(np.complex128), lead)
+    half = values.shape[:-1] + (values.shape[-1] // 2 + 1,)
+    return np.ascontiguousarray(spec.reshape(fwd.shape[1] // 2, -1).T).reshape(half)
+
+
+def _irfftn(spectrum, shape):
+    """``scipy.fft.irfftn(spectrum, s=shape)``, with its semantics (the
+    imaginary part of the self-conjugate planes is ignored), by dense pair
+    products on the grids of ``_dense_plan``."""
+    plan = _dense_plan(shape)
+    if plan is None:
+        return scipy.fft.irfftn(spectrum, s=shape)
+    _, inv, _, lead = plan
+    with np.errstate(over="ignore", invalid="ignore"):
+        spec = _lead_pairs(np.ascontiguousarray(spectrum, dtype=np.complex128), lead)
+        spec = np.ascontiguousarray(spec.reshape(len(inv) // 2, -1).T)
+        return (spec.view(np.float64).reshape(-1, len(inv)) @ inv).reshape(shape)
+
+
 def _entry_spectra(omega):
     """(rfftn of Re omega_ij, rfftn of Im omega_ij) for every i <= j.
 
@@ -104,8 +187,8 @@ def _entry_spectra(omega):
     for i in range(m):
         for j in range(i, m):
             entry = np.broadcast_to(omega.values[..., i, j], omega.grid.shape)
-            out[i, j] = (scipy.fft.rfftn(entry.real),
-                         None if i == j else scipy.fft.rfftn(entry.imag))
+            out[i, j] = (_rfftn(entry.real),
+                         None if i == j else _rfftn(entry.imag))
     return out
 
 
@@ -143,7 +226,7 @@ def _plus(x, y):
 def _to_lattice(pair, shape):
     """The lattice field whose real and imaginary parts have the half
     spectra ``pair`` (a None part is zero)."""
-    re, im = (None if p is None else scipy.fft.irfftn(p, s=shape) for p in pair)
+    re, im = (None if p is None else _irfftn(p, shape) for p in pair)
     return re if im is None else re + 1j * im
 
 

@@ -1,12 +1,15 @@
 import configparser
 import contextlib
+import dataclasses
 import hashlib
 import io
+import math
 import os
 import re
 import subprocess
 import sys
 import tempfile
+import unittest.mock
 from dataclasses import replace
 
 import numpy as np
@@ -20,7 +23,7 @@ import twistedma
 from twistedma import (BicomplexGrid, ScalarField, cli, flow, grid, load_field,
                        save_field, viscosity)
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
-from twistedma.errors import BarrierViolation, ConfigError
+from twistedma.errors import BarrierViolation, ConfigError, TwistedMAError
 
 from conftest import log_space_violations
 
@@ -74,7 +77,8 @@ class TestLoadConfig:
         ("emit_every", 10.0), ("seed", 1.5), ("jet_samples", 1.5),
         ("zeta_plus", "0"), ("zeta_minus", None), ("forcing_amplitude", True),
         ("initial_amplitude", 1j), ("t_end", "0.1"), ("safety", np.array([0.5])),
-        ("tolerance", "1e-8")])
+        ("tolerance", "1e-8"), ("grid", 1.0), ("forcing", None), ("initial_kind", 1),
+        ("initial_file", True), ("check_viscosity", 1.5), ("check_roundtrip", "no")])
     def test_api_config_field_types(self, field, value):
         # each field's type is checked, so a config built in code fails
         # with a ConfigError rather than a TypeError later in the run
@@ -602,3 +606,39 @@ def test_mutated_scenarios_exit_with_documented_code(name, mutations, override):
         t_end = load_config(cfg).t_end
         t_final = float(dict(line.split(" = ", 1) for line in report(out))["t_final"])
         assert t_final == pytest.approx(t_end, rel=1e-12, abs=0.0)
+
+
+# The API twin of the file mutations: fields of a shipped config replaced
+# in code (``dataclasses.replace``) by floats where ints belong, bools and
+# the float extremes, scalar or filling a diagonal.  The shipped grid is
+# cut to 4 points per axis and t_end to 0.05, and the step cap to 200 steps,
+# so that a t_end of 1e308 stops at the cap (exit 1) in well under a second.
+API_VALUES = [1.0, 1.5, True, False, math.nan, math.inf, -math.inf, 1e308, 5e-324]
+CONFIG_FIELDS = [f.name for f in dataclasses.fields(cli.ScenarioConfig)]
+
+
+@settings(max_examples=100, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(name=st.sampled_from(SCENARIOS + ["drift_k2l2.cfg"]),
+       changes=st.lists(st.tuples(st.sampled_from(CONFIG_FIELDS),
+                                  st.sampled_from(API_VALUES), st.booleans()),
+                        min_size=1, max_size=2),
+       override=st.booleans())
+def test_api_mutated_configs_exit_with_documented_code(name, changes, override):
+    cfg = load_config(scenario(name))
+    cfg = replace(cfg, grid=BicomplexGrid.regular(cfg.grid.k, cfg.grid.l, 4), t_end=0.05)
+    with tempfile.TemporaryDirectory() as tmp, \
+            unittest.mock.patch.object(flow, "_MAX_STEPS", 200):
+        try:
+            for field, value, fill in changes:
+                if fill and field.endswith("_diag"):
+                    value = np.full(len(getattr(cfg, field)), value)
+                cfg = replace(cfg, **{field: value})
+            code, lines = run_scenario(cfg, tmp, override_tau_star=override)
+        except TwistedMAError as exc:
+            assert type(exc) in EXIT_CODES
+            return
+        assert code in (0, 1)
+        if code == 0:
+            t_final = float(dict(line.split(" = ", 1) for line in report(tmp))["t_final"])
+            assert t_final == pytest.approx(cfg.t_end, rel=1e-12, abs=0.0)

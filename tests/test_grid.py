@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import struct
 import tracemalloc
+import warnings
 
 import numpy as np
 import pytest
@@ -568,6 +569,17 @@ class TestPdGate:
         tiny = np.array([[[1e-20 + 0j]]])
         assert not pd_gate(tiny)[0]
         assert pd_gate(np.array([[[1.0 + 0j]]]))[0]
+
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_near_float_maximum(self, dtype):
+        # the trace norm 2e308 of diag(1e308, 1e308) is beyond the float
+        # range; the gate decides it without overflowing
+        for diag, expected in (((1e308, 1e308), True), ((1e308, -1e308), False)):
+            values = np.diag(diag).astype(dtype)[None]
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert pd_gate(values)[0] == expected
+                assert grid_module.pd_gate_entries(*grid_module._entries(values))[0] == expected
 
     @staticmethod
     def two_pass_gate(values):

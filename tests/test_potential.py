@@ -5,6 +5,8 @@ import tracemalloc
 import numpy as np
 import pytest
 import scipy.fft
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
                        compatibility_residual, fgk_residual, solve_square,
@@ -104,6 +106,54 @@ class TestSolveSquare:
             HermitianMatrixField(g, "minus", om_f.values + om_g.values, check=False))
         base = solve_square(op_f, om_f)
         assert np.abs(summed.f.values - (base.f.values + gfield.values)).max() <= 1e-10
+
+
+# grids on both sides of the transform rule: (shape, dense path taken)
+TRANSFORM_SHAPES = [((4,) * 4, False), ((16, 4, 16, 4), False), ((8, 8, 8, 8, 4, 4), False),
+                    ((4, 4, 8, 8, 8, 8), False),
+                    ((4,) * 6, True), ((8, 4) * 3, True), ((6,) * 6, True),
+                    ((4,) * 4 + (8, 8), True), ((4,) * 8, True)]
+
+
+class TestTransformPair:
+    """``potential._rfftn`` / ``_irfftn`` against ``scipy.fft`` on either
+    side of the dense rule: the same half spectrum and inverse to roundoff."""
+
+    @staticmethod
+    def values(shape, kind, rng):
+        """Real lattice values: random, a broadcast constant block entry, or
+        the strided real or imaginary part of a stacked complex entry."""
+        if kind == "constant":
+            return np.broadcast_to(rng.standard_normal((1,) * len(shape)), shape)
+        if kind == "random":
+            return rng.standard_normal(shape)
+        stack = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+        return stack[..., 0, 1].real if kind == "real part" else stack[..., 0, 1].imag
+
+    @settings(max_examples=40, deadline=None)
+    @given(case=st.sampled_from(TRANSFORM_SHAPES),
+           kind=st.sampled_from(["random", "constant", "real part", "imaginary part"]),
+           seed=st.integers(0, 2 ** 32 - 1))
+    def test_agrees_with_scipy(self, case, kind, seed):
+        shape, dense = case
+        assert (potential._dense_plan(shape) is not None) == dense
+        rng = np.random.default_rng(seed)
+        x = self.values(shape, kind, rng)
+        eps = 64 * np.finfo(float).eps
+        spec, ref = potential._rfftn(x), scipy.fft.rfftn(x)
+        assert spec.shape == ref.shape and spec.dtype == ref.dtype
+        assert np.abs(spec - ref).max() <= eps * np.abs(x).sum()
+        back = potential._irfftn(spec, shape)
+        assert back.shape == shape and back.dtype == np.float64
+        assert np.abs(back - x).max() <= eps * np.abs(x).max()
+        # the inverse ignores the imaginary part of the self-conjugate
+        # planes (the last axis' index 0 and n/2), as pocketfft does
+        spec = ref.copy()
+        spec[..., 0] += 1j * rng.standard_normal(spec.shape[:-1])
+        spec[..., -1] += 1j * rng.standard_normal(spec.shape[:-1])
+        ref = scipy.fft.irfftn(spec, s=shape)
+        assert np.abs(potential._irfftn(spec, shape) - ref).max() <= (
+            eps * 2.0 * np.abs(spec).sum() / x.size)
 
 
 class TestHalfSpectrum:
@@ -257,8 +307,9 @@ class TestStencilTable:
 
 def lattice(pair, shape):
     """The lattice field whose real and imaginary parts have the half
-    spectra ``pair`` (a None part is zero), as the solver first wrote it."""
-    re, im = (None if p is None else scipy.fft.irfftn(p, s=shape) for p in pair)
+    spectra ``pair`` (a None part is zero), as the solver first wrote it,
+    on the solver's own inverse transform."""
+    re, im = (None if p is None else potential._irfftn(p, shape) for p in pair)
     return re if im is None else re + 1j * im
 
 
@@ -442,9 +493,9 @@ class TestCrossCertificate:
         tol = 1e-8 * scale
         assert bound > tol
         calls = []
-        real_irfftn = scipy.fft.irfftn
+        real_irfftn = potential._irfftn
         with monkeypatch.context() as mp:
-            mp.setattr(scipy.fft, "irfftn",
+            mp.setattr(potential, "_irfftn",
                        lambda *a, **kw: calls.append(1) or real_irfftn(*a, **kw))
             got = outcome(monkeypatch, blocks, reference=False)
         # the bound failed, so the fallback transformed (f takes one more)
