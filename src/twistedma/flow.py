@@ -118,10 +118,9 @@ def _worst(values):
 def form_block_values(state):
     """(plus form, minus form) raw matrix arrays at the state's time.
 
-    Cached on the state, and built together with the state's record (its
-    AdmissibilityReport: each block's lambda_min and worst point): u and
-    background are treated as immutable once the state exists, so both
-    are computed at most once per state.
+    Cached on the state with its background slice: u and background are
+    treated as immutable once the state exists, so the blocks are built at
+    most once per state.
     """
     if state._blocks is None:
         bg = state._slice = background_at(state.background, state.t)
@@ -132,17 +131,16 @@ def form_block_values(state):
             plus = bg.omega_hat_plus.values + hessian_block_values(state.u.values, grid, "plus")
             minus = bg.omega_hat_minus.values - hessian_block_values(state.u.values, grid,
                                                                      "minus")
-            if state._report is None:
-                (p_margin, p_point), (m_margin, m_point) = _worst(plus), _worst(minus)
-                state._report = AdmissibilityReport(p_margin, m_margin, p_point, m_point)
         state._blocks = (plus, minus)
     return state._blocks
 
 
 def admissibility(state):
-    """Worst-point eigenvalue margins of the two ellipticity blocks."""
+    """The state's record: each block's lambda_min and worst point, built
+    from its blocks on first use and cached on the state."""
     if state._report is None:
-        form_block_values(state)
+        (p_margin, p_point), (m_margin, m_point) = map(_worst, form_block_values(state))
+        state._report = AdmissibilityReport(p_margin, m_margin, p_point, m_point)
     return state._report
 
 
@@ -492,12 +490,12 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
         if (explicit_steps // emit_every > before // emit_every
                 or state.t >= t_stop or n_step == _MAX_STEPS):
             emit()
-    # the final state keeps its forms and record, which the viscosity
-    # checks read; it replaces its emitted copy
+    # the final state keeps its forms, slice and record, which the viscosity
+    # checks read, but not its rhs and step spectra; it replaces its emitted copy
     if states and states[-1].t == state.t:
         states.pop()
-    states.append(FlowState(state.t, state.u, state.background, _blocks=state._blocks,
-                            _slice=state._slice, _report=state._report))
+    state._rhs = state._last_step = None
+    states.append(state)
     return Trajectory(rows=rows, states=states, barrier=barrier,
                       t_end_reached=state.t >= t_stop, steps=n_step,
                       rejected_trials=rejected, dt_min=dt_min if n_step else math.nan,

@@ -488,8 +488,10 @@ def pd_gate(values):
 
 
 def det_plus_entries(a, d=None, b=None):
-    """det_entries gated to zero unless the matrix is positive definite."""
-    return np.where(pd_gate_entries(a, d, b), det_entries(a, d, b), 0.0)
+    """det_entries gated to zero unless the matrix is positive definite;
+    inf where a positive definite determinant leaves the float range."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        return np.where(pd_gate_entries(a, d, b), det_entries(a, d, b), 0.0)
 
 
 def det_plus(matrix):

@@ -85,6 +85,8 @@ def _cone(grid, side, samples, seed):
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
+    if samples < 0:
+        raise ValueError("samples must be >= 0")
     sign = 1.0 if side == "above" else -1.0
     rng = np.random.default_rng(seed)
     cone = [(0.0, *(np.zeros((m, m), _block_dtype(m, 0.0)) for m in (grid.k, grid.l)))]
@@ -168,19 +170,18 @@ def _default_tol(grid, dt):
     return 10.0 * (h_max * h_max + dt)
 
 
-def _below_tol(slack, tol, grid, dt, lhs, rhs, e=None):
-    """Mask of slack < -tol.  The default tol is c 2^f max(1, |lhs|, |rhs|)
-    with c 2^f = 10 (h_max^2 + dt), f >= 0 and c < 1.  It is tested as
-    slack 2^-f < -c max(...): powers of two scale exactly, so that is the
-    same test, and it stays finite where the tolerance would overflow.
-    With ``e`` (an integer per point), slack, lhs and rhs are the values
-    scaled by 2^-e, and tol and the 1 of the max are scaled alike."""
+def _below_tol(slack, tol, grid, dt, lhs, rhs, e=0):
+    """Mask of slack < -tol, where slack, lhs and rhs are values scaled by
+    2^-e (an integer per point; 0 for a plain point), and tol and the 1 of
+    the max below are scaled alike.  The default tol is c 2^f max(1, |lhs|,
+    |rhs|) with c 2^f = 10 (h_max^2 + dt), f >= 0 and c < 1.  It is tested
+    as slack 2^-f < -c max(...): powers of two scale exactly, so that is
+    the same test, and it stays finite where the tolerance would overflow."""
     if tol is not None:
-        return slack < -(tol if e is None else np.ldexp(tol, -e))
+        return slack < -np.ldexp(tol, -e)
     factor = _default_tol(grid, dt)
     f = max(math.frexp(factor)[1], 0)
-    one = 1.0 if e is None else np.ldexp(1.0, -e)
-    scale = np.maximum(one, np.maximum(np.abs(lhs), np.abs(rhs)))
+    scale = np.maximum(np.ldexp(1.0, -e), np.maximum(np.abs(lhs), np.abs(rhs)))
     return slack * 2.0 ** -f < -math.ldexp(factor, -f) * scale
 
 
@@ -295,32 +296,32 @@ def _check_slice(state, prev, dt, n, exp_z, sides, tol):
                     for point, value in zip(points, slack.flat[worst].tolist())]
 
 
-def _sides(grid, sides, samples, seed):
-    """(sign, cone, report) per side; side i samples its cone with seed + i."""
-    out = []
+def _check(states, sides, tol, samples, seed):
+    """The finalized report of each side ("above" | "below") over the
+    slices n >= 1 of ``states``, side i sampling with seed + i.  A slice is
+    checked on a transient state: blocks built for it do not outlive it."""
+    times = _times([s.t for s in states], len(states))
+    background = states[0].background
+    checks = []
     for i, side in enumerate(sides):
-        sign, cone = _cone(grid, side, samples, seed + i)
-        out.append((sign, cone, ViolationReport(side="sub" if sign > 0 else "super")))
-    return out
-
-
-def _exp_z(background):
+        sign, cone = _cone(background.grid, side, samples, seed + i)
+        checks.append((sign, cone, ViolationReport(side="sub" if sign > 0 else "super")))
     with np.errstate(over="ignore"):
-        return np.exp(background.zeta_plus.values), np.exp(background.zeta_minus.values)
+        exp_z = np.exp(background.zeta_plus.values), np.exp(background.zeta_minus.values)
+    for n, (prev, s) in enumerate(zip(states, states[1:]), 1):
+        _check_slice(FlowState(s.t, s.u, s.background, _blocks=s._blocks), prev.u.values,
+                     float(times[n] - times[n - 1]), n, exp_z, checks, tol)
+    return tuple(report.finalize() for _, _, report in checks)
 
 
-def _run_check(u_stack, times, background, tol, samples, seed, side):
+def _stack_check(u_stack, times, background, tol, samples, seed, side):
     u_stack, times = _stack(u_stack, times)
     grid = background.grid
     if u_stack.shape[1:] != grid.shape:
         raise ValueError("stack slices must live on the background grid")
-    sides = _sides(grid, (side,), samples, seed)
-    exp_z = _exp_z(background)
-    for n in range(1, len(times)):
-        state = FlowState(float(times[n]), ScalarField(grid, u_stack[n]), background)
-        _check_slice(state, u_stack[n - 1], float(times[n] - times[n - 1]), n, exp_z,
-                     sides, tol)
-    return sides[0][2].finalize()
+    states = [FlowState(float(t), ScalarField(grid, u), background)
+              for t, u in zip(times, u_stack)]
+    return _check(states, (side,), tol, samples, seed)[0]
 
 
 def subsolution_check(u_stack, times, background, tol=None, samples=4, seed=0):
@@ -330,43 +331,31 @@ def subsolution_check(u_stack, times, background, tol=None, samples=4, seed=0):
     the minus block; violations are points where some admissible jet makes
     the inequality fail beyond tolerance.
     """
-    return _run_check(u_stack, times, background, tol, samples, seed, "above")
+    return _stack_check(u_stack, times, background, tol, samples, seed, "above")
 
 
 def supersolution_check(v_stack, times, background, tol=None, samples=4, seed=0):
     """Dual check: jets touch from below, gating swaps blocks."""
-    return _run_check(v_stack, times, background, tol, samples, seed, "below")
+    return _stack_check(v_stack, times, background, tol, samples, seed, "below")
 
 
 def trajectory_checks(traj, tol=None, samples=4, seed=0):
     """(sub report, super report) of a flow trajectory, in one pass per slice.
 
     Bitwise ``subsolution_check`` (with ``seed``) and ``supersolution_check``
-    (with ``seed + 1``) on the stack of its states.  Each slice's forms
-    are taken once, for both sides, from ``flow.form_block_values`` on a
-    transient state: the final state's blocks, which ``run`` keeps, are
-    read as they are, and no other slice's blocks outlive its check.
+    (with ``seed + 1``) on the stack of its states, through the same loop:
+    each slice's forms are built once for both sides, and the final state's
+    blocks, which ``run`` keeps, are read as they are.
     """
-    states = traj.states
-    times = _times([s.t for s in states], len(states))
-    background = states[0].background
-    sides = _sides(background.grid, ("above", "below"), samples, seed)
-    exp_z = _exp_z(background)
-    for n in range(1, len(times)):
-        s, prev = states[n], states[n - 1]
-        state = FlowState(s.t, s.u, s.background, _blocks=s._blocks, _slice=s._slice,
-                          _report=s._report)
-        _check_slice(state, prev.u.values, float(times[n] - times[n - 1]), n, exp_z,
-                     sides, tol)
-    return tuple(report.finalize() for _, _, report in sides)
+    return _check(traj.states, ("above", "below"), tol, samples, seed)
 
 
 def delta_lift(v_stack, times, delta, T):
     """Pointwise v + delta / (T - t); diverges as t -> T from the left."""
     v_stack, times = _stack(v_stack, times)
-    if delta <= 0:
-        raise ValueError("delta must be > 0")
-    if times[-1] >= T:
+    if not 0 < delta < math.inf:
+        raise ValueError("delta must be finite and > 0")
+    if not times[-1] < T:
         raise ValueError("time range must stay strictly below T")
     lift = delta / (T - times)
     return v_stack + lift.reshape((-1,) + (1,) * (v_stack.ndim - 1))
@@ -433,10 +422,10 @@ def sup_patch(u_stack, phi_stack, grid, gamma, r, center, delta=None):
     """
     u_stack = np.asarray(u_stack, dtype=np.float64)
     phi_stack = np.asarray(phi_stack, dtype=np.float64)
-    if gamma <= 0 or r <= 0:
-        raise ValueError("gamma and r must be > 0")
     if delta is None:
         delta = gamma * r * r / 8.0
+    if not (0 < gamma < math.inf and r > 0 and math.isfinite(delta)):
+        raise ValueError("gamma and r must be > 0, gamma and delta finite")
     dist2 = np.zeros(grid.shape)
     for a in range(grid.real_dim):
         coords = grid.axis_coords(a)

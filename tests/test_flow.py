@@ -466,6 +466,17 @@ class TestStateRecord:
         assert admissibility(copy) is admissibility(new)
         assert (len(hess), len(eig)) == (4, 4)
 
+    def test_record_built_from_the_blocks_where_read(self, monkeypatch):
+        g = BicomplexGrid.regular(2, 1, 4)
+        state = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3), flat_background(g))
+        flow.form_block_values(state)
+        assert state._report is None
+        hess = self._count(monkeypatch, "hessian_block_values")
+        eig = self._count(monkeypatch, "min_eig_values")
+        report = admissibility(state)
+        assert (len(hess), len(eig)) == (0, 2)
+        assert admissibility(state) is report and len(eig) == 2
+
     def test_step_from_built_state_costs_two_of_each(self, monkeypatch):
         g = BicomplexGrid.regular(1, 1, 8)
         state = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),

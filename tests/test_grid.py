@@ -355,6 +355,17 @@ class TestDetPlus:
     def test_positive_diag(self):
         assert det_plus(np.diag([2.0, 3.0])) == pytest.approx(6.0)
 
+    @pytest.mark.parametrize("dtype", [np.float64, np.complex128])
+    def test_near_float_maximum(self, dtype):
+        # a positive definite determinant beyond the float range is inf; an
+        # indefinite or singular one is gated out, both without a warning
+        for matrix, expected in (([[1e308, 0.0], [0.0, 1e308]], np.inf),
+                                 ([[1e308, 0.0], [0.0, -1e308]], 0.0),
+                                 ([[1e308, 1e308], [1e308, 1e308]], 0.0)):
+            with warnings.catch_warnings():
+                warnings.simplefilter("error")
+                assert det_plus(np.array(matrix, dtype=dtype)) == expected
+
     @pytest.mark.parametrize("shape", [(3, 3), (5, 3, 3), (2, 1), (2,), ()])
     def test_rejects_blocks_a_grid_cannot_have(self, shape):
         # the closed forms cover m in {1, 2}, the only block sizes of a grid

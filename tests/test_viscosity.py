@@ -8,7 +8,7 @@ from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
                        trajectory_checks)
 from twistedma.errors import NotAdmissible, PreconditionFailed, WindowTooSmall
 from twistedma.grid import det_plus, det_values, hessian_block_values
-from twistedma import viscosity
+from twistedma import flow, viscosity
 from twistedma.viscosity import Violation, ViolationReport
 
 from conftest import bandlimited_field, cos_axis_field, log_space_violations
@@ -180,6 +180,23 @@ class TestSubSuperChecks:
         assert rep.worst_slack == -1004.0 == rep.violations[0].slack
         assert rep.violations[-1].slack == -5.0
 
+    def test_stack_checks_build_no_record(self, monkeypatch):
+        # the checks read the forms only: no eigenvalue pass of the flow's
+        g, stack, times, bg = check_case(1, 2)
+        calls, real = [], flow.min_eig_values
+        monkeypatch.setattr(flow, "min_eig_values", lambda v: calls.append(v) or real(v))
+        for check in (subsolution_check, supersolution_check):
+            check(stack, times, bg, samples=1)
+        assert calls == []
+
+    @pytest.mark.parametrize("check", [subsolution_check, supersolution_check])
+    @pytest.mark.parametrize("n", [0, 1, 3])
+    def test_non_finite_slice_is_value_error(self, check, n):
+        g, stack, times, bg = check_case(1, 1)
+        stack[n, 0, 0, 0, 0] = np.nan
+        with pytest.raises(ValueError, match="non-finite"):
+            check(stack, times, bg, samples=1)
+
 
 class TestFloatRange:
     def test_default_tolerance_near_float_max(self, grid16):
@@ -299,6 +316,37 @@ class TestDeltaLift:
             delta_lift(stack, times, 0.1, 1.0)  # t reaches T
         with pytest.raises(ValueError):
             delta_lift(stack, np.array([0.0, 0.5]), -1.0, 1.0)
+
+
+def _barrier_pair(grid):
+    """(background, times, lower stack, upper stack) of a barrier pair."""
+    bg = flat_background(grid)
+    bp = barriers(cos_axis_field(grid, 0, amplitude=0.2), bg)
+    times = np.linspace(0.0, 0.1, 4)
+    return (bg, times, np.stack([bp.lower(t) for t in times]),
+            np.stack([bp.upper(t) for t in times]))
+
+
+@pytest.mark.parametrize("call", [
+    lambda g, bg, t, sub, sup: delta_lift(sup, t, np.nan, 1.0),
+    lambda g, bg, t, sub, sup: delta_lift(sup, t, np.inf, 1.0),
+    lambda g, bg, t, sub, sup: delta_lift(sup, t, 0.1, np.nan),
+    lambda g, bg, t, sub, sup: sup_patch(sub, sup, g, np.nan, 1.0, (0.0,) * 4),
+    lambda g, bg, t, sub, sup: sup_patch(sub, sup, g, np.inf, 1.0, (0.0,) * 4),
+    lambda g, bg, t, sub, sup: sup_patch(sub, sup, g, 0.1, np.nan, (0.0,) * 4),
+    lambda g, bg, t, sub, sup: sup_patch(sub, sup, g, 0.1, 1.0, (0.0,) * 4, delta=np.nan),
+    lambda g, bg, t, sub, sup: comparison_test(sub, sup, t, bg, T=np.nan, samples=2),
+    lambda g, bg, t, sub, sup: subsolution_check(sub, t, bg, samples=-1),
+    lambda g, bg, t, sub, sup: supersolution_check(sup, t, bg, samples=-1),
+    lambda g, bg, t, sub, sup: touching_jets(sub, t, g, (0,) * 4, 1, samples=-1),
+], ids=["lift-delta-nan", "lift-delta-inf", "lift-T-nan", "patch-gamma-nan",
+        "patch-gamma-inf", "patch-r-nan", "patch-delta-nan", "comparison-T-nan",
+        "sub-samples-negative", "super-samples-negative", "jets-samples-negative"])
+def test_public_inputs_fail_typed(grid16, call):
+    # each input would otherwise give non-finite output or check less than asked
+    bg, times, sub, sup = _barrier_pair(grid16)
+    with pytest.raises(ValueError):
+        call(grid16, bg, times, sub, sup)
 
 
 class TestComparison:
