@@ -40,9 +40,18 @@ __all__ = [
 #: scale-aware positive-definiteness gate (relative to 1 + trace norm)
 PD_GATE = 1e-12
 
-#: points per slab of ``hessian_block_values`` (see its docstring); chosen
-#: from a sweep of slab sizes on 32^4 and 4^8 grids recorded in CHANGES.md
+#: points per slab of ``hessian_block_values`` (see its docstring) and of
+#: the potential solver's spectral passes; chosen from a sweep of slab
+#: sizes on 32^4 and 4^8 grids recorded in CHANGES.md
 _SLAB_POINTS = 2 ** 14
+
+
+def _slabs(n, size):
+    """Slices of an axis of length n of an array of ``size`` points, each
+    holding about ``_SLAB_POINTS`` points (at least one index)."""
+    width = max(1, _SLAB_POINTS * n // size)
+    return [slice(start, start + width) for start in range(0, n, width)]
+
 
 _MAGIC = b"TMAF"
 _VERSION = 2
@@ -164,10 +173,11 @@ def _require_hermitian(values, block):
     """max |values|, after checking that every entry (j, i) is the conjugate
     of (i, j) to within 1e-12 (1 + max |values|); ValueError otherwise.  On
     the diagonal the deviation is 2 |Im v_ii|, read without a temporary.
-    A real 1x1 block is Hermitian by type."""
-    peak = float(np.abs(values).max())
+    A real 1x1 block is Hermitian by type, and its peak is read as
+    max(max v, -min v), without a |values| array."""
     if values.shape[-1] == 1 and not np.iscomplexobj(values):
-        return peak
+        return float(np.maximum(values.max(), -values.min()))
+    peak = float(np.abs(values).max())
     for i, j in itertools.combinations_with_replacement(range(values.shape[-1]), 2):
         if i == j:
             im = values[..., i, i].imag
@@ -376,11 +386,10 @@ def hessian_block_values(values, grid, block):
     if values.size <= _SLAB_POINTS:
         return _block_stencil(values, grid, block)
     axis = grid.block_axes("minus" if block == "plus" else "plus")[0][0]
-    n, m = values.shape[axis], grid.block_dim(block)
-    width = max(1, _SLAB_POINTS * n // values.size)
+    m = grid.block_dim(block)
     out = np.empty(values.shape + (m, m), dtype=_block_dtype(m, values))
-    for start in range(0, n, width):
-        slab = (slice(None),) * axis + (slice(start, start + width),)
+    for cut in _slabs(values.shape[axis], values.size):
+        slab = (slice(None),) * axis + (cut,)
         out[slab] = _block_stencil(np.ascontiguousarray(values[slab]), grid, block)
     return out
 

@@ -26,7 +26,7 @@ import numpy as np
 import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
-from .grid import (ScalarField, _l1_bound, _require_hermitian,
+from .grid import (ScalarField, _l1_bound, _require_hermitian, _slabs,
                    hermitian_hessian, hessian_symbols)
 
 __all__ = [
@@ -230,32 +230,75 @@ def _to_lattice(pair, shape):
     return re if im is None else re + 1j * im
 
 
+def _cut(pairs, slab):
+    """{(i, j): (re, im)} on one slab of the first axis; a part of length
+    1 there (a broadcast symbol) is passed through uncut."""
+    return {ij: tuple(x if x is None or len(x) == 1 else x[slab] for x in pair)
+            for ij, pair in pairs.items()}
+
+
+def _cross_spectrum(hat_p, hat_m, sym_plus, sym_minus, abcd):
+    """(re, im) half spectra of hess_minus(w+[a,b])[c,d] + hess_plus(w-[c,d])[a,b]."""
+    a, b, c, d = abcd
+    return _plus(_times(_entry(sym_minus, c, d), _entry(hat_p, a, b)),
+                 _times(_entry(sym_plus, a, b), _entry(hat_m, c, d)))
+
+
+def _cross_bounds(spectra, tuples, grid):
+    """{tuple: l1 bound of its cross spectrum} for ``spectra`` = (hat_p,
+    hat_m, sym_plus, sym_minus), summed slab by slab along the first axis
+    (``grid._slabs``), so that no full spectrum is made."""
+    bounds = dict.fromkeys(tuples, 0.0)
+    first = spectra[0][0, 0][0]
+    for slab in _slabs(len(first), first.size):
+        cut = [_cut(pairs, slab) for pairs in spectra]
+        for t in tuples:
+            bounds[t] += _l1_bound(_cross_spectrum(*cut, t), grid.shape)
+    return bounds
+
+
 def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):
-    """Max norm of the cross condition
-    hess_minus(w+[a,b])[c,d] + hess_plus(w-[c,d])[a,b], by exact inverse
-    transforms, over the tuples whose l1 bound does not certify it to be
-    at most ``tol`` (0.0 when every tuple is certified).  Tuple (b, a, d, c)
-    is the conjugate of (a, b, c, d), so only the smaller is evaluated."""
+    """Max norm of the cross condition, by exact inverse transforms, over
+    the tuples whose l1 bound does not certify it to be at most ``tol``
+    (0.0 when every tuple is certified): only those make their full
+    spectrum.  At ``tol`` 0 a bound certifies only a zero spectrum, whose
+    exact max norm is 0 too, so no bound is summed and every tuple is
+    transformed.  Tuple (b, a, d, c) is the conjugate of (a, b, c, d), so
+    only the smaller is evaluated."""
+    spectra = hat_p, hat_m, sym_plus, sym_minus
+    tuples = [t for t in itertools.product(range(grid.k), range(grid.k),
+                                           range(grid.l), range(grid.l))
+              if t <= (t[1], t[0], t[3], t[2])]
+    bounds = (_cross_bounds(spectra, tuples, grid) if tol > 0
+              else dict.fromkeys(tuples, np.inf))
     compat = 0.0
-    for a, b, c, d in itertools.product(range(grid.k), range(grid.k),
-                                        range(grid.l), range(grid.l)):
-        if (a, b, c, d) > (b, a, d, c):
+    for t, bound in bounds.items():
+        if bound * (1.0 + _CERTIFICATE_SLACK) <= tol:
             continue
-        r_hat = _plus(_times(_entry(sym_minus, c, d), _entry(hat_p, a, b)),
-                      _times(_entry(sym_plus, a, b), _entry(hat_m, c, d)))
-        if _l1_bound(r_hat, grid.shape) * (1.0 + _CERTIFICATE_SLACK) <= tol:
-            continue
-        compat = max(compat, float(np.abs(_to_lattice(r_hat, grid.shape)).max()))
+        r = _to_lattice(_cross_spectrum(*spectra, t), grid.shape)
+        compat = max(compat, float(np.abs(r).max()))
     return compat
+
+
+def _check_blocks(omega_plus, omega_minus):
+    """The blocks' scale max(max |values|, 1), after checking that they
+    are a plus and a minus block on one grid and Hermitian (ValueError)."""
+    if (omega_plus.block, omega_minus.block) != ("plus", "minus"):
+        raise ValueError(f"blocks must be (plus, minus), got "
+                         f"({omega_plus.block}, {omega_minus.block})")
+    if omega_minus.grid != omega_plus.grid:
+        raise ValueError("blocks must share one grid")
+    return max(_require_hermitian(omega_plus.values, "plus"),
+               _require_hermitian(omega_minus.values, "minus"), 1.0)
 
 
 def compatibility_residual(omega_plus, omega_minus):
     """Max norm of the cross condition ``solve_square`` needs, zero to
     roundoff for formally generalized Kahler blocks: the solver's own
-    evaluation at tolerance 0, which certifies only a tuple whose spectrum
-    is zero, so the value is exact.  Blocks must be Hermitian (ValueError)."""
-    for omega in (omega_plus, omega_minus):
-        _require_hermitian(omega.values, omega.block)
+    evaluation at tolerance 0, which transforms every tuple, so the value
+    is exact.  The blocks are checked as by
+    ``solve_square`` (ValueError)."""
+    _check_blocks(omega_plus, omega_minus)
     grid = omega_plus.grid
     return _cross_residual(_entry_spectra(omega_plus), _entry_spectra(omega_minus),
                            *_grid_symbols(grid), grid, 0.0)
@@ -278,7 +321,8 @@ def _residual(omega, sym, hat):
 
 
 def _block_estimate(hats, sym, sign):
-    """Least-squares mode estimate of hat(f) from one block.
+    """Least-squares mode estimate of hat(f) from one block, built in the
+    buffers of ``hats``, which it consumes.
 
     Per mode, sum_ij conj(s_ij) hat(omega_ij) / sum_ij |s_ij|^2 with the
     symbols scaled by ``sign``.  The pair (i, j), (j, i) with s = R + iI
@@ -294,9 +338,10 @@ def _block_estimate(hats, sym, sign):
     for (i, j), (r, im) in sym.items():
         a, b = hats[i, j]
         w = inv if i == j else 2.0 * inv
-        term = (w * r) * a
+        # a (w r) has the bits of (w r) a: multiplication commutes exactly
+        term = np.multiply(a, w * r, out=a)
         if b is not None:
-            term += (w * im) * b
+            term += np.multiply(b, w * im, out=b)
         if est is None:
             est = term
         else:
@@ -334,13 +379,17 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     the direct ones to roundoff.  Only the entries with i <= j of each
     block are read, so a block that is not Hermitian raises ValueError.
     The cross condition is certified by its l1 spectral bound where that
-    suffices, and decided on its exact max norm otherwise.
+    suffices, and decided on its exact max norm otherwise.  The blocks
+    must be a plus and a minus block on one grid (ValueError).
+
+    The solver holds the half spectra of the entries and no full-size
+    temporary beside them: the l1 bounds are summed slab by slab, only
+    an uncertified tuple makes its full spectrum, each block's estimate
+    of hat(f) is built in that block's entry spectra, and the overlap
+    mismatch is read slab by slab.
     """
+    scale = _check_blocks(omega_plus, omega_minus)
     grid = omega_plus.grid
-    if omega_minus.grid != grid:
-        raise ValueError("blocks must share one grid")
-    scale = max(_require_hermitian(omega_plus.values, omega_plus.block),
-                _require_hermitian(omega_minus.values, omega_minus.block), 1.0)
 
     sym_plus, sym_minus = _grid_symbols(grid)
     hat_p = _entry_spectra(omega_plus)
@@ -383,7 +432,8 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     # overlap frequencies (both blocks nonzero) must agree
     est_m -= f_hat
     est_m[zero_m] = 0.0
-    mismatch = float(np.abs(est_m).max()) / npts
+    mismatch = float(np.max([np.abs(est_m[s]).max()
+                             for s in _slabs(len(est_m), est_m.size)])) / npts
     del est_m
     if mismatch > tol:
         raise IncompatibleData(

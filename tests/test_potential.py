@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
                        compatibility_residual, fgk_residual, solve_square,
                        square_operator)
+from twistedma import grid as grid_module
 from twistedma import potential
 from twistedma.errors import IncompatibleData, NonzeroMeanObstruction
 from twistedma.grid import hermitian_hessian, hessian_block_values
@@ -470,6 +471,21 @@ class TestCrossCertificate:
             exact = float(np.abs(lattice(r_hat, g.shape)).max())
             assert potential._l1_bound(r_hat, g.shape) >= exact > 0.0
 
+    @pytest.mark.parametrize("k,l,n", [(1, 1, 16), (1, 1, 32), (2, 2, 4), (1, 2, 8)])
+    def test_slab_bounds_match_whole_array(self, k, l, n):
+        # the bounds summed slab by slab against grid._l1_bound of each
+        # tuple's whole cross spectrum, on random Hermitian blocks
+        g = BicomplexGrid.regular(k, l, n)
+        rng = np.random.default_rng(n + k)
+        hats = [potential._entry_spectra(random_hermitian(g, b, rng)) for b in ("plus", "minus")]
+        tuples = list(itertools.product(range(k), range(k), range(l), range(l)))
+        bounds = potential._cross_bounds((*hats, *_grid_symbols(g)), tuples, g)
+        first = hats[0][0, 0][0]
+        assert len(grid_module._slabs(len(first), first.size)) > 1
+        for abcd in tuples:
+            whole = grid_module._l1_bound(cross_spectrum(*hats, *_grid_symbols(g), abcd), g.shape)
+            assert bounds[abcd] == pytest.approx(whole, rel=1e-14, abs=0.0)
+
     @pytest.mark.parametrize("k,l", KL)
     @pytest.mark.parametrize("factor", [0.99, 1.01])
     def test_near_tolerance(self, k, l, factor, monkeypatch):
@@ -601,6 +617,32 @@ def random_hermitian(grid, block, rng):
     return HermitianMatrixField(grid, block, a + a.conj().swapaxes(-1, -2))
 
 
+def _blocks_on_two_grids(k, l):
+    g, h = BicomplexGrid.regular(k, l, 4), BicomplexGrid.regular(k, l, 6)
+    return HermitianMatrixField.zeros(g, "plus"), HermitianMatrixField.zeros(h, "minus")
+
+
+def _square_blocks(k, l):
+    return square_operator(bandlimited_field(BicomplexGrid.regular(k, l, 4),
+                                             np.random.default_rng(1)))
+
+
+@pytest.mark.parametrize("call", [solve_square, compatibility_residual],
+                         ids=["solve", "compatibility"])
+@pytest.mark.parametrize("blocks,message", [
+    (lambda: _square_blocks(1, 2)[::-1], r"^blocks must be \(plus, minus\), got \(minus, plus\)$"),
+    (lambda: _square_blocks(1, 1)[::-1], r"^blocks must be \(plus, minus\), got \(minus, plus\)$"),
+    (lambda: _square_blocks(1, 1)[:1] * 2, r"^blocks must be \(plus, minus\), got \(plus, plus\)$"),
+    (lambda: _blocks_on_two_grids(1, 1), r"^blocks must share one grid$"),
+    (lambda: _blocks_on_two_grids(2, 1), r"^blocks must share one grid$"),
+], ids=["swapped-k1-l2", "swapped-k1-l1", "two-plus", "two-grids", "two-grids-k2-l1"])
+def test_blocks_fail_typed(call, blocks, message):
+    # a wrong block or grid is a ValueError, never a KeyError, numpy's
+    # broadcast error or a number computed with the other block's symbols
+    with pytest.raises(ValueError, match=message):
+        call(*blocks())
+
+
 class TestCompatibilityResidualReference:
     """The spectral residual against the lattice formula it replaced."""
 
@@ -653,20 +695,26 @@ class TestRealBlockRoundtrip:
         assert sha.hexdigest() == self.PINNED
 
     def test_traced_memory(self):
-        f = self.field()
-        solve_square(*square_operator(f))            # symbols cached
-        lattice_bytes = 8 * self.grid.size
-        half_bytes = 16 * self.grid.size // 16 * 9   # rfftn of 16^4
-        tracemalloc.start()
-        try:
-            blocks = square_operator(f)
-            held = tracemalloc.get_traced_memory()[0]
-            tracemalloc.reset_peak()
-            dec = solve_square(*blocks)
-            peak = tracemalloc.get_traced_memory()[1] - held
-        finally:
-            tracemalloc.stop()
-        assert dec.f.values.dtype == np.float64
-        # two float64 lattice fields, one per block
-        assert held <= 2.1 * lattice_bytes
-        assert peak <= 4.5 * half_bytes
+        # (grid, bound on the solver's peak above its inputs in half
+        # spectra): no spectral pass makes a full-size temporary beside the
+        # entry spectra, one per real part, which the solver owns
+        for g, bound in ((self.grid, 4.5),
+                         (BicomplexGrid.regular(1, 1, 32), 2.3),
+                         (BicomplexGrid.regular(2, 2, 4), 11.0)):
+            f = bandlimited_field(g, np.random.default_rng(2024))
+            solve_square(*square_operator(f))            # symbols cached
+            half_bytes = 16 * g.size // g.shape[-1] * (g.shape[-1] // 2 + 1)
+            tracemalloc.start()
+            try:
+                blocks = square_operator(f)
+                held = tracemalloc.get_traced_memory()[0]
+                tracemalloc.reset_peak()
+                dec = solve_square(*blocks)
+                peak = tracemalloc.get_traced_memory()[1] - held
+            finally:
+                tracemalloc.stop()
+            assert dec.f.values.dtype == np.float64
+            if g.k == g.l == 1:
+                # two float64 lattice fields, one per block
+                assert held <= 2.1 * 8 * g.size
+            assert peak <= bound * half_bytes
