@@ -302,8 +302,10 @@ class _PhaseClock(dict):
     @contextlib.contextmanager
     def __call__(self, phase):
         start = time.perf_counter()
-        yield
-        self[phase] += time.perf_counter() - start
+        try:
+            yield
+        finally:
+            self[phase] += time.perf_counter() - start
 
 
 def _flow_and_checks(cfg, background, u0, out_dir, lines, clock):
@@ -346,6 +348,9 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     Besides the artifacts, writes ``run_info.txt``, one ``key = value`` a
     line: the versions, the sha256 of the config as run, its seed, and
     the wall seconds of each phase (flow, checks, roundtrip, artifacts).
+    A run that the flow, the checks or the roundtrip ends with an error
+    writes it too, with the seconds up to the error, before the error
+    propagates.
     """
     cfg = config if isinstance(config, ScenarioConfig) else load_config(config)
     cfg.validate()
@@ -363,22 +368,24 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
             f"--override-tau-star to probe the degeneration on purpose")
 
     clock = _PhaseClock()
-    ok = _flow_and_checks(cfg, background, u0, out_dir, lines, clock)
-    if cfg.check_roundtrip:
-        with clock("roundtrip"):
-            ok = _roundtrip_check(cfg, lines) and ok
+    try:
+        ok = _flow_and_checks(cfg, background, u0, out_dir, lines, clock)
+        if cfg.check_roundtrip:
+            with clock("roundtrip"):
+                ok = _roundtrip_check(cfg, lines) and ok
 
-    lines.append(f"checks_passed = {ok}")
-    with clock("artifacts"):
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
-    info = {"twistedma_version": __version__, "numpy_version": np.__version__,
-            "scipy_version": scipy.__version__,
-            "config_sha256": hashlib.sha256(repr(cfg).encode()).hexdigest(),
-            "seed": cfg.seed}
-    info.update((f"{phase}_s", repr(seconds)) for phase, seconds in clock.items())
-    with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
-        fh.writelines(f"{key} = {value}\n" for key, value in info.items())
+        lines.append(f"checks_passed = {ok}")
+        with clock("artifacts"):
+            with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+                fh.write("\n".join(lines) + "\n")
+    finally:
+        info = {"twistedma_version": __version__, "numpy_version": np.__version__,
+                "scipy_version": scipy.__version__,
+                "config_sha256": hashlib.sha256(repr(cfg).encode()).hexdigest(),
+                "seed": cfg.seed}
+        info.update((f"{phase}_s", repr(seconds)) for phase, seconds in clock.items())
+        with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
+            fh.writelines(f"{key} = {value}\n" for key, value in info.items())
     return (0 if ok else _EXIT_CHECK_FAILED), lines
 
 

@@ -50,27 +50,39 @@ class SquareDecomposition:
 
     ``residual_plus`` and ``residual_minus`` are the max norms of square(f)
     minus each block, against both the (i, j) and the (j, i) stored
-    entries, evaluated spectrally with the exact symbols.  Each is computed
-    on its first read from f's half spectrum and the two input blocks:
-    the blocks are read on first access, not copied when solving.
+    entries, evaluated spectrally with the exact symbols.  The
+    decomposition holds f and the two input blocks, and no spectrum: the
+    first read of either residual rebuilds f's half spectrum from the
+    blocks, bitwise the solve's, and computes both residuals.  The blocks
+    are read then, not copied when solving.
     """
 
     kernel_note = ("zero grid mean; periodic harmonics are constants, "
                    "so the gauge is complete")
 
-    def __init__(self, f, f_hat, plus, minus):
+    def __init__(self, f, omega_plus, omega_minus):
         self.f = f
-        self._f_hat = f_hat
-        self._plus, self._minus = plus, minus      # (block, symbols) each
+        self._blocks = omega_plus, omega_minus
 
     @functools.cached_property
-    def residual_plus(self):
-        return _residual(*self._plus, self._f_hat)
-
-    @functools.cached_property
-    def residual_minus(self):
+    def _residuals(self):
+        omega_plus, omega_minus = self._blocks
+        grid = omega_plus.grid
+        sym_plus, sym_minus = _grid_symbols(grid)
+        f_hat = _estimates(_entry_items(omega_plus),
+                           _entry_items(omega_minus), grid)[0]
+        res_plus = _residual(omega_plus, sym_plus, f_hat)
         # the minus block stores -hess_minus f
-        return _residual(*self._minus, -self._f_hat)
+        return res_plus, _residual(omega_minus, sym_minus,
+                                   np.negative(f_hat, out=f_hat))
+
+    @property
+    def residual_plus(self):
+        return self._residuals[0]
+
+    @property
+    def residual_minus(self):
+        return self._residuals[1]
 
 
 def square_operator(f):
@@ -162,13 +174,28 @@ def _rfftn(values):
     return np.ascontiguousarray(spec.reshape(fwd.shape[1] // 2, -1).T).reshape(half)
 
 
-def _irfftn(spectrum, shape):
+def _irfftn(spectrum, shape, consume=False):
     """``scipy.fft.irfftn(spectrum, s=shape)``, with its semantics (the
     imaginary part of the self-conjugate planes is ignored), by dense pair
-    products on the grids of ``_dense_plan``."""
+    products on the grids of ``_dense_plan``.
+
+    With ``consume`` the ``scipy.fft`` path works in the buffer of
+    ``spectrum``, which it overwrites, rather than in a workspace of its
+    size (the multi-axis ``irfftn`` allocates one whatever its
+    ``overwrite_x``): the leading axes in place, then the last axis, then
+    pocketfft's own factor, 1/N rounded from long double.  Those are the
+    passes and the factor of ``irfftn``, so the bits are the same.
+    """
     plan = _dense_plan(shape)
     if plan is None:
-        return scipy.fft.irfftn(spectrum, s=shape)
+        if not consume:
+            return scipy.fft.irfftn(spectrum, s=shape)
+        # ifftn copies a non-contiguous input: use the array it returns
+        lead = scipy.fft.ifftn(spectrum, axes=range(len(shape) - 1),
+                               overwrite_x=True, norm="forward")
+        out = scipy.fft.irfft(lead, n=shape[-1], norm="forward")
+        out *= np.float64(1 / np.longdouble(out.size))
+        return out
     _, inv, _, lead = plan
     with np.errstate(over="ignore", invalid="ignore"):
         spec = _lead_pairs(np.ascontiguousarray(spectrum, dtype=np.complex128), lead)
@@ -176,20 +203,24 @@ def _irfftn(spectrum, shape):
         return (spec.view(np.float64).reshape(-1, len(inv)) @ inv).reshape(shape)
 
 
-def _entry_spectra(omega):
-    """(rfftn of Re omega_ij, rfftn of Im omega_ij) for every i <= j.
+def _entry_items(omega):
+    """((i, j), (rfftn of Re omega_ij, rfftn of Im omega_ij)) for every
+    i <= j, each transformed when it is drawn.
 
     The diagonal of a Hermitian block is real, so its imaginary part is
     not transformed (None).
     """
     m = omega.values.shape[-1]
-    out = {}
     for i in range(m):
         for j in range(i, m):
             entry = np.broadcast_to(omega.values[..., i, j], omega.grid.shape)
-            out[i, j] = (_rfftn(entry.real),
-                         None if i == j else _rfftn(entry.imag))
-    return out
+            yield (i, j), (_rfftn(entry.real),
+                           None if i == j else _rfftn(entry.imag))
+
+
+def _entry_spectra(omega):
+    """{(i, j): (re, im)} of ``_entry_items``, every entry at once."""
+    return dict(_entry_items(omega))
 
 
 def _entry(pairs, i, j):
@@ -225,8 +256,8 @@ def _plus(x, y):
 
 def _to_lattice(pair, shape):
     """The lattice field whose real and imaginary parts have the half
-    spectra ``pair`` (a None part is zero)."""
-    re, im = (None if p is None else _irfftn(p, shape) for p in pair)
+    spectra ``pair`` (a None part is zero), which it consumes."""
+    re, im = (None if p is None else _irfftn(p, shape, consume=True) for p in pair)
     return re if im is None else re + 1j * im
 
 
@@ -309,20 +340,28 @@ fgk_residual = compatibility_residual
 
 def _residual(omega, sym, hat):
     """Max norm of the block with symbols ``sym`` of the field with half
-    spectrum ``hat`` minus ``omega``, over its (i, j) and (j, i) entries."""
+    spectrum ``hat`` minus ``omega``, over its (i, j) and (j, i) entries.
+    Each product spectrum is consumed by its inverse transform, and
+    |back - omega| is read slab by slab along the first axis (a broadcast
+    block, of length 1 there, is passed through uncut)."""
+    shape = omega.grid.shape
     res = 0.0
     for (i, j), s in sym.items():
-        back = _to_lattice(_times(s, (hat, None)), omega.grid.shape)
-        res = max(res, float(np.abs(back - omega.values[..., i, j]).max()))
-        if i != j:
-            res = max(res, float(np.abs(
-                back.conj() - omega.values[..., j, i]).max()))
+        re, im = (None if x is None else _irfftn(x * hat, shape, consume=True)
+                  for x in s)
+        for cut in _slabs(shape[0], re.size):
+            back = re[cut] if im is None else re[cut] + 1j * im[cut]
+            w = omega.values if len(omega.values) == 1 else omega.values[cut]
+            res = max(res, float(np.abs(back - w[..., i, j]).max()))
+            if i != j:
+                res = max(res, float(np.abs(back.conj() - w[..., j, i]).max()))
     return res
 
 
 def _block_estimate(hats, sym, sign):
     """Least-squares mode estimate of hat(f) from one block, built in the
-    buffers of ``hats``, which it consumes.
+    buffers of the entry spectra ``hats``, items ((i, j), (re, im)) in
+    the order of ``sym``, which it consumes one at a time.
 
     Per mode, sum_ij conj(s_ij) hat(omega_ij) / sum_ij |s_ij|^2 with the
     symbols scaled by ``sign``.  The pair (i, j), (j, i) with s = R + iI
@@ -335,18 +374,34 @@ def _block_estimate(hats, sym, sign):
         den = den + (r * r if i == j else 2.0 * (r * r + im * im))
     inv = np.divide(sign, den, out=np.zeros_like(den), where=den > 0.0)
     est = None
-    for (i, j), (r, im) in sym.items():
-        a, b = hats[i, j]
+    for (i, j), (a, b) in hats:
+        r, im = sym[i, j]
         w = inv if i == j else 2.0 * inv
         # a (w r) has the bits of (w r) a: multiplication commutes exactly
-        term = np.multiply(a, w * r, out=a)
+        np.multiply(a, w * r, out=a)
         if b is not None:
-            term += np.multiply(b, w * im, out=b)
+            a += np.multiply(b, w * im, out=b)
         if est is None:
-            est = term
+            est = a
         else:
-            est += term
+            est += a
+        del a, b                  # before the next entry is drawn
     return est
+
+
+def _estimates(hat_p, hat_m, grid):
+    """(hat(f), the minus block's estimate), built in the entry spectra
+    ``hat_p`` and ``hat_m`` (items, as ``_block_estimate`` takes them),
+    which it consumes: the plus block's estimate, whose plus-invisible
+    modes (plus frequency zero) come from the minus block's; both vanish
+    at the zero mode."""
+    sym_plus, sym_minus = _grid_symbols(grid)
+    f_hat = _block_estimate(hat_p, sym_plus, 1.0)
+    # the minus block stores -hess_minus f, so negate its symbols
+    est_m = _block_estimate(hat_m, sym_minus, -1.0)
+    zero_p = (0,) * 2 * grid.k
+    f_hat[zero_p] = est_m[zero_p]
+    return f_hat, est_m
 
 
 def _zero_block_content(hats, index):
@@ -385,8 +440,9 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     The solver holds the half spectra of the entries and no full-size
     temporary beside them: the l1 bounds are summed slab by slab, only
     an uncertified tuple makes its full spectrum, each block's estimate
-    of hat(f) is built in that block's entry spectra, and the overlap
-    mismatch is read slab by slab.
+    of hat(f) is built in that block's entry spectra, the overlap
+    mismatch is read slab by slab, and f's inverse transform works in
+    hat(f)'s buffer.
     """
     scale = _check_blocks(omega_plus, omega_minus)
     grid = omega_plus.grid
@@ -422,13 +478,8 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
             "block data varies across slices where its stencil has no reach "
             f"(stray content {stray / npts:.3e} per point)")
 
-    # the minus block stores -hess_minus f, so negate its symbols
-    f_hat = _block_estimate(hat_p, sym_plus, 1.0)
-    del hat_p
-    est_m = _block_estimate(hat_m, sym_minus, -1.0)
-    del hat_m
-    # plus-invisible modes come from the minus form; both vanish at zero
-    f_hat[zero_p] = est_m[zero_p]
+    f_hat, est_m = _estimates(hat_p.items(), hat_m.items(), grid)
+    del hat_p, hat_m
     # overlap frequencies (both blocks nonzero) must agree
     est_m -= f_hat
     est_m[zero_m] = 0.0
@@ -440,6 +491,5 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
             f"plus/minus determinations disagree on overlap frequencies "
             f"({mismatch:.3e} per point)")
 
-    f = ScalarField(grid, _to_lattice((f_hat, None), grid.shape))
-    return SquareDecomposition(f, f_hat, (omega_plus, sym_plus),
-                               (omega_minus, sym_minus))
+    f = ScalarField(grid, _irfftn(f_hat, grid.shape, consume=True))
+    return SquareDecomposition(f, omega_plus, omega_minus)

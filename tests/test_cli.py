@@ -408,6 +408,28 @@ class TestMain:
         assert re.fullmatch(r"error: plus block lost positivity at point \(\d+, \d+, \d+, \d+\) "
                             r"\(eigenvalue -\d\.\d{3}e\+\d+\)\n", err)
 
+    def test_inadmissible_initial_value_leaves_run_info(self, tmp_path, capsys):
+        # amplitude 8 makes the plus block about 1 - 2 cos x, indefinite at t = 0
+        text = open(scenario("cosine_decay.cfg")).read()
+        p = tmp_path / "indefinite.cfg"
+        p.write_text(text.replace("amplitude = 1e-3", "amplitude = 8"))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == ("error: plus block lost positivity at point "
+                                           "(0, 0, 0, 0) (eigenvalue -9.744e-01)\n")
+        # the run directory explains the failure: today's keys, the phase
+        # seconds up to it, and no other artifact
+        assert os.listdir(out) == ["run_info.txt"]
+        info = dict(line.split(" = ", 1)
+                    for line in (out / "run_info.txt").read_text().splitlines())
+        assert list(info) == ["twistedma_version", "numpy_version", "scipy_version",
+                              "config_sha256", "seed", "flow_s", "checks_s",
+                              "roundtrip_s", "artifacts_s"]
+        assert info["config_sha256"] == hashlib.sha256(
+            repr(load_config(str(p))).encode()).hexdigest()
+        assert 0.0 < float(info["flow_s"]) < 60.0
+        assert [float(info[k]) for k in ("checks_s", "roundtrip_s", "artifacts_s")] == [0.0] * 3
+
     @pytest.mark.parametrize("key", ["viscosity", "roundtrip"])
     def test_check_flag_typo_exit_two(self, tmp_path, capsys, key):
         # a typo once read as false, skipped the check and exited 0

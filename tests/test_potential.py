@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import math
 import tracemalloc
 
 import numpy as np
@@ -155,6 +156,47 @@ class TestTransformPair:
         ref = scipy.fft.irfftn(spec, s=shape)
         assert np.abs(potential._irfftn(spec, shape) - ref).max() <= (
             eps * 2.0 * np.abs(spec).sum() / x.size)
+
+
+@st.composite
+def inverse_shapes(draw):
+    """A grid shape of 4, 6 or 8 axes of 1 to 9 points, 20,000 points at
+    most.  Half of the shapes have one coordinate pair of more than 64
+    points, so that ``scipy.fft`` runs whatever the axis count; most other
+    shapes of three or more pairs take the dense plan."""
+    n_axes = draw(st.sampled_from([4, 6, 8]))
+    shape = list(draw(st.sampled_from([(8, 9), (9, 8), (9, 9)]))) if draw(st.booleans()) else []
+    budget = 20000 // math.prod(shape)
+    while len(shape) < n_axes:
+        shape.append(draw(st.integers(1, min(9, budget))))
+        budget //= shape[-1]
+    pairs = draw(st.permutations([shape[a:a + 2] for a in range(0, n_axes, 2)]))
+    return tuple(itertools.chain(*pairs))
+
+
+class TestConsumingInverse:
+    """``potential._irfftn(..., consume=True)`` has the bits of
+    ``scipy.fft.irfftn`` off the dense plan and of the dense inverse on it."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(shape=st.one_of(inverse_shapes(),
+                           st.sampled_from([s for s, dense in TRANSFORM_SHAPES if dense])),
+           contiguous=st.booleans(), seed=st.integers(0, 2 ** 32 - 1))
+    def test_bitwise_irfftn(self, shape, contiguous, seed):
+        rng = np.random.default_rng(seed)
+        half = shape[:-1] + (shape[-1] // 2 + 1, 2)
+        # any complex half spectrum, self-conjugate planes included, as one
+        # plane of a stack when it is not contiguous
+        spec = (rng.standard_normal(half) + 1j * rng.standard_normal(half))[..., 0]
+        if contiguous:
+            spec = np.ascontiguousarray(spec)
+        if potential._dense_plan(shape) is None:
+            ref = scipy.fft.irfftn(spec, s=shape)
+        else:
+            ref = potential._irfftn(spec, shape)
+        got = potential._irfftn(spec, shape, consume=True)
+        assert got.shape == shape and got.dtype == np.float64
+        assert got.tobytes() == ref.tobytes()
 
 
 class TestHalfSpectrum:
@@ -545,13 +587,20 @@ class TestResidualsOnRead:
                 HermitianMatrixField(g, "minus", m_vals, check=False))
 
     @pytest.mark.parametrize("k,l", KL)
-    def test_bitwise_equal_to_eager_formula(self, k, l):
+    def test_bitwise_equal_to_eager_formula(self, k, l, monkeypatch):
+        # the eager formula runs on the solve's own f_hat, copied as the
+        # solve hands it to f's inverse transform, its last
         g = block_grid(k, l)
         rng = np.random.default_rng(k + 2 * l)
         for blocks, tol in ((square_operator(bandlimited_field(g, rng)), 1e-8),
                             (self.perturbed(g, rng), 1.0)):
-            dec = solve_square(*blocks, tol_compat=tol)
-            ref = reference_residuals(*blocks, dec._f_hat)
+            spectra = []
+            real_irfftn = potential._irfftn
+            with monkeypatch.context() as mp:
+                mp.setattr(potential, "_irfftn", lambda spectrum, *a, **kw: (
+                    spectra.append(spectrum.copy()) or real_irfftn(spectrum, *a, **kw)))
+                dec = solve_square(*blocks, tol_compat=tol)
+            ref = reference_residuals(*blocks, spectra[-1])
             assert [dec.residual_plus, dec.residual_minus] == ref
             if tol == 1.0:
                 assert max(ref) > 1e-4
@@ -559,8 +608,8 @@ class TestResidualsOnRead:
     def test_one_inverse_transform_unless_read(self, monkeypatch, rng):
         g = BicomplexGrid.regular(1, 1, 8)
         calls = []
-        real_irfftn = scipy.fft.irfftn
-        monkeypatch.setattr(scipy.fft, "irfftn",
+        real_irfftn = potential._irfftn
+        monkeypatch.setattr(potential, "_irfftn",
                             lambda *a, **kw: calls.append(1) or real_irfftn(*a, **kw))
         dec = solve_square(*square_operator(bandlimited_field(g, rng)))
         assert len(calls) == 1
@@ -695,12 +744,13 @@ class TestRealBlockRoundtrip:
         assert sha.hexdigest() == self.PINNED
 
     def test_traced_memory(self):
-        # (grid, bound on the solver's peak above its inputs in half
-        # spectra): no spectral pass makes a full-size temporary beside the
-        # entry spectra, one per real part, which the solver owns
-        for g, bound in ((self.grid, 4.5),
-                         (BicomplexGrid.regular(1, 1, 32), 2.3),
-                         (BicomplexGrid.regular(2, 2, 4), 11.0)):
+        # (grid, bounds in half spectra on the solver's peak above its
+        # inputs and on the first residual read's peak above what the
+        # decomposition holds): no spectral pass makes a full-size temporary
+        # beside the entry spectra, one per real part, which the solver owns
+        for g, solve_bound, read_bound in ((self.grid, 4.5, 3.1),
+                                           (BicomplexGrid.regular(1, 1, 32), 2.3, 3.1),
+                                           (BicomplexGrid.regular(2, 2, 4), 11.0, 6.5)):
             f = bandlimited_field(g, np.random.default_rng(2024))
             solve_square(*square_operator(f))            # symbols cached
             half_bytes = 16 * g.size // g.shape[-1] * (g.shape[-1] // 2 + 1)
@@ -710,11 +760,18 @@ class TestRealBlockRoundtrip:
                 held = tracemalloc.get_traced_memory()[0]
                 tracemalloc.reset_peak()
                 dec = solve_square(*blocks)
-                peak = tracemalloc.get_traced_memory()[1] - held
+                kept, peak = tracemalloc.get_traced_memory()
+                tracemalloc.reset_peak()
+                dec.residual_plus, dec.residual_minus
+                read_peak = tracemalloc.get_traced_memory()[1]
             finally:
                 tracemalloc.stop()
             assert dec.f.values.dtype == np.float64
             if g.k == g.l == 1:
                 # two float64 lattice fields, one per block
                 assert held <= 2.1 * 8 * g.size
-            assert peak <= bound * half_bytes
+            # the decomposition holds f and the blocks, and no half spectrum
+            assert kept <= 1.05 * (held + dec.f.values.nbytes)
+            assert peak - held <= solve_bound * half_bytes
+            # the read rebuilds f's half spectrum from the blocks
+            assert read_peak - kept <= read_bound * half_bytes
