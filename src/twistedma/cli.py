@@ -342,6 +342,18 @@ def _flow_and_checks(cfg, background, u0, out_dir, lines, clock):
     return ok
 
 
+def _write_run_info(cfg, clock, out_dir):
+    """``run_info.txt``: the versions, the sha256 of the config as run, its
+    seed and the seconds of each phase, one ``key = value`` a line."""
+    info = {"twistedma_version": __version__, "numpy_version": np.__version__,
+            "scipy_version": scipy.__version__,
+            "config_sha256": hashlib.sha256(repr(cfg).encode()).hexdigest(),
+            "seed": cfg.seed}
+    info.update((f"{phase}_s", repr(seconds)) for phase, seconds in clock.items())
+    with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
+        fh.writelines(f"{key} = {value}\n" for key, value in info.items())
+
+
 def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     """Execute the pipeline; returns (exit_code, summary_lines).
 
@@ -373,19 +385,17 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
         if cfg.check_roundtrip:
             with clock("roundtrip"):
                 ok = _roundtrip_check(cfg, lines) and ok
+    except BaseException:
+        # the error in flight is the one reported, even if this write fails
+        with contextlib.suppress(OSError):
+            _write_run_info(cfg, clock, out_dir)
+        raise
 
-        lines.append(f"checks_passed = {ok}")
-        with clock("artifacts"):
-            with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-                fh.write("\n".join(lines) + "\n")
-    finally:
-        info = {"twistedma_version": __version__, "numpy_version": np.__version__,
-                "scipy_version": scipy.__version__,
-                "config_sha256": hashlib.sha256(repr(cfg).encode()).hexdigest(),
-                "seed": cfg.seed}
-        info.update((f"{phase}_s", repr(seconds)) for phase, seconds in clock.items())
-        with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
-            fh.writelines(f"{key} = {value}\n" for key, value in info.items())
+    lines.append(f"checks_passed = {ok}")
+    with clock("artifacts"):
+        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
+            fh.write("\n".join(lines) + "\n")
+    _write_run_info(cfg, clock, out_dir)
     return (0 if ok else _EXIT_CHECK_FAILED), lines
 
 

@@ -69,8 +69,8 @@ class SquareDecomposition:
         omega_plus, omega_minus = self._blocks
         grid = omega_plus.grid
         sym_plus, sym_minus = _grid_symbols(grid)
-        f_hat = _estimates(_entry_items(omega_plus),
-                           _entry_items(omega_minus), grid)[0]
+        f_hat = _estimates(_entry_spectra(omega_plus),
+                           _entry_spectra(omega_minus), grid)[0]
         res_plus = _residual(omega_plus, sym_plus, f_hat)
         # the minus block stores -hess_minus f
         return res_plus, _residual(omega_minus, sym_minus,
@@ -179,20 +179,18 @@ def _irfftn(spectrum, shape, consume=False):
     imaginary part of the self-conjugate planes is ignored), by dense pair
     products on the grids of ``_dense_plan``.
 
-    With ``consume`` the ``scipy.fft`` path works in the buffer of
-    ``spectrum``, which it overwrites, rather than in a workspace of its
-    size (the multi-axis ``irfftn`` allocates one whatever its
-    ``overwrite_x``): the leading axes in place, then the last axis, then
-    pocketfft's own factor, 1/N rounded from long double.  Those are the
-    passes and the factor of ``irfftn``, so the bits are the same.
+    Off the dense plan the passes and the factor of ``irfftn`` are made
+    one by one: the leading axes, then the last axis, then pocketfft's own
+    factor, 1/N rounded from long double, so the bits are the same.  With
+    ``consume`` the leading axes are transformed in the buffer of
+    ``spectrum``, which is overwritten, where the multi-axis ``irfftn``
+    allocates a workspace of its size whatever its ``overwrite_x``.
     """
     plan = _dense_plan(shape)
     if plan is None:
-        if not consume:
-            return scipy.fft.irfftn(spectrum, s=shape)
         # ifftn copies a non-contiguous input: use the array it returns
         lead = scipy.fft.ifftn(spectrum, axes=range(len(shape) - 1),
-                               overwrite_x=True, norm="forward")
+                               overwrite_x=consume, norm="forward")
         out = scipy.fft.irfft(lead, n=shape[-1], norm="forward")
         out *= np.float64(1 / np.longdouble(out.size))
         return out
@@ -203,24 +201,20 @@ def _irfftn(spectrum, shape, consume=False):
         return (spec.view(np.float64).reshape(-1, len(inv)) @ inv).reshape(shape)
 
 
-def _entry_items(omega):
-    """((i, j), (rfftn of Re omega_ij, rfftn of Im omega_ij)) for every
-    i <= j, each transformed when it is drawn.
+def _entry_spectra(omega):
+    """{(i, j): (rfftn of Re omega_ij, rfftn of Im omega_ij)} for i <= j.
 
     The diagonal of a Hermitian block is real, so its imaginary part is
     not transformed (None).
     """
     m = omega.values.shape[-1]
+    out = {}
     for i in range(m):
         for j in range(i, m):
             entry = np.broadcast_to(omega.values[..., i, j], omega.grid.shape)
-            yield (i, j), (_rfftn(entry.real),
-                           None if i == j else _rfftn(entry.imag))
-
-
-def _entry_spectra(omega):
-    """{(i, j): (re, im)} of ``_entry_items``, every entry at once."""
-    return dict(_entry_items(omega))
+            out[i, j] = (_rfftn(entry.real),
+                         None if i == j else _rfftn(entry.imag))
+    return out
 
 
 def _entry(pairs, i, j):
@@ -360,8 +354,7 @@ def _residual(omega, sym, hat):
 
 def _block_estimate(hats, sym, sign):
     """Least-squares mode estimate of hat(f) from one block, built in the
-    buffers of the entry spectra ``hats``, items ((i, j), (re, im)) in
-    the order of ``sym``, which it consumes one at a time.
+    buffers of ``hats``, which it consumes.
 
     Per mode, sum_ij conj(s_ij) hat(omega_ij) / sum_ij |s_ij|^2 with the
     symbols scaled by ``sign``.  The pair (i, j), (j, i) with s = R + iI
@@ -374,27 +367,25 @@ def _block_estimate(hats, sym, sign):
         den = den + (r * r if i == j else 2.0 * (r * r + im * im))
     inv = np.divide(sign, den, out=np.zeros_like(den), where=den > 0.0)
     est = None
-    for (i, j), (a, b) in hats:
-        r, im = sym[i, j]
+    for (i, j), (r, im) in sym.items():
+        a, b = hats[i, j]
         w = inv if i == j else 2.0 * inv
         # a (w r) has the bits of (w r) a: multiplication commutes exactly
-        np.multiply(a, w * r, out=a)
+        term = np.multiply(a, w * r, out=a)
         if b is not None:
-            a += np.multiply(b, w * im, out=b)
+            term += np.multiply(b, w * im, out=b)
         if est is None:
-            est = a
+            est = term
         else:
-            est += a
-        del a, b                  # before the next entry is drawn
+            est += term
     return est
 
 
 def _estimates(hat_p, hat_m, grid):
     """(hat(f), the minus block's estimate), built in the entry spectra
-    ``hat_p`` and ``hat_m`` (items, as ``_block_estimate`` takes them),
-    which it consumes: the plus block's estimate, whose plus-invisible
-    modes (plus frequency zero) come from the minus block's; both vanish
-    at the zero mode."""
+    ``hat_p`` and ``hat_m``, which it consumes: the plus block's estimate,
+    whose plus-invisible modes (plus frequency zero) come from the minus
+    block's; both vanish at the zero mode."""
     sym_plus, sym_minus = _grid_symbols(grid)
     f_hat = _block_estimate(hat_p, sym_plus, 1.0)
     # the minus block stores -hess_minus f, so negate its symbols
@@ -478,7 +469,7 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
             "block data varies across slices where its stencil has no reach "
             f"(stray content {stray / npts:.3e} per point)")
 
-    f_hat, est_m = _estimates(hat_p.items(), hat_m.items(), grid)
+    f_hat, est_m = _estimates(hat_p, hat_m, grid)
     del hat_p, hat_m
     # overlap frequencies (both blocks nonzero) must agree
     est_m -= f_hat

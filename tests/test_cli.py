@@ -408,15 +408,22 @@ class TestMain:
         assert re.fullmatch(r"error: plus block lost positivity at point \(\d+, \d+, \d+, \d+\) "
                             r"\(eigenvalue -\d\.\d{3}e\+\d+\)\n", err)
 
-    def test_inadmissible_initial_value_leaves_run_info(self, tmp_path, capsys):
+    INDEFINITE_ERR = ("error: plus block lost positivity at point (0, 0, 0, 0) "
+                      "(eigenvalue -9.744e-01)\n")
+
+    @staticmethod
+    def indefinite_config(tmp_path):
         # amplitude 8 makes the plus block about 1 - 2 cos x, indefinite at t = 0
         text = open(scenario("cosine_decay.cfg")).read()
         p = tmp_path / "indefinite.cfg"
         p.write_text(text.replace("amplitude = 1e-3", "amplitude = 8"))
+        return p
+
+    def test_inadmissible_initial_value_leaves_run_info(self, tmp_path, capsys):
+        p = self.indefinite_config(tmp_path)
         out = tmp_path / "o"
         assert main(["run", str(p), "--out", str(out)]) == 3
-        assert capsys.readouterr().err == ("error: plus block lost positivity at point "
-                                           "(0, 0, 0, 0) (eigenvalue -9.744e-01)\n")
+        assert capsys.readouterr().err == self.INDEFINITE_ERR
         # the run directory explains the failure: today's keys, the phase
         # seconds up to it, and no other artifact
         assert os.listdir(out) == ["run_info.txt"]
@@ -429,6 +436,24 @@ class TestMain:
             repr(load_config(str(p))).encode()).hexdigest()
         assert 0.0 < float(info["flow_s"]) < 60.0
         assert [float(info[k]) for k in ("checks_s", "roundtrip_s", "artifacts_s")] == [0.0] * 3
+
+    def test_unwritable_run_info_keeps_the_error(self, tmp_path, monkeypatch, capsys):
+        # the output directory is replaced by a file once the run has begun,
+        # so run_info.txt cannot be written: the flow's error is still the
+        # one reported, with its exit code and message
+        p = self.indefinite_config(tmp_path)
+        out = tmp_path / "o"
+        real = cli._flow_and_checks
+
+        def unwritable(*args):
+            os.rmdir(out)
+            out.write_text("")
+            return real(*args)
+
+        monkeypatch.setattr(cli, "_flow_and_checks", unwritable)
+        assert main(["run", str(p), "--out", str(out)]) == 3
+        assert capsys.readouterr().err == self.INDEFINITE_ERR
+        assert out.read_text() == ""
 
     @pytest.mark.parametrize("key", ["viscosity", "roundtrip"])
     def test_check_flag_typo_exit_two(self, tmp_path, capsys, key):
