@@ -360,27 +360,24 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     Besides the artifacts, writes ``run_info.txt``, one ``key = value`` a
     line: the versions, the sha256 of the config as run, its seed, and
     the wall seconds of each phase (flow, checks, roundtrip, artifacts).
-    A run that the flow, the checks or the roundtrip ends with an error
-    writes it too, with the seconds up to the error, before the error
-    propagates.
+    A run that ends with an error once the out directory exists writes it
+    too, with the seconds up to the error, before the error propagates.
     """
     cfg = config if isinstance(config, ScenarioConfig) else load_config(config)
     cfg.validate()
     if seed is not None:
         cfg = replace(cfg, seed=seed)
     os.makedirs(out_dir, exist_ok=True)
-    background = _build_background(cfg)
-    u0 = _build_initial(cfg)
-
-    tau = background.tau_star()
-    lines = [f"tau_star = {tau!r}"]
-    if math.isfinite(tau) and cfg.t_end >= tau and not override_tau_star:
-        raise ConfigError(
-            f"t_end {cfg.t_end} reaches tau_star {tau}; pass "
-            f"--override-tau-star to probe the degeneration on purpose")
-
     clock = _PhaseClock()
     try:
+        background = _build_background(cfg)
+        u0 = _build_initial(cfg)
+        tau = background.tau_star()
+        lines = [f"tau_star = {tau!r}"]
+        if math.isfinite(tau) and cfg.t_end >= tau and not override_tau_star:
+            raise ConfigError(
+                f"t_end {cfg.t_end} reaches tau_star {tau}; pass "
+                f"--override-tau-star to probe the degeneration on purpose")
         ok = _flow_and_checks(cfg, background, u0, out_dir, lines, clock)
         if cfg.check_roundtrip:
             with clock("roundtrip"):

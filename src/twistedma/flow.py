@@ -49,9 +49,9 @@ import numpy as np
 
 from .errors import BarrierViolation, NotAdmissible
 from .forms import background_at
-from .grid import (ScalarField, _finite, _l1_bound, det_values,
-                   hessian_block_values, hessian_symbols, min_eig_values)
-from .potential import _irfftn, _rfftn
+from .grid import (ScalarField, _finite, _l1_bound, _worst, det_values,
+                   hessian_block_values)
+from .potential import _grid_symbols, _irfftn, _rfftn
 
 __all__ = [
     "FlowState",
@@ -106,13 +106,6 @@ class AdmissibilityReport:
     @property
     def admissible(self):
         return self.plus_margin > 0.0 and self.minus_margin > 0.0
-
-
-def _worst(values):
-    """(lambda_min, worst point) of a stacked block: one eigenvalue pass."""
-    ev = min_eig_values(values)
-    point = np.unravel_index(int(np.argmin(ev)), ev.shape)
-    return float(ev[point]), point
 
 
 def form_block_values(state):
@@ -215,7 +208,7 @@ def _linearization(state):
         # on stable_dt before the symbol is used
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for omega, sym in zip((bg.omega_hat_plus, bg.omega_hat_minus),
-                                  hessian_symbols(grid)):
+                                  _grid_symbols(grid)):
                 mean = omega.values.mean(axis=ax)
                 # adj / det (m <= 2) keeps LAPACK, and the memory its first
                 # call maps, off the flow's path

@@ -25,7 +25,7 @@ import numpy as np
 
 from .errors import NotAdmissible
 from .grid import (HermitianMatrixField, ScalarField, _require_hermitian,
-                   hermitian_hessian, min_eig_values)
+                   _worst, hermitian_hessian)
 
 __all__ = [
     "BackgroundData",
@@ -79,8 +79,7 @@ def chi_from_weights(phi_plus, phi_minus):
 
 def positivity_check(omega_plus, omega_minus):
     """True iff both blocks are positive definite everywhere."""
-    return bool(min_eig_values(omega_plus.values).min() > 0.0
-                and min_eig_values(omega_minus.values).min() > 0.0)
+    return _worst(omega_plus.values)[0] > 0.0 and _worst(omega_minus.values)[0] > 0.0
 
 
 def _block_tau(omega0, chi):
@@ -164,10 +163,13 @@ class BackgroundData:
         # passes, and the flow's rhs ends in its typed non-finite error; a
         # norm of chi is inf, which collapses the flow's drift step
         with np.errstate(over="ignore", invalid="ignore"):
-            if min_eig_values(self.omega0_plus.values).min() <= 0.0:
-                raise NotAdmissible("omega_0 plus block is not positive definite")
-            if min_eig_values(self.omega0_minus.values).min() <= 0.0:
-                raise NotAdmissible("omega_0 minus block is not positive definite")
+            for block, omega in (("plus", self.omega0_plus), ("minus", self.omega0_minus)):
+                eigenvalue, point = _worst(omega.values)
+                if eigenvalue <= 0.0:
+                    raise NotAdmissible(
+                        f"omega_0 {block} block is not positive definite at point "
+                        f"{tuple(int(i) for i in point)} (eigenvalue {eigenvalue:.3e})",
+                        point=point, eigenvalue=eigenvalue, block=block)
             self._chi_norms = tuple(
                 float(np.sqrt(np.square(np.abs(chi.values)).sum(axis=(-2, -1)).max()))
                 for chi in (self.chi_plus, self.chi_minus))

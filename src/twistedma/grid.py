@@ -469,6 +469,14 @@ def min_eig_values(values):
     return _eig_bounds(values)[0]
 
 
+def _worst(values):
+    """(lambda_min, worst point) of a stacked block: one eigenvalue pass;
+    a NaN eigenvalue is the worst point."""
+    ev = min_eig_values(values)
+    point = np.unravel_index(int(np.argmin(ev)), ev.shape)
+    return float(ev[point]), point
+
+
 def det_entries(a, d=None, b=None):
     """det [[a, b], [conj b, d]] = a d - |b|^2, or a for m = 1."""
     return a if d is None else a * d - np.abs(b) ** 2

@@ -35,6 +35,9 @@ _BETA = 60.0
 _BUMP_AMP = 2.0
 _BUMP_WIDTH2 = 0.0225  # (0.15)^2
 _BUMP_OFFSET = 0.2
+_NEWTON_STEP = 1e-4     # Newton's finite-difference step
+_NEWTON_TOL = 1e-10     # Newton stops once a step moves less than this
+_NEWTON_MAX_ITER = 50
 
 
 def _minimg(v):
@@ -77,35 +80,42 @@ class ProbeResult:
                      f"vacuous={self.vacuous}\n")
 
 
-def _construction(n, phi3_scale):
-    dim = 2 * n
+def _construction(n):
+    """(x_hat, r_zero): the subsolution bump's centre and the zero-set radius."""
+    x_hat = np.zeros(2 * n)
     r_zero = _zero_set_radius()
-    x_hat = np.zeros(dim)
     x_hat[0] = r_zero + _BUMP_OFFSET
+    return x_hat, r_zero
 
-    def phi3(x, y):
-        diff = _minimg(np.asarray(y) - np.asarray(x))
-        d2 = (diff ** 2).sum(axis=-1)
-        mid = np.asarray(x) + 0.5 * diff
-        rm = np.sqrt(_r2(mid))
-        ramp = np.maximum(rm - r_zero, 0.0) ** 3
-        return phi3_scale * (d2 + _BETA * ramp)
 
-    def w_sub(x):
-        return _BUMP_AMP * np.exp(-_r2(np.asarray(x) - x_hat) / _BUMP_WIDTH2)
+def _squares(z, x_hat):
+    """d(x, y)^2, the squared radius of the midpoint and |x - x_hat|^2 at
+    the points z = (x, y): the three squared distances of the objective."""
+    dim = z.shape[-1] // 2
+    x, y = z[..., :dim], z[..., dim:]
+    diff = _minimg(y - x)
+    return (diff ** 2).sum(axis=-1), _r2(x + 0.5 * diff), _r2(x - x_hat)
 
-    def w_super(y):
-        return np.zeros(np.asarray(y).shape[:-1])
 
-    return phi3, w_sub, w_super, x_hat, r_zero
+def _phi3(d2, mid2, r_zero, scale):
+    """The cutoff: scale (d^2 + beta max(|mid| - r_zero, 0)^3)."""
+    ramp = np.maximum(np.sqrt(mid2) - r_zero, 0.0) ** 3
+    return scale * (d2 + _BETA * ramp)
+
+
+def _combine(d2, mid2, bump2, alpha, r_zero, scale):
+    """The penalized objective w_sub - phi3 - alpha d^2 / 2 from its three
+    squared distances; the supersolution model is 0."""
+    w_sub = _BUMP_AMP * np.exp(-bump2 / _BUMP_WIDTH2)
+    return w_sub - _phi3(d2, mid2, r_zero, scale) - 0.5 * alpha * d2
 
 
 def _objective_slabs(axes, x_hat, r_zero, alpha, phi3_scale, chunk=200_000):
-    """Yield (offset, values) of w_sub - w_super - phi3 - alpha d^2 / 2 on
-    the tensor grid of axes (x_0 .. x_{dim-1}, y_0 .. y_{dim-1}) in C order,
-    in slabs of at most chunk values along the leading axes.  Each term sums
-    over c tables on one (x_c, y_c) pair, in the pointwise code's order, so
-    only the combination runs at full size.  The supersolution model is 0."""
+    """Yield (offset, values) of ``_combine`` on the tensor grid of axes
+    (x_0 .. x_{dim-1}, y_0 .. y_{dim-1}) in C order, in slabs of at most
+    chunk values along the leading axes.  Each squared distance sums over
+    c tables on one (x_c, y_c) pair, in ``_squares``' order, so only the
+    combination runs at full size."""
     dim = len(axes) // 2
     shape = tuple(len(a) for a in axes)
     d2_t, mid_t, bump_t = [], [], []
@@ -124,13 +134,10 @@ def _objective_slabs(axes, x_hat, r_zero, alpha, phi3_scale, chunk=200_000):
     for start in range(0, len(rows), chunk // size):
         idx = np.unravel_index(rows[start:start + chunk // size], shape[:lead])
         # every table at this slab's leading indices, summed over c
-        d2, mid2, bump2 = (
+        squares = (
             sum(t[tuple(i if m > 1 else 0 for i, m in zip(idx, t.shape))]
                 for t in tables) for tables in (d2_t, mid_t, bump_t))
-        ramp = np.maximum(np.sqrt(mid2) - r_zero, 0.0) ** 3
-        phi3 = phi3_scale * (d2 + _BETA * ramp)
-        w_sub = _BUMP_AMP * np.exp(-bump2 / _BUMP_WIDTH2)
-        yield start * size, (w_sub - phi3 - 0.5 * alpha * d2).ravel()
+        yield start * size, _combine(*squares, alpha, r_zero, phi3_scale).ravel()
 
 
 def _grid_maximize(slabs, center, half_width, n_levels=14, pts=13):
@@ -191,29 +198,30 @@ def _negative_definite(H):
     return True
 
 
-def _newton_maximize(f, z, step=1e-4, tol=1e-10, max_iter=50):
+def _newton_maximize(f, z):
     """Line-search Newton ascent from z on finite-difference derivatives,
     or None when it fails: a Hessian at z that is not negative definite, a
-    non-finite value, or max_iter iterates without stopping.  An iterate is
-    accepted only where the Hessian is negative definite and f has not
-    fallen by more than roundoff; otherwise the step is halved.  Stops once
-    a step, accepted or halved, moves every coordinate by less than tol."""
-    f0, grad, H = _fd_derivatives(f, z, step)
+    non-finite value, or _NEWTON_MAX_ITER iterates without stopping.  An
+    iterate is accepted only where the Hessian is negative definite and f
+    has not fallen by more than roundoff; otherwise the step is halved.
+    Stops once a step, accepted or halved, moves every coordinate by less
+    than _NEWTON_TOL."""
+    f0, grad, H = _fd_derivatives(f, z, _NEWTON_STEP)
     if not (np.isfinite(f0) and _negative_definite(H)):
         return None
-    for _ in range(max_iter):
+    for _ in range(_NEWTON_MAX_ITER):
         dz = np.linalg.solve(-H, grad)
         slack = 8.0 * np.finfo(np.float64).eps * max(1.0, abs(f0))
         while True:
             trial = z + dz
-            f1, grad1, H1 = _fd_derivatives(f, trial, step)
+            f1, grad1, H1 = _fd_derivatives(f, trial, _NEWTON_STEP)
             if f1 >= f0 - slack and _negative_definite(H1):
                 break
             dz = 0.5 * dz
-            if np.abs(dz).max() < tol:
+            if np.abs(dz).max() < _NEWTON_TOL:
                 return z
         z, f0, grad, H = trial, f1, grad1, H1
-        if np.abs(dz).max() < tol:
+        if np.abs(dz).max() < _NEWTON_TOL:
             return z
     return None
 
@@ -245,21 +253,8 @@ def localization_gap_probe(n=1, alphas=(1e1, 1e2, 1e3, 1e4), phi3_scale=1.0,
         raise ValueError("penalization strengths must be finite and > 0")
     if len(alphas) < 2 and phi3_scale != 0.0:
         raise ValueError("need at least two penalization strengths")
-    phi3, w_sub, w_super, x_hat, r_zero = _construction(n, phi3_scale)
+    x_hat, r_zero = _construction(n)
     dim = 2 * n
-
-    def split(z):
-        return z[..., :dim], z[..., dim:]
-
-    def phi3_doubled(z):
-        x, y = split(z)
-        return phi3(x, y)
-
-    def objective(z, alpha):
-        x, y = split(z)
-        d2 = (_minimg(y - x) ** 2).sum(axis=-1)
-        return w_sub(x) - w_super(y) - phi3(x, y) - 0.5 * alpha * d2
-
     distances = []
     norms = []
     maximizers = []
@@ -269,7 +264,7 @@ def localization_gap_probe(n=1, alphas=(1e1, 1e2, 1e3, 1e4), phi3_scale=1.0,
         slabs = lambda axes, a=alpha: _objective_slabs(axes, x_hat, r_zero, a,
                                                        phi3_scale)
         z_star = _newton_maximize(
-            lambda z, a=alpha: objective(z, a),
+            lambda z, a=alpha: _combine(*_squares(z, x_hat), a, r_zero, phi3_scale),
             _grid_maximize(slabs, center, half_width, n_levels=search_levels,
                            pts=search_points))
         if z_star is None:
@@ -277,12 +272,13 @@ def localization_gap_probe(n=1, alphas=(1e1, 1e2, 1e3, 1e4), phi3_scale=1.0,
             z_star = _grid_maximize(slabs, center, half_width,
                                     n_levels=max(search_levels, 14),
                                     pts=search_points)
-        x_a, y_a = split(z_star)
-        d = float(np.sqrt((_minimg(y_a - x_a) ** 2).sum()))
+        d = float(np.sqrt(_squares(z_star, x_hat)[0]))
         distances.append(d)
-        H = _fd_derivatives(phi3_doubled, z_star, 1e-3)[2]
+        H = _fd_derivatives(
+            lambda z: _phi3(*_squares(z, x_hat)[:2], r_zero, phi3_scale),
+            z_star, 1e-3)[2]
         norms.append(float(np.linalg.norm(H, 2)))
-        maximizers.append((x_a.copy(), y_a.copy()))
+        maximizers.append((z_star[:dim].copy(), z_star[dim:].copy()))
         # warm-start the next (larger) alpha near the current maximizer
         center = z_star
         half_width = max(4.0 * d, 0.05)

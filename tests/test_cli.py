@@ -437,6 +437,34 @@ class TestMain:
         assert 0.0 < float(info["flow_s"]) < 60.0
         assert [float(info[k]) for k in ("checks_s", "roundtrip_s", "artifacts_s")] == [0.0] * 3
 
+    @pytest.mark.parametrize("name,old,new,code,message", [
+        ("cosine_decay.cfg", "omega_plus = 1\n", "omega_plus = -1\n", 3,
+         "error: omega_0 plus block is not positive definite at point (0, 0, 0, 0) "
+         "(eigenvalue -1.000e+00)\n"),
+        ("finite_tau_star.cfg", "t_end = 0.1\n", "t_end = 0.6\n", 2,
+         "error: t_end 0.6 reaches tau_star 0.5; pass --override-tau-star "
+         "to probe the degeneration on purpose\n"),
+        ("flat_stationary.cfg", "kind = zero\n", "kind = file\nfile = {absent}\n", 2,
+         "error: initial: cannot load {absent}: "),
+    ], ids=["omega0_indefinite", "tau_star_refused", "initial_file_absent"])
+    def test_failure_before_the_flow_leaves_run_info(self, tmp_path, capsys, name, old,
+                                                     new, code, message):
+        # the background, the initial value and the tau* refusal fail before
+        # any phase has begun: the directory still explains the run
+        absent = tmp_path / "absent.bin"
+        text = open(scenario(name)).read()
+        assert old in text
+        p = tmp_path / "early.cfg"
+        p.write_text(text.replace(old, new.format(absent=absent)))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == code
+        assert capsys.readouterr().err.startswith(message.format(absent=absent))
+        assert os.listdir(out) == ["run_info.txt"]
+        info = dict(line.split(" = ", 1)
+                    for line in (out / "run_info.txt").read_text().splitlines())
+        assert [float(info[f"{phase}_s"]) for phase in
+                ("flow", "checks", "roundtrip", "artifacts")] == [0.0] * 4
+
     def test_unwritable_run_info_keeps_the_error(self, tmp_path, monkeypatch, capsys):
         # the output directory is replaced by a file once the run has begun,
         # so run_info.txt cannot be written: the flow's error is still the

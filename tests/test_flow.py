@@ -1,5 +1,9 @@
+import unittest.mock
+
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
                        ScalarField, admissibility, barriers, flat_background,
@@ -449,7 +453,7 @@ class TestStateRecord:
         state = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-3),
                           flat_background(g))
         hess = self._count(monkeypatch, "hessian_block_values")
-        eig = self._count(monkeypatch, "min_eig_values")
+        eig = self._count(monkeypatch, "_worst")
         dt = stable_dt(state)
         report = admissibility(state)
         twisted_rhs(state)
@@ -472,7 +476,7 @@ class TestStateRecord:
         flow.form_block_values(state)
         assert state._report is None
         hess = self._count(monkeypatch, "hessian_block_values")
-        eig = self._count(monkeypatch, "min_eig_values")
+        eig = self._count(monkeypatch, "_worst")
         report = admissibility(state)
         assert (len(hess), len(eig)) == (0, 2)
         assert admissibility(state) is report and len(eig) == 2
@@ -483,7 +487,7 @@ class TestStateRecord:
                           flat_background(g))
         dt = stable_dt(state)
         hess = self._count(monkeypatch, "hessian_block_values")
-        eig = self._count(monkeypatch, "min_eig_values")
+        eig = self._count(monkeypatch, "_worst")
         step(state, dt)
         assert (len(hess), len(eig)) == (2, 2)
 
@@ -597,3 +601,79 @@ class TestStateRecord:
                              flat_background(g)), t_end, keep_states="none")
         assert len(steps) == traj.steps == 10 and traj.rejected_trials == 0
         assert traj.rows[-1][1] == pytest.approx(0.0003678495238662814, rel=1e-12)
+
+
+
+# Discrete comparison principle: v0 = u0 + a bump of 1e-3 at one lattice
+# point stays above u0's flow to t_end, within 1e-10 (1 + max|u|), a
+# tolerance fixed before any draw was run.  In scope: k = l = 1 grids and
+# diagonal k = l = 2 forms.  Off-diagonal forms (omega_0 = [[1, c], [c*, 1]],
+# c != 0) are out of scope: there the centred mixed differences break
+# monotonicity, and measured breaches reached 6.2e-6.
+_COMPARISON_BUMP = 1e-3
+_COMPARISON_TOL = 1e-10
+
+
+def _ordered_pair(u0, point):
+    bg = flat_background(u0.grid)
+    v0 = u0.copy()
+    v0.values[point] += _COMPARISON_BUMP
+    return FlowState(0.0, u0, bg), FlowState(0.0, v0, bg)
+
+
+def _assert_ordered(u, v, t_end):
+    assert u.t == v.t == t_end
+    gap = float((v.u.values - u.u.values).min())
+    assert gap >= -_COMPARISON_TOL * (1.0 + float(np.abs(u.u.values).max()))
+
+
+def _cosines(terms):
+    g = BicomplexGrid.regular(1, 1, 8)
+    u0 = ScalarField.zeros(g)
+    for axis, amplitude in terms:
+        u0.values += cos_axis_field(g, axis, amplitude).values
+    return u0
+
+
+_terms = st.lists(st.tuples(st.integers(0, 3), st.floats(-1.0, 1.0)),
+                  min_size=1, max_size=3)
+_point4 = st.tuples(*[st.integers(0, 7)] * 4)
+_t_end = st.floats(0.05, 0.3)
+
+
+# run's steps depend on the state, so the two runs take different steps
+# and compare two discretizations: every breach seen had different step
+# times, and order held to roundoff on the same steps (the test below)
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the step controller picks different steps for u and v")
+@settings(max_examples=25, deadline=None)
+@given(terms=_terms, point=_point4, t_end=_t_end)
+@example(terms=[(2, 1.0)], point=(0, 0, 0, 0), t_end=0.25)
+def test_comparison_principle_k1l1(terms, point, t_end):
+    u, v = (run(s, t_end, keep_states="none").states[-1]
+            for s in _ordered_pair(_cosines(terms), point))
+    _assert_ordered(u, v, t_end)
+
+
+@settings(max_examples=25, deadline=None)
+@given(terms=_terms, point=_point4, t_end=_t_end)
+def test_comparison_principle_k1l1_on_the_same_steps(terms, point, t_end):
+    # v takes the steps that run chose for u: the step map keeps order
+    u, v = _ordered_pair(_cosines(terms), point)
+    with unittest.mock.patch.object(flow, "step", wraps=flow.step) as spy:
+        u = run(u, t_end, keep_states="none").states[-1]
+    for call in spy.call_args_list:
+        _, dt, _, fallback_dt = call.args
+        v = flow.step(v, dt, v._last_step, fallback_dt)
+    _assert_ordered(u, v, t_end)
+
+
+@settings(max_examples=8, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), point=st.tuples(*[st.integers(0, 3)] * 8),
+       t_end=_t_end)
+def test_comparison_principle_diagonal_k2l2(seed, point, t_end):
+    g = BicomplexGrid.regular(2, 2, 4)
+    noise = np.random.default_rng(seed).standard_normal(g.shape)
+    u, v = (run(s, t_end, keep_states="none").states[-1]
+            for s in _ordered_pair(ScalarField(g, 0.05 * noise), point))
+    _assert_ordered(u, v, t_end)

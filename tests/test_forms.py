@@ -217,6 +217,30 @@ class TestPositivityAndTauStar:
             max_existence_time(rep0, chi)
 
 
+@pytest.mark.parametrize("bad,block", [(("plus",), "plus"), (("minus",), "minus"),
+                                       (("plus", "minus"), "plus")],
+                         ids=["plus", "minus", "both"])
+def test_indefinite_omega0_names_block_point_and_eigenvalue(bad, block):
+    # the plus block is checked first; the error carries the worst lattice
+    # point of the block and its eigenvalue, and names both
+    g = BicomplexGrid.regular(2, 1, 4)
+    point = (1, 2, 3, 0, 2, 1)
+    blocks = {}
+    for name, m, wrong in (("plus", 2, [[1.0, 2.0], [2.0, 1.0]]), ("minus", 1, [[-0.5]])):
+        values = np.broadcast_to(np.eye(m), g.shape + (m, m)).copy()
+        if name in bad:
+            values[point] = wrong
+        blocks[name] = HermitianMatrixField(g, name, values)
+    with pytest.raises(NotAdmissible) as exc:
+        flat_background(g, omega0_plus=blocks["plus"], omega0_minus=blocks["minus"])
+    err = exc.value
+    assert err.block == block
+    assert tuple(int(i) for i in err.point) == point
+    assert err.eigenvalue == (-1.0 if block == "plus" else -0.5)
+    assert str(err) == (f"omega_0 {block} block is not positive definite at point "
+                        f"{point} (eigenvalue {err.eigenvalue:.3e})")
+
+
 class TestBackgroundAt:
     def _finite_model(self, grid):
         return flat_background(

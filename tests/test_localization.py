@@ -88,18 +88,16 @@ def test_default_probe_pinned(default_probe):
 class TestTensorSearch:
     @staticmethod
     def pointwise(n, axes, alpha):
-        from twistedma.localization import _construction, _minimg
-        phi3, w_sub, w_super, _, _ = _construction(n, 1.0)
+        from twistedma.localization import _combine, _construction, _squares
+        x_hat, r_zero = _construction(n)
         z = np.stack([m.ravel() for m in np.meshgrid(*axes, indexing="ij")],
                      axis=-1)
-        x, y = z[:, :2 * n], z[:, 2 * n:]
-        d2 = (_minimg(y - x) ** 2).sum(axis=-1)
-        return w_sub(x) - w_super(y) - phi3(x, y) - 0.5 * alpha * d2
+        return _combine(*_squares(z, x_hat), alpha, r_zero, 1.0)
 
     @staticmethod
     def slabs(n, axes, alpha, **kw):
         from twistedma.localization import _construction, _objective_slabs
-        _, _, _, x_hat, r_zero = _construction(n, 1.0)
+        x_hat, r_zero = _construction(n)
         return list(_objective_slabs(axes, x_hat, r_zero, alpha, 1.0, **kw))
 
     def test_n1_bitwise(self, rng):
@@ -124,7 +122,7 @@ class TestTensorSearch:
     def test_slab_size_does_not_move_the_maximizer(self):
         from twistedma.localization import (_construction, _grid_maximize,
                                             _objective_slabs)
-        _, _, _, x_hat, r_zero = _construction(2, 1.0)
+        x_hat, r_zero = _construction(2)
         found = [_grid_maximize(
             lambda axes, chunk=chunk: _objective_slabs(
                 axes, x_hat, r_zero, 30.0, 1.0, chunk=chunk),
@@ -169,21 +167,16 @@ class TestNewtonSearch:
 
     @staticmethod
     def objective(alpha):
-        from twistedma.localization import _construction, _minimg
-        phi3, w_sub, w_super, _, _ = _construction(1, 1.0)
-
-        def f(z):
-            x, y = z[..., :2], z[..., 2:]
-            d2 = (_minimg(y - x) ** 2).sum(axis=-1)
-            return w_sub(x) - w_super(y) - phi3(x, y) - 0.5 * alpha * d2
-        return f
+        from twistedma.localization import _combine, _construction, _squares
+        x_hat, r_zero = _construction(1)
+        return lambda z: _combine(*_squares(z, x_hat), alpha, r_zero, 1.0)
 
     @staticmethod
     def grid_search(alphas):
         """The 14-level nested search with the probe's warm starts."""
         from twistedma.localization import (_construction, _grid_maximize,
                                             _minimg, _objective_slabs)
-        _, _, _, x_hat, r_zero = _construction(1, 1.0)
+        x_hat, r_zero = _construction(1)
         center, half_width, found = np.concatenate([x_hat, x_hat]), 2.0, []
         for alpha in sorted(alphas):
             z = _grid_maximize(

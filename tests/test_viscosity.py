@@ -183,8 +183,8 @@ class TestSubSuperChecks:
     def test_stack_checks_build_no_record(self, monkeypatch):
         # the checks read the forms only: no eigenvalue pass of the flow's
         g, stack, times, bg = check_case(1, 2)
-        calls, real = [], flow.min_eig_values
-        monkeypatch.setattr(flow, "min_eig_values", lambda v: calls.append(v) or real(v))
+        calls, real = [], flow._worst
+        monkeypatch.setattr(flow, "_worst", lambda v: calls.append(v) or real(v))
         for check in (subsolution_check, supersolution_check):
             check(stack, times, bg, samples=1)
         assert calls == []
