@@ -53,10 +53,7 @@ class CohomologyClassRep:
 
     def __post_init__(self):
         for m, block in ((self.mean_plus, "plus"), (self.mean_minus, "minus")):
-            arr = np.asarray(m)
-            if not np.all(np.isfinite(arr)):
-                raise ValueError("class representative has non-finite entries")
-            _require_hermitian(arr, block)
+            _require_hermitian(np.asarray(m), block)
 
     @classmethod
     def of(cls, omega_plus, omega_minus):

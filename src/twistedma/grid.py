@@ -170,14 +170,19 @@ def _block_dtype(m, values):
 
 
 def _require_hermitian(values, block):
-    """max |values|, after checking that every entry (j, i) is the conjugate
-    of (i, j) to within 1e-12 (1 + max |values|); ValueError otherwise.  On
-    the diagonal the deviation is 2 |Im v_ii|, read without a temporary.
-    A real 1x1 block is Hermitian by type, and its peak is read as
-    max(max v, -min v), without a |values| array."""
-    if values.shape[-1] == 1 and not np.iscomplexobj(values):
-        return float(np.maximum(values.max(), -values.min()))
-    peak = float(np.abs(values).max())
+    """max |values|, after checking that it is finite and that every entry
+    (j, i) is the conjugate of (i, j) to within 1e-12 (1 + max |values|);
+    ValueError otherwise.  On the diagonal the deviation is 2 |Im v_ii|,
+    read without a temporary.  A real 1x1 block is Hermitian by type, and
+    its peak is read as max(max v, -min v), without a |values| array; a
+    NaN anywhere makes the peak NaN."""
+    real = values.shape[-1] == 1 and not np.iscomplexobj(values)
+    peak = float(np.maximum(values.max(), -values.min()) if real
+                 else np.abs(values).max())
+    if not np.isfinite(peak):
+        raise ValueError(f"{block} block is not finite (max |value| {peak})")
+    if real:
+        return peak
     for i, j in itertools.combinations_with_replacement(range(values.shape[-1]), 2):
         if i == j:
             im = values[..., i, i].imag

@@ -248,11 +248,13 @@ def _plus(x, y):
                  for u, v in zip(x, y))
 
 
-def _to_lattice(pair, shape):
-    """The lattice field whose real and imaginary parts have the half
-    spectra ``pair`` (a None part is zero), which it consumes."""
-    re, im = (None if p is None else _irfftn(p, shape, consume=True) for p in pair)
-    return re if im is None else re + 1j * im
+def _lattice_slabs(parts, shape):
+    """(slab, values) along the first axis (``grid._slabs``) of the lattice
+    field whose real and imaginary parts have the half spectra ``parts`` (a
+    None part is zero), which are taken one at a time and consumed."""
+    re, im = (None if p is None else _irfftn(p, shape, consume=True) for p in parts)
+    for cut in _slabs(shape[0], re.size):
+        yield cut, (re[cut] if im is None else re[cut] + 1j * im[cut])
 
 
 def _cut(pairs, slab):
@@ -282,6 +284,7 @@ def _cross_bounds(spectra, tuples, grid):
     return bounds
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):
     """Max norm of the cross condition, by exact inverse transforms, over
     the tuples whose l1 bound does not certify it to be at most ``tol``
@@ -289,32 +292,34 @@ def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):
     spectrum.  At ``tol`` 0 a bound certifies only a zero spectrum, whose
     exact max norm is 0 too, so no bound is summed and every tuple is
     transformed.  Tuple (b, a, d, c) is the conjugate of (a, b, c, d), so
-    only the smaller is evaluated."""
+    only the smaller is evaluated.  An entry spectrum that overflowed
+    makes a NaN or inf, which propagates silently into the value."""
     spectra = hat_p, hat_m, sym_plus, sym_minus
     tuples = [t for t in itertools.product(range(grid.k), range(grid.k),
                                            range(grid.l), range(grid.l))
               if t <= (t[1], t[0], t[3], t[2])]
     bounds = (_cross_bounds(spectra, tuples, grid) if tol > 0
               else dict.fromkeys(tuples, np.inf))
-    compat = 0.0
+    maxima = [0.0]
     for t, bound in bounds.items():
         if bound * (1.0 + _CERTIFICATE_SLACK) <= tol:
             continue
-        r = _to_lattice(_cross_spectrum(*spectra, t), grid.shape)
-        compat = max(compat, float(np.abs(r).max()))
-    return compat
+        maxima += [np.abs(r).max() for _, r in
+                   _lattice_slabs(_cross_spectrum(*spectra, t), grid.shape)]
+    return float(np.max(maxima))
 
 
 def _check_blocks(omega_plus, omega_minus):
     """The blocks' scale max(max |values|, 1), after checking that they
-    are a plus and a minus block on one grid and Hermitian (ValueError)."""
+    are a plus and a minus block on one grid, finite and Hermitian
+    (ValueError)."""
     if (omega_plus.block, omega_minus.block) != ("plus", "minus"):
         raise ValueError(f"blocks must be (plus, minus), got "
                          f"({omega_plus.block}, {omega_minus.block})")
     if omega_minus.grid != omega_plus.grid:
         raise ValueError("blocks must share one grid")
-    return max(_require_hermitian(omega_plus.values, "plus"),
-               _require_hermitian(omega_minus.values, "minus"), 1.0)
+    return float(np.max([_require_hermitian(omega_plus.values, "plus"),
+                         _require_hermitian(omega_minus.values, "minus"), 1.0]))
 
 
 def compatibility_residual(omega_plus, omega_minus):
@@ -338,18 +343,15 @@ def _residual(omega, sym, hat):
     Each product spectrum is consumed by its inverse transform, and
     |back - omega| is read slab by slab along the first axis (a broadcast
     block, of length 1 there, is passed through uncut)."""
-    shape = omega.grid.shape
-    res = 0.0
+    maxima = []
     for (i, j), s in sym.items():
-        re, im = (None if x is None else _irfftn(x * hat, shape, consume=True)
-                  for x in s)
-        for cut in _slabs(shape[0], re.size):
-            back = re[cut] if im is None else re[cut] + 1j * im[cut]
+        parts = (None if x is None else x * hat for x in s)
+        for cut, back in _lattice_slabs(parts, omega.grid.shape):
             w = omega.values if len(omega.values) == 1 else omega.values[cut]
-            res = max(res, float(np.abs(back - w[..., i, j]).max()))
+            maxima.append(np.abs(back - w[..., i, j]).max())
             if i != j:
-                res = max(res, float(np.abs(back.conj() - w[..., j, i]).max()))
-    return res
+                maxima.append(np.abs(back.conj() - w[..., j, i]).max())
+    return float(np.max(maxima))
 
 
 def _block_estimate(hats, sym, sign):
@@ -444,7 +446,7 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
 
     tol = tol_compat * scale
     compat = _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol)
-    if compat > tol:
+    if not compat <= tol:
         raise IncompatibleData(
             f"cross compatibility residual {compat:.3e} exceeds tolerance "
             f"{tol:.3e}")
@@ -457,14 +459,14 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     content_p = _zero_block_content(hat_p, zero_p)
     content_m = _zero_block_content(hat_m, zero_m)
     # the zero mode is the first element of either slice
-    if content_p.flat[0] > mean_tol or content_m.flat[0] > mean_tol:
+    if not (content_p.flat[0] <= mean_tol and content_m.flat[0] <= mean_tol):
         raise NonzeroMeanObstruction(
             "block mean is not in the image of the potential operator; "
             "handle constants as the class representative")
 
     # plus form content on modes invisible to the plus stencil (and dually)
-    stray = max(float(content_p.max()), float(content_m.max()))
-    if stray > mean_tol:
+    stray = float(np.max([content_p.max(), content_m.max()]))
+    if not stray <= mean_tol:
         raise IncompatibleData(
             "block data varies across slices where its stencil has no reach "
             f"(stray content {stray / npts:.3e} per point)")
@@ -477,7 +479,7 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     mismatch = float(np.max([np.abs(est_m[s]).max()
                              for s in _slabs(len(est_m), est_m.size)])) / npts
     del est_m
-    if mismatch > tol:
+    if not mismatch <= tol:
         raise IncompatibleData(
             f"plus/minus determinations disagree on overlap frequencies "
             f"({mismatch:.3e} per point)")

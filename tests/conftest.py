@@ -39,32 +39,47 @@ def rng():
     return np.random.default_rng(12345)
 
 
+def _long_det(mat, gated):
+    """det of stacked 1x1 or 2x2 Hermitian matrices, formed in long double,
+    where products of entries near the float maximum stay finite; where
+    ``gated``, zero unless lambda_min > PD_GATE (1 + trace norm)."""
+    from twistedma.grid import PD_GATE
+
+    a = mat[..., 0, 0].real.astype(np.longdouble)
+    if mat.shape[-1] == 1:
+        det, lo, norm = a, a, np.abs(a)
+    else:
+        d = mat[..., 1, 1].real.astype(np.longdouble)
+        b2 = (mat[..., 0, 1].real.astype(np.longdouble) ** 2
+              + mat[..., 0, 1].imag.astype(np.longdouble) ** 2)
+        det = a * d - b2
+        half, disc = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b2)
+        lo, norm = half - disc, np.abs(half - disc) + np.abs(half + disc)
+    return np.where(lo > PD_GATE * (1 + norm), det, 0) if gated else det
+
+
 def log_space_violations(stack, times, background, side, samples, seed, tol=None):
     """{(time_index, point): log|slack|} of the points where a one-sided
-    check fails beyond tol (the worst jet's slack), decided in log space: a reference for the
-    checks where exp and det leave the float range.  k = l = 1 only; the
-    jets come from the checks' own cone."""
+    check fails beyond tol (the worst jet's slack), decided in log space
+    with the determinants in long double: a reference for the checks where
+    exp and det leave the float range.  The jets come from the checks' own
+    cone."""
     from twistedma import background_at
-    from twistedma.grid import PD_GATE, hessian_block_values
+    from twistedma.grid import hessian_block_values
     from twistedma.viscosity import _cone
 
     grid = background.grid
-    assert (grid.k, grid.l) == (1, 1)
     sign, cone = _cone(grid, side, samples, seed)
-    gate = lambda x: np.where(x > PD_GATE * (1.0 + np.abs(x)), x, 0.0)
     zp, zm = background.zeta_plus.values, background.zeta_minus.values
     out = {}
     for n in range(1, len(times)):
         t, dt = float(times[n]), float(times[n] - times[n - 1])
         sl = background_at(background, t)
-        plus = sl.omega_hat_plus.values[..., 0, 0] + hessian_block_values(
-            stack[n], grid, "plus")[..., 0, 0]
-        minus = sl.omega_hat_minus.values[..., 0, 0] - hessian_block_values(
-            stack[n], grid, "minus")[..., 0, 0]
+        plus = sl.omega_hat_plus.values + hessian_block_values(stack[n], grid, "plus")
+        minus = sl.omega_hat_minus.values - hessian_block_values(stack[n], grid, "minus")
         p_t = (stack[n] - stack[n - 1]) / dt
         for dp, dhp, dhm in cone:
-            det_p, det_m = plus + dhp[0, 0], minus - dhm[0, 0]
-            det_p, det_m = (det_p, gate(det_m)) if sign > 0 else (gate(det_p), det_m)
+            det_p, det_m = _long_det(plus + dhp, sign < 0), _long_det(minus - dhm, sign > 0)
             with np.errstate(divide="ignore"):
                 log_l = np.log(np.abs(det_p)) + zm
                 log_r = p_t + dp + background.F_at(t) + np.log(np.abs(det_m)) + zp

@@ -279,6 +279,31 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error: initial: cannot load") and "stored spacing" in err
 
+    def test_initial_file_grid_mismatch_exit_two(self, tmp_path, capsys):
+        # saved on 16^4 with period 2 pi, read on 8^4 with period pi: the
+        # spacing matches and the counts do not
+        field = tmp_path / "sixteen.bin"
+        save_field(ScalarField.zeros(BicomplexGrid.regular(1, 1, 16)), field)
+        p = tmp_path / "file.cfg"
+        p.write_text("[grid]\nk = 1\nl = 1\nn = 8\nperiod = 3.141592653589793\n"
+                     f"[initial]\nkind = file\nfile = {field}\n[run]\nt_end = 0.01\n")
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        assert capsys.readouterr().err == ("error: initial: file grid does not match "
+                                           "[grid] section\n")
+
+    def test_const_forcing(self, tmp_path):
+        # F = a on a flat background with zero data: u = -a t exactly
+        text = open(scenario("flat_stationary.cfg")).read()
+        old = "omega_minus = 1\n"
+        assert old in text
+        p = tmp_path / "const.cfg"
+        p.write_text(text.replace(old, old + "forcing = const\nforcing_amplitude = 0.3\n"))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        final = load_field(out / "final.bin").values
+        assert np.all(final == final.flat[0])
+        assert final.flat[0] == pytest.approx(-0.3 * 0.05, rel=1e-14)
+
     @pytest.mark.parametrize("old,new", [
         ("t_end = 0.05", "t_end = nan"),
         ("t_end = 0.05", "t_end = inf"),
@@ -369,6 +394,62 @@ class TestMain:
         bg = cli._build_background(cfg)
         for side, seed in (("above", cfg.seed), ("below", cfg.seed + 1)):
             assert log_space_violations(stack, times, bg, side, cfg.jet_samples, seed) == {}
+
+    def test_check_slack_overflow_decided_two_by_two(self, tmp_path, monkeypatch):
+        # k = l = 2 and omega_plus = 1.3e154: det omega_plus = 1.69e308 stays
+        # finite, u_t = log det = 709.7, and a jet's exp(u_t + c) overflows,
+        # so the checks decide those points on the 2x2 determinants scaled
+        # by a power of two
+        text = open(scenario("flat_stationary.cfg")).read()
+        old = "k = 1\nl = 1\nn = 8\n\n[background]\nomega_plus = 1\n"
+        assert old in text
+        p = tmp_path / "overflow.cfg"
+        p.write_text(text.replace(old, "k = 2\nl = 2\nn = 4\n\n[background]\n"
+                                       "omega_plus = 1.3e154\n"))
+        sizes = []
+        scaled_det = viscosity._scaled_det
+        monkeypatch.setattr(viscosity, "_scaled_det", lambda entries, gated: (
+            sizes.append(len(entries)) or scaled_det(entries, gated)))
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == 0
+        # the entries (a, d, b) of a 2x2 block
+        assert sizes and set(sizes) == {3}
+        summary = (out / "summary.txt").read_text().splitlines()
+        assert "sub_check_ok = True (0 violations)" in summary
+        assert "super_check_ok = True (0 violations)" in summary
+        cfg = load_config(str(p))
+        stack = np.stack([load_field(out / f).values for f in ("initial.bin", "final.bin")])
+        times = np.array([0.0, cfg.t_end])
+        assert abs(stack[1].max() / cfg.t_end - np.log(1.3e154 ** 2)) < 1e-9
+        bg = cli._build_background(cfg)
+        sides = (("above", cfg.seed, viscosity.subsolution_check),
+                 ("below", cfg.seed + 1, viscosity.supersolution_check))
+        for side, seed, _ in sides:
+            assert log_space_violations(stack, times, bg, side, cfg.jet_samples, seed) == {}
+        # at an absolute tolerance far above the roundoff of det ~ 1.7e308,
+        # a time slope raised or lowered by 1 at one point fails one side
+        # there and at its stencil neighbours: the checks find the points
+        # of the long-double reference, each with its worst slack
+        found = 0
+        for bump in (1.0, -1.0):
+            bumped = stack.copy()
+            bumped[1][1, 2, 3, 0, 1, 2, 3, 0] += bump * cfg.t_end
+            for side, seed, check in sides:
+                report = check(bumped, times, bg, tol=1e300, samples=cfg.jet_samples, seed=seed)
+                worst = {}
+                for v in report.violations:
+                    key = (v.time_index, v.spatial_index)
+                    worst[key] = min(worst.get(key, np.inf), v.slack)
+                ref = log_space_violations(bumped, times, bg, side, cfg.jet_samples, seed,
+                                           tol=1e300)
+                assert worst.keys() == ref.keys()
+                for key, slack in worst.items():
+                    if math.isfinite(slack):
+                        assert math.log(-slack) == pytest.approx(ref[key], rel=1e-12)
+                    else:
+                        assert slack < 0 and ref[key] > math.log(sys.float_info.max)
+                found += len(ref)
+        assert found > 0
 
     def test_t_end_below_absolute_tolerance_is_reached(self, tmp_path):
         text = open(scenario("flat_stationary.cfg")).read()

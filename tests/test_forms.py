@@ -132,6 +132,12 @@ class TestPositivityAndTauStar:
         chi = CohomologyClassRep(np.zeros((1, 1)), np.zeros((1, 1)))
         assert max_existence_time(rep0, chi) == math.inf
 
+    @pytest.mark.parametrize("plus,minus,block", [
+        ([[np.nan]], [[1.0]], "plus"), (np.eye(2), [[1.0, 0.0], [0.0, np.inf]], "minus")])
+    def test_non_finite_representative_named(self, plus, minus, block):
+        with pytest.raises(ValueError, match=rf"^{block} block is not finite"):
+            CohomologyClassRep(np.array(plus), np.array(minus))
+
     def test_closed_form_half(self):
         rep0 = CohomologyClassRep(np.array([[1.0]]), np.array([[1.0]]))
         chi = CohomologyClassRep(np.array([[2.0]]), np.array([[-1.0]]))

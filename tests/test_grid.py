@@ -299,6 +299,18 @@ class TestHermitianMatrixFieldShape:
         with pytest.raises(ValueError, match="values shape"):
             HermitianMatrixField(small_grid, "plus", np.ones(lead + (1, 1)))
 
+    @pytest.mark.parametrize("k,value", [(1, np.nan), (1, -np.inf), (1, complex(0.0, np.nan)),
+                                         (2, np.inf), (2, complex(1.0, np.nan))])
+    def test_non_finite_rejected(self, k, value):
+        # a NaN passes every comparison of the Hermitian test: the peak
+        # is checked first
+        g = BicomplexGrid.regular(k, 1, 4)
+        dtype = complex if k == 2 or isinstance(value, complex) else float
+        vals = np.zeros(g.shape + (k, k), dtype=dtype)
+        vals[(1, 2, 3) + (0,) * (vals.ndim - 3)] = value
+        with pytest.raises(ValueError, match=r"^plus block is not finite \(max \|value\| (nan|inf)\)$"):
+            HermitianMatrixField(g, "plus", vals)
+
     def test_constant_does_not_alias_its_input(self, small_grid):
         M = np.eye(1, dtype=complex)
         H = HermitianMatrixField.constant(small_grid, "plus", M)

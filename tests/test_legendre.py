@@ -184,6 +184,19 @@ class TestResiduals:
         r_bad, _ = untransformed_residual(bad, times, F=ms.F)
         assert r_bad >= 10.0 * r_u
 
+    def test_conjugate_losing_convexity_typed(self):
+        # a p_grid far beyond the gradient range of 8 minus samples: the
+        # conjugate is affine there, so its momentum curvature vanishes
+        xp = np.arange(4) * 2 * np.pi / 4
+        xm = np.arange(8) * 2 * np.pi / 8
+        times = np.array([0.0, 0.1, 0.2])
+        slices = [ReducedField(xp, xm, np.broadcast_to(0.1 * t - 0.5 * (xm - np.pi) ** 2,
+                                                       (4, 8)).copy())
+                  for t in times]
+        with pytest.raises(ConcavityViolated,
+                           match="^conjugate lost convexity in momentum$"):
+            transformed_residual(slices, times, p_grid=np.linspace(-2.0, 2.0, 64))
+
 
 def roll_untransformed(u_slices, times):
     """untransformed_residual (F = None) in its np.roll and slice form."""

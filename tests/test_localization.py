@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from twistedma import localization_gap_probe
+from twistedma.errors import DegenerateFit
 
 
 @pytest.fixture(scope="module")
@@ -55,6 +56,12 @@ class TestEdgeCases:
     def test_rejects_single_alpha(self):
         with pytest.raises(ValueError):
             localization_gap_probe(alphas=(10.0,))
+
+    def test_collapsed_maximizers_typed(self):
+        # a 4-point search finds the same maximizer at every alpha
+        with pytest.raises(DegenerateFit, match="^penalized maximizers collapsed before "
+                                                "the alpha range was exhausted$"):
+            localization_gap_probe(search_points=4)
 
 
 def test_zero_set_radius_solves_the_ramp():

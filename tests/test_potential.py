@@ -680,6 +680,19 @@ def _square_blocks(k, l):
                                              np.random.default_rng(1)))
 
 
+def _non_finite_blocks(k, l, value, block):
+    """Square blocks with ``value`` in one diagonal entry of ``block``,
+    which so stays Hermitian."""
+    blocks = dict(zip(("plus", "minus"), _square_blocks(k, l)))
+    vals = blocks[block].values.copy()
+    vals[(1, 2, 3) + (0,) * (vals.ndim - 3)] = value
+    blocks[block] = HermitianMatrixField(blocks[block].grid, block, vals, check=False)
+    return blocks["plus"], blocks["minus"]
+
+
+_NON_FINITE = [(k, l, v, b) for k, l in KL for v in ("nan", "inf") for b in ("plus", "minus")]
+
+
 @pytest.mark.parametrize("call", [solve_square, compatibility_residual],
                          ids=["solve", "compatibility"])
 @pytest.mark.parametrize("blocks,message", [
@@ -688,10 +701,15 @@ def _square_blocks(k, l):
     (lambda: _square_blocks(1, 1)[:1] * 2, r"^blocks must be \(plus, minus\), got \(plus, plus\)$"),
     (lambda: _blocks_on_two_grids(1, 1), r"^blocks must share one grid$"),
     (lambda: _blocks_on_two_grids(2, 1), r"^blocks must share one grid$"),
-], ids=["swapped-k1-l2", "swapped-k1-l1", "two-plus", "two-grids", "two-grids-k2-l1"])
+] + [(lambda k=k, l=l, v=v, b=b: _non_finite_blocks(k, l, float(v), b),
+      rf"^{b} block is not finite \(max \|value\| {v}\)$") for k, l, v, b in _NON_FINITE],
+    ids=["swapped-k1-l2", "swapped-k1-l1", "two-plus", "two-grids", "two-grids-k2-l1"]
+    + [f"{b}-{v}-k{k}-l{l}" for k, l, v, b in _NON_FINITE])
 def test_blocks_fail_typed(call, blocks, message):
     # a wrong block or grid is a ValueError, never a KeyError, numpy's
-    # broadcast error or a number computed with the other block's symbols
+    # broadcast error or a number computed with the other block's symbols;
+    # a NaN or inf entry is one that names its block, raised before any
+    # transform, never a compatible residual or ScalarField's error
     with pytest.raises(ValueError, match=message):
         call(*blocks())
 
@@ -779,3 +797,65 @@ class TestRealBlockRoundtrip:
             assert peak - held <= solve_bound * half_bytes
             # the read rebuilds f's half spectrum from the blocks
             assert read_peak - kept <= read_bound * half_bytes
+
+
+@pytest.mark.parametrize("k,l,n", [(1, 1, 8), (2, 2, 4)])
+def test_overflowing_spectra_fail_every_certificate(k, l, n):
+    # finite blocks whose entry spectra overflow: the cross residual is
+    # not finite, so it certifies nothing and the solve is refused
+    g = BicomplexGrid.regular(k, l, n)
+    op, om = square_operator(bandlimited_field(g, np.random.default_rng(7)))
+    op, om = (HermitianMatrixField(g, b.block, 1e306 * b.values) for b in (op, om))
+    assert not math.isfinite(compatibility_residual(op, om))
+    with pytest.raises(IncompatibleData, match=r"^cross compatibility residual (nan|inf) "
+                                               r"exceeds tolerance \d\.\d{3}e\+\d+$"):
+        solve_square(op, om)
+
+
+class TestSpectralCertificates:
+    """The stray-content and overlap certificates, each just inside the
+    cross tolerance, on 16^4 with k = l = 1 (scale 1, tolerance 1e-8)."""
+
+    grid = BicomplexGrid.regular(1, 1, 16)
+
+    def test_stray_content(self):
+        # eps cos x_- on the plus block: varies only along a minus axis,
+        # where the plus stencil has no reach; content eps N / 2 per mode
+        zero_m = HermitianMatrixField.zeros(self.grid, "minus")
+        for eps, outcome in ((1e-8, None), (3e-8, "stray"), (5e-8, "cross")):
+            plus = HermitianMatrixField(
+                self.grid, "plus", eps * cos_axis_field(self.grid, 2).values[..., None, None])
+            if outcome is None:
+                solve_square(plus, zero_m)
+                continue
+            message = (rf"^block data varies across slices where its stencil has no "
+                       rf"reach \(stray content {eps / 2:.3e} per point\)$"
+                       if outcome == "stray" else
+                       r"^cross compatibility residual \d\.\d{3}e-08 exceeds "
+                       r"tolerance 1\.000e-08$")
+            with pytest.raises(IncompatibleData, match=message):
+                solve_square(plus, zero_m)
+
+    def test_overlap_mismatch(self):
+        # the square data of cos(x0 + x1 + x2 + x3), with eta cos x0 cos x2
+        # added to the minus block: its estimate moves by eta / (4 |s|) on
+        # the four overlap modes, s = -sin^2(pi/16) / h^2 the minus symbol
+        g = self.grid
+        x = np.meshgrid(*(g.axis_coords(i) for i in range(4)), indexing="ij", sparse=True)
+        f = ScalarField(g, np.broadcast_to(np.cos(x[0] + x[1] + x[2] + x[3]), g.shape).copy())
+        op, om = square_operator(f)
+        assert max(np.abs(op.values).max(), np.abs(om.values).max()) <= 1.0
+        bump = (np.cos(x[0]) * np.cos(x[2]))[..., None, None]
+        s = math.sin(math.pi / 16) ** 2 / g.spacing[2] ** 2
+        for c, outcome in ((0.5, None), (2, "overlap"), (6, "cross")):
+            minus = HermitianMatrixField(g, "minus", om.values + c * 1e-8 * bump)
+            if outcome is None:
+                solve_square(op, minus)
+                continue
+            message = (rf"^plus/minus determinations disagree on overlap frequencies "
+                       rf"\({c * 1e-8 / (4 * s):.3e} per point\)$"
+                       if outcome == "overlap" else
+                       r"^cross compatibility residual \d\.\d{3}e-08 exceeds "
+                       r"tolerance 1\.000e-08$")
+            with pytest.raises(IncompatibleData, match=message):
+                solve_square(op, minus)

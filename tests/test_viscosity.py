@@ -372,6 +372,22 @@ class TestComparison:
         with pytest.raises(PreconditionFailed):
             comparison_test(sup + 5.0, sub, times, bg, samples=2)
 
+    @pytest.mark.parametrize("sub_slope,sup_slope,message", [
+        (1.0, 0.0, r"^candidate subsolution fails its check \(worst slack -1\.718e\+00\)$"),
+        (0.0, -1.0, r"^candidate supersolution fails its check "
+                    r"\(worst slack -6\.321e-01\)$"),
+    ], ids=["sub", "super"])
+    def test_failed_check_fails_precondition(self, sub_slope, sup_slope, message):
+        # on a flat background u = t is a strict supersolution and -t a
+        # strict subsolution, so each fails the check of the role it is
+        # given, by e - 1 and 1 - 1/e
+        g = BicomplexGrid.regular(1, 1, 8)
+        times = np.array([0.0, 0.1, 0.2])
+        ramp = times[:, None, None, None, None] * np.ones((1,) + g.shape)
+        with pytest.raises(PreconditionFailed, match=message):
+            comparison_test(sub_slope * ramp, sup_slope * ramp, times,
+                            flat_background(g), tol=1e-6)
+
     def test_late_crossing_fails_with_first_violation(self):
         # both candidates pass their checks at tol = 10 (the subsolution's
         # slope is at most 1/2) and start ordered, but the subsolution ends
