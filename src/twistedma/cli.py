@@ -50,7 +50,7 @@ from .errors import (BarrierViolation, ConcavityViolated, ConfigError,
                      TwistedMAError, WindowTooSmall)
 from .flow import MONITOR_HEADER, FlowState, run as run_flow
 from .forms import BackgroundData, flat_background
-from .grid import (BicomplexGrid, HermitianMatrixField, ScalarField,
+from .grid import (_MAX_COUNT, BicomplexGrid, HermitianMatrixField, ScalarField,
                    load_field, save_field)
 from .localization import localization_gap_probe
 from .potential import solve_square, square_operator
@@ -129,6 +129,9 @@ class ScenarioConfig:
             value = getattr(self, name)
             if not isinstance(value, kind):
                 raise ConfigError(f"{name} must be {what}, not {value!r}")
+        if max(self.grid.n_points) > _MAX_COUNT:
+            raise ConfigError(f"grid: a .bin header stores at most {_MAX_COUNT} points "
+                              f"per axis, got counts {self.grid.n_points}")
         if self.forcing not in ("none", "sin", "const"):
             raise ConfigError(f"background: unknown forcing {self.forcing!r}")
         if self.initial_kind not in ("zero", "cosine", "file"):
@@ -493,9 +496,7 @@ def main(argv=None):
             result = localization_gap_probe(n=args.dim, alphas=alphas)
         except ValueError as exc:
             raise ConfigError(f"probe-localization: {exc}") from exc
-        _print_lines(["alpha,distance,hessian_norm"]
-                     + [f"{float(a)!r},{float(d)!r},{float(h)!r}" for a, d, h
-                        in zip(result.alphas, result.distances, result.hessian_norms)]
+        _print_lines(result._table_lines()
                      + [f"fitted_exponent = {result.fitted_exponent!r}",
                         f"reference_exponent = {result.reference_exponent!r}",
                         f"vacuous = {result.vacuous}"])

@@ -86,7 +86,7 @@ class FlowState:
     _last_step: object = field(default=None, repr=False, compare=False)
 
     def __post_init__(self):
-        if self.t < 0:
+        if not self.t >= 0:
             raise ValueError("flow time must be >= 0")
 
     def copy(self):
@@ -138,12 +138,13 @@ def admissibility(state):
 
 
 def _require_admissible(state):
-    """The state's record; NotAdmissible at the worst point of a lost block."""
+    """The state's record; NotAdmissible at the worst point of a lost block,
+    whose lambda_min is not positive (NaN included)."""
     report = admissibility(state)
     for block, margin, point in (
             ("plus", report.plus_margin, report.plus_worst_point),
             ("minus", report.minus_margin, report.minus_worst_point)):
-        if margin <= 0.0:
+        if not margin > 0.0:
             raise NotAdmissible(
                 f"{block} block lost positivity at point "
                 f"{tuple(int(i) for i in point)} (eigenvalue {margin:.3e})",
@@ -358,7 +359,7 @@ class BarrierPair:
     u0: ScalarField
 
     def __post_init__(self):
-        if self.A < 0:
+        if not self.A >= 0:
             raise ValueError("barrier slope must be >= 0")
 
     def lower(self, t):

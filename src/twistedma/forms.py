@@ -150,19 +150,19 @@ class BackgroundData:
             self.f_fields = [ScalarField.zeros(self.grid) for _ in self.f_times]
         if len(self.f_fields) != len(self.f_times):
             raise ValueError("one F field required per time knot")
-        if np.any(np.diff(self.f_times) <= 0) and len(self.f_times) > 1:
+        if len(self.f_times) > 1 and not np.all(np.diff(self.f_times) > 0):
             raise ValueError("F time knots must be strictly increasing")
         fields = [self.omega0_plus, self.omega0_minus, self.chi_plus, self.chi_minus,
                   self.zeta_plus, self.zeta_minus, *self.f_fields]
         if any(f.grid != self.grid for f in fields):
             raise ValueError("all background fields must share one grid")
-        # beyond the float range a closed-form eigenvalue is inf or nan and
-        # passes, and the flow's rhs ends in its typed non-finite error; a
-        # norm of chi is inf, which collapses the flow's drift step
+        # a NaN eigenvalue fails; an inf one passes, and the flow's rhs ends
+        # in its typed non-finite error; a norm of chi beyond the float
+        # range is inf, which collapses the flow's drift step
         with np.errstate(over="ignore", invalid="ignore"):
             for block, omega in (("plus", self.omega0_plus), ("minus", self.omega0_minus)):
                 eigenvalue, point = _worst(omega.values)
-                if eigenvalue <= 0.0:
+                if not eigenvalue > 0.0:
                     raise NotAdmissible(
                         f"omega_0 {block} block is not positive definite at point "
                         f"{tuple(int(i) for i in point)} (eigenvalue {eigenvalue:.3e})",
@@ -223,7 +223,7 @@ def background_at(data, t):
 
     With chi = 0 every t gets the same slice, built once with the data.
     """
-    if t < 0:
+    if not t >= 0:
         raise ValueError("background family is defined for t >= 0")
     if data.chi_is_zero:
         return data._static_slice
@@ -237,7 +237,7 @@ def background_at(data, t):
 
 def gauge_shift_weights(a, tau, phi_plus, phi_minus):
     """Regauged weights phi_pm' = phi_pm +- a/(2 tau)."""
-    if tau <= 0:
+    if not tau > 0:
         raise ValueError("gauge shift needs tau > 0")
     shift = a.values / (2.0 * tau)
     return (ScalarField(a.grid, phi_plus.values + shift),

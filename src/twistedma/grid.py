@@ -55,6 +55,8 @@ def _slabs(n, size):
 
 _MAGIC = b"TMAF"
 _VERSION = 2
+#: the most points per axis a header stores: each count is a uint16
+_MAX_COUNT = 0xFFFF
 
 
 @dataclass(frozen=True)
@@ -367,6 +369,15 @@ def _block_stencil(values, grid, block):
     return out
 
 
+def _block_slabs(values, grid, block):
+    """Index tuples of the slabs of real ``values`` that the block's
+    stencil is applied to one by one: ``_slabs`` along the other block's
+    first axis, which the stencil never couples."""
+    axis = grid.block_axes("minus" if block == "plus" else "plus")[0][0]
+    return [(slice(None),) * axis + (cut,)
+            for cut in _slabs(values.shape[axis], values.size)]
+
+
 def hessian_block_values(values, grid, block):
     """Raw (shape + (m, m)) array of the discrete i del delbar Hessian.
 
@@ -378,11 +389,10 @@ def hessian_block_values(values, grid, block):
     The output has ``HermitianMatrixField``'s dtype: float64 for real
     values and m = 1, complex128 otherwise.
 
-    A block's stencil never couples the other block's axes, so an array
-    of more than ``_SLAB_POINTS`` points is evaluated in slabs along the
-    other block's first axis (at least one index each), which keeps the
-    passes of each entry in cache.  Every point gets the same operations
-    in the same order, so the output is bitwise that of one whole pass.
+    An array of more than ``_SLAB_POINTS`` points is evaluated slab by
+    slab (``_block_slabs``), which keeps the passes of each entry in
+    cache.  Every point gets the same operations in the same order, so
+    the output is bitwise that of one whole pass.
     """
     if np.iscomplexobj(values):
         out = hessian_block_values(values.real, grid, block).astype(np.complex128, copy=False)
@@ -390,11 +400,9 @@ def hessian_block_values(values, grid, block):
         return out
     if values.size <= _SLAB_POINTS:
         return _block_stencil(values, grid, block)
-    axis = grid.block_axes("minus" if block == "plus" else "plus")[0][0]
     m = grid.block_dim(block)
     out = np.empty(values.shape + (m, m), dtype=_block_dtype(m, values))
-    for cut in _slabs(values.shape[axis], values.size):
-        slab = (slice(None),) * axis + (cut,)
+    for slab in _block_slabs(values, grid, block):
         out[slab] = _block_stencil(np.ascontiguousarray(values[slab]), grid, block)
     return out
 
@@ -543,6 +551,9 @@ def min_eigenvalue(H):
 
 def save_field(f, path):
     grid = f.grid
+    if max(grid.n_points) > _MAX_COUNT:
+        raise ValueError(f"{path}: a header stores at most {_MAX_COUNT} points per "
+                         f"axis, got counts {grid.n_points}")
     header = _MAGIC + struct.pack("<HHH", _VERSION, grid.k, grid.l)
     header += struct.pack(f"<{grid.real_dim}H", *grid.n_points)
     header = header.ljust(32, b"\x00")

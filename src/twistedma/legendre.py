@@ -101,7 +101,7 @@ def reduce_field(u, tol=1e-12):
         raise NotReducible("reduction is defined for k = l = 1 grids")
     span = max(float(np.ptp(u.values, axis=1).max()),
                float(np.ptp(u.values, axis=3).max()))
-    if span > tol * (1.0 + np.abs(u.values).max()):
+    if not span <= tol * (1.0 + np.abs(u.values).max()):
         raise NotReducible(f"field varies along imaginary axes (span {span:.3e})")
     return ReducedField(grid.axis_coords(0), grid.axis_coords(2),
                         u.values[:, 0, :, 0].copy())

@@ -68,13 +68,17 @@ class ProbeResult:
     vacuous: bool
     maximizers: list
 
+    def _table_lines(self):
+        """The header and one row per alpha, as the CSV and stdout print them."""
+        return ["alpha,distance,hessian_norm"] + [
+            f"{float(a)!r},{float(d)!r},{float(h)!r}"
+            for a, d, h in zip(self.alphas, self.distances, self.hessian_norms)]
+
     def write_csv(self, path, comment=None):
         with open(path, "w") as fh:
             if comment:
                 fh.write(f"# {comment}\n")
-            fh.write("alpha,distance,hessian_norm\n")
-            for a, d, h in zip(self.alphas, self.distances, self.hessian_norms):
-                fh.write(f"{float(a)!r},{float(d)!r},{float(h)!r}\n")
+            fh.writelines(f"{line}\n" for line in self._table_lines())
             fh.write(f"# fitted_exponent={self.fitted_exponent!r} "
                      f"reference_exponent={self.reference_exponent!r} "
                      f"vacuous={self.vacuous}\n")

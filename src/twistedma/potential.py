@@ -26,8 +26,8 @@ import numpy as np
 import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
-from .grid import (ScalarField, _l1_bound, _require_hermitian, _slabs,
-                   hermitian_hessian, hessian_symbols)
+from .grid import (ScalarField, _block_slabs, _block_stencil, _l1_bound,
+                   _require_hermitian, _slabs, hermitian_hessian, hessian_symbols)
 
 __all__ = [
     "SquareDecomposition",
@@ -48,13 +48,13 @@ _CERTIFICATE_SLACK = 1e-9
 class SquareDecomposition:
     """The zero-mean potential ``f`` with square(f) = (omega_plus, omega_minus).
 
-    ``residual_plus`` and ``residual_minus`` are the max norms of square(f)
-    minus each block, against both the (i, j) and the (j, i) stored
-    entries, evaluated spectrally with the exact symbols.  The
-    decomposition holds f and the two input blocks, and no spectrum: the
-    first read of either residual rebuilds f's half spectrum from the
-    blocks, bitwise the solve's, and computes both residuals.  The blocks
-    are read then, not copied when solving.
+    ``residual_plus`` and ``residual_minus`` are the max norms of
+    ``square_operator(f)`` minus each block, over every (i, j) and (j, i)
+    entry: they certify the lattice ``f`` that is returned.  The
+    decomposition holds f and the two input blocks, and no spectrum; the
+    first read of either residual applies the block stencil to f slab by
+    slab (``grid._block_slabs``), with no transform, and computes both.
+    The blocks are read then, not copied when solving.
     """
 
     kernel_note = ("zero grid mean; periodic harmonics are constants, "
@@ -66,15 +66,16 @@ class SquareDecomposition:
 
     @functools.cached_property
     def _residuals(self):
-        omega_plus, omega_minus = self._blocks
-        grid = omega_plus.grid
-        sym_plus, sym_minus = _grid_symbols(grid)
-        f_hat = _estimates(_entry_spectra(omega_plus),
-                           _entry_spectra(omega_minus), grid)[0]
-        res_plus = _residual(omega_plus, sym_plus, f_hat)
-        # the minus block stores -hess_minus f
-        return res_plus, _residual(omega_minus, sym_minus,
-                                   np.negative(f_hat, out=f_hat))
+        f, grid = self.f.values, self.f.grid
+        residuals = []
+        # the minus block stores -hess_minus f: |-h - w| is |h + w| exactly
+        for omega, diff in zip(self._blocks, (np.subtract, np.add)):
+            w = omega.values
+            residuals.append(float(np.max([
+                np.abs(diff(_block_stencil(np.ascontiguousarray(f[s]), grid, omega.block),
+                            w if len(w) == 1 else w[s])).max()
+                for s in _block_slabs(f, grid, omega.block)])))
+        return tuple(residuals)
 
     @property
     def residual_plus(self):
@@ -337,23 +338,6 @@ def compatibility_residual(omega_plus, omega_minus):
 fgk_residual = compatibility_residual
 
 
-def _residual(omega, sym, hat):
-    """Max norm of the block with symbols ``sym`` of the field with half
-    spectrum ``hat`` minus ``omega``, over its (i, j) and (j, i) entries.
-    Each product spectrum is consumed by its inverse transform, and
-    |back - omega| is read slab by slab along the first axis (a broadcast
-    block, of length 1 there, is passed through uncut)."""
-    maxima = []
-    for (i, j), s in sym.items():
-        parts = (None if x is None else x * hat for x in s)
-        for cut, back in _lattice_slabs(parts, omega.grid.shape):
-            w = omega.values if len(omega.values) == 1 else omega.values[cut]
-            maxima.append(np.abs(back - w[..., i, j]).max())
-            if i != j:
-                maxima.append(np.abs(back.conj() - w[..., j, i]).max())
-    return float(np.max(maxima))
-
-
 def _block_estimate(hats, sym, sign):
     """Least-squares mode estimate of hat(f) from one block, built in the
     buffers of ``hats``, which it consumes.
@@ -381,20 +365,6 @@ def _block_estimate(hats, sym, sign):
         else:
             est += term
     return est
-
-
-def _estimates(hat_p, hat_m, grid):
-    """(hat(f), the minus block's estimate), built in the entry spectra
-    ``hat_p`` and ``hat_m``, which it consumes: the plus block's estimate,
-    whose plus-invisible modes (plus frequency zero) come from the minus
-    block's; both vanish at the zero mode."""
-    sym_plus, sym_minus = _grid_symbols(grid)
-    f_hat = _block_estimate(hat_p, sym_plus, 1.0)
-    # the minus block stores -hess_minus f, so negate its symbols
-    est_m = _block_estimate(hat_m, sym_minus, -1.0)
-    zero_p = (0,) * 2 * grid.k
-    f_hat[zero_p] = est_m[zero_p]
-    return f_hat, est_m
 
 
 def _zero_block_content(hats, index):
@@ -471,7 +441,11 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
             "block data varies across slices where its stencil has no reach "
             f"(stray content {stray / npts:.3e} per point)")
 
-    f_hat, est_m = _estimates(hat_p, hat_m, grid)
+    # the minus block stores -hess_minus f, so its symbols are negated; the
+    # plus-invisible modes (plus frequency zero) take the minus estimate
+    f_hat = _block_estimate(hat_p, sym_plus, 1.0)
+    est_m = _block_estimate(hat_m, sym_minus, -1.0)
+    f_hat[zero_p] = est_m[zero_p]
     del hat_p, hat_m
     # overlap frequencies (both blocks nonzero) must agree
     est_m -= f_hat

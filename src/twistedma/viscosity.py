@@ -18,6 +18,7 @@ where the perturbation cone forces ellipticity.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -65,7 +66,7 @@ def _times(times, n_slices):
     times = np.asarray(times, dtype=np.float64)
     if n_slices != len(times) or len(times) < 2:
         raise ValueError("need one slice per time and at least two times")
-    if np.any(np.diff(times) <= 0):
+    if not np.all(np.diff(times) > 0):
         raise ValueError("times must be strictly increasing")
     return times
 
@@ -85,8 +86,8 @@ def _cone(grid, side, samples, seed):
     """
     if side not in ("above", "below"):
         raise ValueError("side must be 'above' or 'below'")
-    if samples < 0:
-        raise ValueError("samples must be >= 0")
+    if not (isinstance(samples, numbers.Integral) and samples >= 0):
+        raise ValueError("samples must be an integer >= 0")
     sign = 1.0 if side == "above" else -1.0
     rng = np.random.default_rng(seed)
     cone = [(0.0, *(np.zeros((m, m), _block_dtype(m, 0.0)) for m in (grid.k, grid.l)))]
@@ -186,13 +187,9 @@ def _below_tol(slack, tol, grid, dt, lhs, rhs, e=0):
 
 
 def _jet_entries(entries, increment, op):
-    """op(form, increment) entry by entry: entry (i, j) of a stacked form
-    plus or minus a constant 2x2 (or 1x1) increment."""
-    if len(entries) == 1:
-        parts = (increment[0, 0].real,)
-    else:
-        parts = (increment[0, 0].real, increment[1, 1].real, increment[0, 1])
-    return tuple(op(x, c) for x, c in zip(entries, parts))
+    """op(form, increment) entry by entry (``_entries``): entry (i, j) of a
+    stacked form plus or minus a constant 2x2 (or 1x1) increment."""
+    return tuple(op(x, c) for x, c in zip(entries, _entries(increment)))
 
 
 def _scaled_det(entries, gated):
@@ -300,6 +297,8 @@ def _check(states, sides, tol, samples, seed):
     """The finalized report of each side ("above" | "below") over the
     slices n >= 1 of ``states``, side i sampling with seed + i.  A slice is
     checked on a transient state: blocks built for it do not outlive it."""
+    if tol is not None and math.isnan(tol):
+        raise ValueError("tol must not be NaN")
     times = _times([s.t for s in states], len(states))
     background = states[0].background
     checks = []
@@ -424,8 +423,9 @@ def sup_patch(u_stack, phi_stack, grid, gamma, r, center, delta=None):
     phi_stack = np.asarray(phi_stack, dtype=np.float64)
     if delta is None:
         delta = gamma * r * r / 8.0
-    if not (0 < gamma < math.inf and r > 0 and math.isfinite(delta)):
-        raise ValueError("gamma and r must be > 0, gamma and delta finite")
+    if not (0 < gamma < math.inf and r > 0 and math.isfinite(delta)
+            and np.all(np.isfinite(center))):
+        raise ValueError("gamma and r must be > 0, gamma, delta and center finite")
     dist2 = np.zeros(grid.shape)
     for a in range(grid.real_dim):
         coords = grid.axis_coords(a)

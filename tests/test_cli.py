@@ -564,6 +564,36 @@ class TestMain:
         assert capsys.readouterr().err == self.INDEFINITE_ERR
         assert out.read_text() == ""
 
+    @pytest.mark.parametrize("edit,message", [
+        (lambda t: t.replace("emit_every = 10", "emit_every = 0"),
+         "run: emit_every must be >= 1"),
+        (lambda t: t.replace("jet_samples = 2", "jet_samples = -1"),
+         "checks: jet_samples must be >= 0"),
+        *[(lambda t, v=v: t.replace("[checks]\n", f"[checks]\ntolerance = {v}\n"),
+           "checks: tolerance must be finite and > 0") for v in ("0", "-1", "inf", "nan")],
+        (lambda t: "".join(line for line in t.splitlines(True) if not line.startswith("[")),
+         "unparseable config {path}: File contains no section headers."),
+        (lambda t: t + "\n[run]\nt_end = 0.1\n",
+         "unparseable config {path}: While reading from '{path}' [line 24]: "
+         "section 'run' already exists"),
+        # a .bin header stores each count as a uint16: refused before the
+        # flow runs, not by save_field once it has
+        (lambda t: t.replace("n = 8", "n = 65536 4 4 4").replace("t_end = 0.05", "t_end = 1e-300")
+         .replace("viscosity = true", "viscosity = false"),
+         "grid: a .bin header stores at most 65535 points per axis, "
+         "got counts (65536, 4, 4, 4)")],
+        ids=["emit_every_0", "jet_samples_-1", "tolerance_0", "tolerance_-1",
+             "tolerance_inf", "tolerance_nan", "no_section_headers", "duplicate_run",
+             "axis_beyond_the_header"])
+    def test_config_error_exit_two(self, tmp_path, capsys, edit, message):
+        p = tmp_path / "bad.cfg"
+        p.write_text(edit(open(scenario("flat_stationary.cfg")).read()))
+        assert main(["run", str(p), "--out", str(tmp_path / "o")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {message.format(path=p)}\n")
+        assert "Traceback" not in err
+        assert not (tmp_path / "o").exists()
+
     @pytest.mark.parametrize("key", ["viscosity", "roundtrip"])
     def test_check_flag_typo_exit_two(self, tmp_path, capsys, key):
         # a typo once read as false, skipped the check and exited 0

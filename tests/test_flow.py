@@ -6,8 +6,8 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
-                       ScalarField, admissibility, barriers, flat_background,
-                       run, stable_dt, step, twisted_rhs)
+                       ScalarField, admissibility, background_at, barriers,
+                       flat_background, run, stable_dt, step, twisted_rhs)
 from twistedma import flow
 from twistedma.errors import NotAdmissible
 from twistedma.flow import MONITOR_HEADER
@@ -87,6 +87,36 @@ class TestTwistedRhs:
                 zeta_minus=ScalarField(small_grid, np.full(small_grid.shape, 1e308)))
         with pytest.raises(NotAdmissible, match=r"rhs is not finite at point \(0, 0, 0, 0\)"):
             twisted_rhs(FlowState(0.0, ScalarField.zeros(small_grid), bg))
+
+    @pytest.mark.parametrize("make,message", [
+        (lambda g: FlowState(float("nan"), ScalarField.zeros(g), flat_background(g)),
+         "flow time must be >= 0"),
+        (lambda g: flow.BarrierPair(float("nan"), ScalarField.zeros(g)),
+         "barrier slope must be >= 0"),
+        (lambda g: background_at(flat_background(g), float("nan")),
+         "background family is defined for t >= 0"),
+        (lambda g: flat_background(g, f_times=np.array([0.0, np.nan]),
+                                   f_fields=[ScalarField.zeros(g)] * 2),
+         "F time knots must be strictly increasing")],
+        ids=["state-time", "barrier-slope", "background-time", "f-knots"])
+    def test_nan_time_slope_or_knot_is_refused(self, small_grid, make, message):
+        with pytest.raises(ValueError, match=f"^{message}$"):
+            make(small_grid)
+
+    def test_nan_margin_is_lost_positivity(self):
+        # the Hessian of 1e308 cos(x0 + x2) overflows, and the closed-form
+        # lambda_min is NaN: a lost block, as AdmissibilityReport reads it
+        g = BicomplexGrid.regular(2, 2, 4)
+        x = np.meshgrid(*(g.axis_coords(a) for a in range(g.real_dim)),
+                        indexing="ij", sparse=True)
+        u = ScalarField(g, np.broadcast_to(1e308 * np.cos(x[0] + x[2]), g.shape).copy())
+        state = FlowState(0.0, u, flat_background(g))
+        with pytest.raises(NotAdmissible) as exc:
+            twisted_rhs(state)
+        assert str(exc.value) == ("plus block lost positivity at point "
+                                  "(0, 0, 0, 0, 0, 0, 0, 0) (eigenvalue nan)")
+        assert exc.value.block == "plus"
+        assert not admissibility(state).admissible
 
 
 class TestAdmissibility:

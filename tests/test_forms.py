@@ -247,6 +247,19 @@ def test_indefinite_omega0_names_block_point_and_eigenvalue(bad, block):
                         f"{point} (eigenvalue {err.eigenvalue:.3e})")
 
 
+def test_nan_omega0_is_not_positive_definite():
+    g = BicomplexGrid.regular(1, 1, 8)
+    values = np.ones(g.shape + (1, 1))
+    values[1, 2, 3, 4] = np.nan
+    omega0 = HermitianMatrixField(g, "plus", values, check=False)
+    assert not positivity_check(omega0, HermitianMatrixField.constant(g, "minus", np.eye(1)))
+    with pytest.raises(NotAdmissible) as exc:
+        flat_background(g, omega0_plus=omega0)
+    assert str(exc.value) == ("omega_0 plus block is not positive definite at point "
+                              "(1, 2, 3, 4) (eigenvalue nan)")
+    assert exc.value.block == "plus"
+
+
 class TestBackgroundAt:
     def _finite_model(self, grid):
         return flat_background(
@@ -300,6 +313,11 @@ class TestGaugeShift:
         qp, qm = gauge_shift_weights(ScalarField.zeros(small_grid), 1.0, pp, pm)
         assert np.array_equal(qp.values, pp.values)
         assert np.array_equal(qm.values, pm.values)
+
+    def test_nan_tau_rejected(self, small_grid):
+        zero = ScalarField.zeros(small_grid)
+        with pytest.raises(ValueError, match="^gauge shift needs tau > 0$"):
+            gauge_shift_weights(zero, float("nan"), zero, zero)
 
     def test_constant_shift(self, small_grid):
         a = ScalarField(small_grid, np.full(small_grid.shape, 2.0))

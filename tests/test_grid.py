@@ -265,6 +265,28 @@ class TestStencil:
             tracemalloc.stop()
         assert peak <= 1.5 * out.nbytes
 
+    @pytest.mark.parametrize("block", ["plus", "minus"])
+    def test_no_slab_output_outlives_its_write(self, block):
+        # above its output, the slab loop peaks as one slab's stencil does
+        # with its own output: a slab's output kept while the next one is
+        # computed would add a slab's size
+        g = BicomplexGrid.regular(2, 2, 4)
+        values = np.random.default_rng(9).standard_normal(g.shape)
+        slabs = grid_module._block_slabs(values, g, block)
+        assert len(slabs) > 1
+        peaks = []
+        for run in (lambda: grid_module._block_stencil(
+                        np.ascontiguousarray(values[slabs[0]]), g, block),
+                    lambda: hessian_block_values(values, g, block)):
+            tracemalloc.start()
+            try:
+                out = run()
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        slab_peak, loop_peak = peaks
+        assert loop_peak - out.nbytes <= slab_peak + out.nbytes // len(slabs) // 2
+
     def test_table_shared_across_spacings(self):
         a = BicomplexGrid.regular(2, 1, 4)
         b = BicomplexGrid(2, 1, (4, 6, 8, 4, 4, 6), (0.3, 0.7, 1.1, 0.2, 0.5, 0.9))
@@ -522,6 +544,14 @@ class TestSerialization:
         raw = (tmp_path / "f.bin").read_bytes()
         assert raw[:4] == b"TMAF"
         assert len(raw) == 32 + 8 * small_grid.real_dim + 8 * small_grid.size
+
+    def test_axis_beyond_the_header_rejected_before_writing(self, tmp_path):
+        g = BicomplexGrid.regular(1, 1, (65536, 4, 4, 4))
+        path = tmp_path / "long.bin"
+        with pytest.raises(ValueError, match=r"stores at most 65535 points per axis, "
+                                             r"got counts \(65536, 4, 4, 4\)$"):
+            save_field(ScalarField.zeros(g), path)
+        assert not path.exists()
 
     def test_bad_magic_rejected(self, tmp_path):
         (tmp_path / "junk.bin").write_bytes(b"XXXX" + b"\x00" * 60)

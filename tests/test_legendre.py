@@ -38,6 +38,17 @@ class TestReduceLift:
         with pytest.raises(NotReducible):
             reduce_field(ScalarField.zeros(g))
 
+    def test_nan_tolerance_rejects(self):
+        # a span is accepted only when it is shown to be within tol
+        g = BicomplexGrid.regular(1, 1, 8)
+        with pytest.raises(NotReducible, match="varies along imaginary axes"):
+            reduce_field(cos_axis_field(g, 1), tol=float("nan"))
+
+    def test_lift_onto_k2_rejected(self):
+        rf = reduce_field(ScalarField.zeros(BicomplexGrid.regular(1, 1, 8)))
+        with pytest.raises(NotReducible, match="^lift targets k = l = 1 grids$"):
+            lift_field(rf, BicomplexGrid.regular(2, 1, 8))
+
 
 class TestPartialLegendre:
     def test_quadratic_conjugate(self):

@@ -339,9 +339,16 @@ def _barrier_pair(grid):
     lambda g, bg, t, sub, sup: subsolution_check(sub, t, bg, samples=-1),
     lambda g, bg, t, sub, sup: supersolution_check(sup, t, bg, samples=-1),
     lambda g, bg, t, sub, sup: touching_jets(sub, t, g, (0,) * 4, 1, samples=-1),
+    lambda g, bg, t, sub, sup: sup_patch(sub, sup, g, 0.1, 1.0, (0.0, np.nan, 0.0, 0.0)),
+    lambda g, bg, t, sub, sup: subsolution_check(sub, t, bg, tol=np.nan, samples=2),
+    lambda g, bg, t, sub, sup: supersolution_check(sup, t, bg, tol=np.nan, samples=2),
+    lambda g, bg, t, sub, sup: subsolution_check(sub, np.where(t > 0.05, np.nan, t), bg),
+    lambda g, bg, t, sub, sup: subsolution_check(sub, t, bg, samples=np.nan),
 ], ids=["lift-delta-nan", "lift-delta-inf", "lift-T-nan", "patch-gamma-nan",
         "patch-gamma-inf", "patch-r-nan", "patch-delta-nan", "comparison-T-nan",
-        "sub-samples-negative", "super-samples-negative", "jets-samples-negative"])
+        "sub-samples-negative", "super-samples-negative", "jets-samples-negative",
+        "patch-center-nan", "sub-tol-nan", "super-tol-nan", "sub-times-nan",
+        "sub-samples-nan"])
 def test_public_inputs_fail_typed(grid16, call):
     # each input would otherwise give non-finite output or check less than asked
     bg, times, sub, sup = _barrier_pair(grid16)
