@@ -36,7 +36,7 @@ print(f"compatibility residual of the image: "
 dec = solve_square(omega_plus, omega_minus)
 err = np.abs(dec.f.values - f.values).max()
 print(f"roundtrip error after inversion: {err:.2e}")
-# computed on this first read, from the spectrum of f and the two blocks
+# computed on this first read: the block stencil applied to the lattice f
 print(f"re-applied residuals: plus {dec.residual_plus:.2e}, "
       f"minus {dec.residual_minus:.2e}")
 print(f"kernel note: {dec.kernel_note}")

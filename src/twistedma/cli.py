@@ -51,7 +51,7 @@ from .errors import (BarrierViolation, ConcavityViolated, ConfigError,
 from .flow import MONITOR_HEADER, FlowState, run as run_flow
 from .forms import BackgroundData, flat_background
 from .grid import (_MAX_COUNT, BicomplexGrid, HermitianMatrixField, ScalarField,
-                   load_field, save_field)
+                   _read_lines, _write_lines, load_field, save_field)
 from .localization import localization_gap_probe
 from .potential import solve_square, square_operator
 from .viscosity import trajectory_checks
@@ -222,8 +222,6 @@ def load_config(path):
         samples = int(checks.get("jet_samples", "2"))
         tol_raw = checks.get("tolerance", "").strip()
         tol = float(tol_raw) if tol_raw else None
-    except ConfigError:
-        raise
     except (KeyError, ValueError, configparser.Error) as exc:
         raise ConfigError(f"inconsistent config {path}: {exc}") from exc
     return ScenarioConfig(
@@ -353,8 +351,8 @@ def _write_run_info(cfg, clock, out_dir):
             "config_sha256": hashlib.sha256(repr(cfg).encode()).hexdigest(),
             "seed": cfg.seed}
     info.update((f"{phase}_s", repr(seconds)) for phase, seconds in clock.items())
-    with open(os.path.join(out_dir, "run_info.txt"), "w") as fh:
-        fh.writelines(f"{key} = {value}\n" for key, value in info.items())
+    _write_lines(os.path.join(out_dir, "run_info.txt"),
+                 (f"{key} = {value}" for key, value in info.items()))
 
 
 def run_scenario(config, out_dir, seed=None, override_tau_star=False):
@@ -393,29 +391,18 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
 
     lines.append(f"checks_passed = {ok}")
     with clock("artifacts"):
-        with open(os.path.join(out_dir, "summary.txt"), "w") as fh:
-            fh.write("\n".join(lines) + "\n")
+        _write_lines(os.path.join(out_dir, "summary.txt"), lines)
     _write_run_info(cfg, clock, out_dir)
     return (0 if ok else _EXIT_CHECK_FAILED), lines
 
 
 def _read_monitor(path):
-    rows = []
-    with open(path) as fh:
-        header = None
-        for line in fh:
-            line = line.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = line.split(",")
-                if tuple(header) != MONITOR_HEADER:
-                    raise ValueError(f"unexpected monitor header {header}")
-                continue
-            rows.append([float(v) for v in line.split(",")])
-    if header is None or not rows:
+    lines = _read_lines(path)
+    if lines and tuple(lines[0].split(",")) != MONITOR_HEADER:
+        raise ValueError(f"unexpected monitor header {lines[0].split(',')}")
+    if len(lines) < 2:
         raise ValueError(f"{path}: empty trajectory")
-    return np.array(rows)
+    return np.array([[float(v) for v in line.split(",")] for line in lines[1:]])
 
 
 def report(run_dir):

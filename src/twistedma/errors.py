@@ -31,7 +31,12 @@ class BarrierViolation(TwistedMAError):
 
 
 class IncompatibleData(TwistedMAError):
-    """Form data violates the cross compatibility (pluriclosedness) condition."""
+    """Form data is not square(f) of any potential f.
+
+    It violates the cross compatibility (pluriclosedness) condition, or a
+    block is not closed in its own variables, or the two blocks determine
+    different potentials.
+    """
 
 
 class NonzeroMeanObstruction(TwistedMAError):

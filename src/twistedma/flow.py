@@ -49,7 +49,7 @@ import numpy as np
 
 from .errors import BarrierViolation, NotAdmissible
 from .forms import background_at
-from .grid import (ScalarField, _finite, _l1_bound, _worst, det_values,
+from .grid import (ScalarField, _finite, _l1_bound, _worst, _write_lines, det_values,
                    hessian_block_values)
 from .potential import _grid_symbols, _irfftn, _rfftn
 
@@ -391,12 +391,8 @@ class Trajectory:
     dt_max: float = math.nan
 
     def write_monitor_csv(self, path, comment=None):
-        with open(path, "w") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write(",".join(MONITOR_HEADER) + "\n")
-            for row in self.rows:
-                fh.write(",".join(repr(v) for v in row) + "\n")
+        _write_lines(path, [",".join(MONITOR_HEADER)]
+                     + [",".join(map(repr, row)) for row in self.rows], comment)
 
 
 def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):

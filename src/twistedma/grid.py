@@ -608,8 +608,21 @@ def load_field(path, spacing=None):
 
 def export_csv(f, path):
     """Plain-text export: one line per point, axis indices then the value."""
-    grid = f.grid
+    _write_lines(path, (",".join(map(str, idx)) + f",{float(f.values[idx])!r}"
+                        for idx in np.ndindex(f.grid.shape)))
+
+
+def _write_lines(path, lines, comment=None, footer=None):
+    """A text artifact: ``lines`` after a "# comment" and before a "# footer", if given."""
     with open(path, "w") as fh:
-        for idx in np.ndindex(grid.shape):
-            fh.write(",".join(str(i) for i in idx))
-            fh.write(f",{float(f.values[idx])!r}\n")
+        if comment:
+            fh.write(f"# {comment}\n")
+        fh.writelines(f"{line}\n" for line in lines)
+        if footer:
+            fh.write(f"# {footer}\n")
+
+
+def _read_lines(path):
+    """The stripped lines of a text artifact, less blank and "#" lines."""
+    with open(path) as fh:
+        return [line for line in map(str.strip, fh) if line and not line.startswith("#")]

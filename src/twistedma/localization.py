@@ -25,6 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DegenerateFit
+from .grid import _write_lines
 
 __all__ = ["ProbeResult", "localization_gap_probe"]
 
@@ -75,13 +76,10 @@ class ProbeResult:
             for a, d, h in zip(self.alphas, self.distances, self.hessian_norms)]
 
     def write_csv(self, path, comment=None):
-        with open(path, "w") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.writelines(f"{line}\n" for line in self._table_lines())
-            fh.write(f"# fitted_exponent={self.fitted_exponent!r} "
-                     f"reference_exponent={self.reference_exponent!r} "
-                     f"vacuous={self.vacuous}\n")
+        _write_lines(path, self._table_lines(), comment,
+                     footer=f"fitted_exponent={self.fitted_exponent!r} "
+                            f"reference_exponent={self.reference_exponent!r} "
+                            f"vacuous={self.vacuous}")
 
 
 def _construction(n):

@@ -367,19 +367,30 @@ def _block_estimate(hats, sym, sign):
     return est
 
 
-def _zero_block_content(hats, index):
-    """Per-mode max over all (i, j) of |hat(omega_ij)| on ``index``.
+def _slice(pairs, index):
+    """{(i, j): (re, im)} on ``index``, copied; a None part stays None."""
+    return {ij: tuple(None if x is None else x[index].copy() for x in pair)
+            for ij, pair in pairs.items()}
+
+
+def _zero_block_content(hats, sym=None, f_hat=None):
+    """Per-mode max over all (i, j) of |hat(omega_ij) - s_ij hat(f)|, for
+    the entry spectra ``hats`` (copies from ``_slice``, which the read may
+    overwrite) and symbols ``sym`` on one slice of the half spectrum; with
+    no ``f_hat``, |hat(omega_ij)|, the content of a block where its symbols
+    vanish.
 
     On the half spectrum the pair (i, j), (j, i) contributes |A + iB| and
     |A - iB|, which covers the mirrored modes of the full spectrum.
     """
     content = 0.0
-    for a, b in hats.values():
-        a = a[index]
+    for ij, (a, b) in hats.items():
+        if f_hat is not None:
+            a, b = _plus((a, b), _times(sym[ij], (-f_hat, None)))
         if b is None:
             c = np.abs(a)
         else:
-            b = 1j * b[index]
+            b = 1j * b
             c = np.maximum(np.abs(a + b), np.abs(a - b))
         content = np.maximum(content, c)
     return content
@@ -389,8 +400,11 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     """Invert square(f) = omega for the zero-mean potential f.
 
     Raises IncompatibleData when the cross condition or the overlap
-    consistency fails, NonzeroMeanObstruction when a block mean is not
-    representable (constants are class data, not potential data).
+    consistency fails, or when a block is not closed in its own variables
+    (on the modes where the other block's frequency is zero, the cross
+    condition says nothing of it), and NonzeroMeanObstruction when a block
+    mean is not representable (constants are class data, not potential
+    data).
 
     All checks run in frequency space; the symbols are the exact Fourier
     multipliers of the stencils, so the spectral evaluations agree with
@@ -404,7 +418,8 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     temporary beside them: the l1 bounds are summed slab by slab, only
     an uncertified tuple makes its full spectrum, each block's estimate
     of hat(f) is built in that block's entry spectra, the overlap
-    mismatch is read slab by slab, and f's inverse transform works in
+    mismatch is read slab by slab, the closedness read works on copies of
+    the two zero-frequency slices, and f's inverse transform works in
     hat(f)'s buffer.
     """
     scale = _check_blocks(omega_plus, omega_minus)
@@ -426,8 +441,8 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     n_plus = 2 * grid.k
     zero_p = (0,) * n_plus                       # plus frequency zero
     zero_m = (slice(None),) * n_plus + (0,) * (grid.real_dim - n_plus)
-    content_p = _zero_block_content(hat_p, zero_p)
-    content_m = _zero_block_content(hat_m, zero_m)
+    content_p = _zero_block_content(_slice(hat_p, zero_p))
+    content_m = _zero_block_content(_slice(hat_m, zero_m))
     # the zero mode is the first element of either slice
     if not (content_p.flat[0] <= mean_tol and content_m.flat[0] <= mean_tol):
         raise NonzeroMeanObstruction(
@@ -441,6 +456,9 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
             "block data varies across slices where its stencil has no reach "
             f"(stray content {stray / npts:.3e} per point)")
 
+    # each block on the other block's zero slice, kept for the closedness
+    # read below: the estimates consume the spectra
+    closed = _slice(hat_p, zero_m), _slice(hat_m, zero_p)
     # the minus block stores -hess_minus f, so its symbols are negated; the
     # plus-invisible modes (plus frequency zero) take the minus estimate
     f_hat = _block_estimate(hat_p, sym_plus, 1.0)
@@ -457,6 +475,16 @@ def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
         raise IncompatibleData(
             f"plus/minus determinations disagree on overlap frequencies "
             f"({mismatch:.3e} per point)")
+
+    # each block in the image of its own stencil: where the other block's
+    # frequency is zero the cross condition says nothing of it
+    for name, hats, sym, index, sign in (("plus", closed[0], sym_plus, zero_m, 1.0),
+                                         ("minus", closed[1], sym_minus, zero_p, -1.0)):
+        off = float(_zero_block_content(hats, _slice(sym, index), sign * f_hat[index]).max())
+        if not off <= mean_tol:
+            raise IncompatibleData(
+                f"{name} block is not closed in its own variables (content "
+                f"{off / npts:.3e} per point outside its stencil's image)")
 
     f = ScalarField(grid, _irfftn(f_hat, grid.shape, consume=True))
     return SquareDecomposition(f, omega_plus, omega_minus)

@@ -28,8 +28,8 @@ from .flow import FlowState, form_block_values
 # the checks read background_at through form_block_values; the name stays
 # bound here, where bench/test_bench.py checks the tracer's sibling imports
 from .forms import background_at  # noqa: F401
-from .grid import (ScalarField, _block_dtype, _entries, det_entries, det_plus_entries,
-                   hessian_block_values, pd_gate_entries)
+from .grid import (ScalarField, _block_dtype, _entries, _write_lines, det_entries,
+                   det_plus_entries, hessian_block_values, pd_gate_entries)
 
 __all__ = [
     "Jet",
@@ -156,13 +156,9 @@ class ViolationReport:
         return self
 
     def write_csv(self, path, comment=None):
-        with open(path, "w") as fh:
-            if comment:
-                fh.write(f"# {comment}\n")
-            fh.write("point,time_index,t,slack,side\n")
-            for v in self.violations:
-                idx = ";".join(str(i) for i in v.spatial_index)
-                fh.write(f"{idx},{v.time_index},{v.t!r},{v.slack!r},{v.side}\n")
+        _write_lines(path, ["point,time_index,t,slack,side"] + [
+            ";".join(map(str, v.spatial_index)) + f",{v.time_index},{v.t!r},{v.slack!r},{v.side}"
+            for v in self.violations], comment)
 
 
 def _default_tol(grid, dt):
@@ -417,7 +413,7 @@ def sup_patch(u_stack, phi_stack, grid, gamma, r, center, delta=None):
     Inside the periodic ball of radius r around ``center`` take
     max(u, phi + delta - gamma |z - center|^2); outside keep u.  The
     default delta = gamma r^2 / 8 makes the patch drop below u near the
-    ball's rim.
+    ball's rim.  ``center`` has one coordinate per grid axis (ValueError).
     """
     u_stack = np.asarray(u_stack, dtype=np.float64)
     phi_stack = np.asarray(phi_stack, dtype=np.float64)
@@ -426,6 +422,9 @@ def sup_patch(u_stack, phi_stack, grid, gamma, r, center, delta=None):
     if not (0 < gamma < math.inf and r > 0 and math.isfinite(delta)
             and np.all(np.isfinite(center))):
         raise ValueError("gamma and r must be > 0, gamma, delta and center finite")
+    if len(center) != grid.real_dim:
+        raise ValueError(f"center needs {grid.real_dim} coordinates, one per grid "
+                         f"axis, got {len(center)}")
     dist2 = np.zeros(grid.shape)
     for a in range(grid.real_dim):
         coords = grid.axis_coords(a)

@@ -627,6 +627,37 @@ class TestMain:
     def test_report_missing_dir_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1
 
+    @pytest.mark.parametrize("text,message", [
+        ("t,x\n0.0,1.0\n", "unexpected monitor header ['t', 'x']"),
+        (",".join(flow.MONITOR_HEADER) + "\n", "{path}: empty trajectory")],
+        ids=["wrong_header", "header_only"])
+    def test_report_malformed_monitor_exit_one(self, tmp_path, capsys, text, message):
+        path = tmp_path / "monitor.csv"
+        path.write_text("# written by hand\n" + text)
+        assert main(["report", str(tmp_path)]) == 1
+        captured = capsys.readouterr()
+        assert captured.err == f"error: {message.format(path=path)}\n"
+        assert captured.out == ""
+
+    def test_restart_from_final_field(self, tmp_path, capsys):
+        # a run's final.bin is a valid initial field: the restart starts
+        # where the first run ended, bit for bit
+        first, second = tmp_path / "first", tmp_path / "second"
+        assert main(["run", scenario("cosine_decay.cfg"), "--out", str(first)]) == 0
+        text = open(scenario("cosine_decay.cfg")).read()
+        assert "kind = cosine\n" in text
+        cfg = tmp_path / "restart.cfg"
+        cfg.write_text(text.replace("kind = cosine\n",
+                                    f"kind = file\nfile = {first / 'final.bin'}\n"))
+        assert main(["run", str(cfg), "--out", str(second)]) == 0
+        assert ((second / "initial.bin").read_bytes()
+                == (first / "final.bin").read_bytes())
+        rows = [cli._read_monitor(d / "monitor.csv") for d in (first, second)]
+        columns = [flow.MONITOR_HEADER.index(name) for name in
+                   ("sup_u", "inf_u", "plus_margin", "minus_margin")]
+        assert rows[1][0, 0] == 0.0
+        assert np.array_equal(rows[1][0, columns], rows[0][-1, columns])
+
     def test_probe_localization_subcommand(self, tmp_path, capsys):
         out = str(tmp_path / "probe")
         code = main(["probe-localization", "--dim", "1",

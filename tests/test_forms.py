@@ -260,6 +260,16 @@ def test_nan_omega0_is_not_positive_definite():
     assert exc.value.block == "plus"
 
 
+@pytest.mark.parametrize("extra,message", [
+    (lambda g: dict(f_times=np.array([0.0, 1.0]), f_fields=[ScalarField.zeros(g)]),
+     "one F field required per time knot"),
+    (lambda g: dict(zeta_plus=ScalarField.zeros(BicomplexGrid.regular(1, 1, 4))),
+     "all background fields must share one grid")], ids=["two_knots_one_field", "two_grids"])
+def test_background_fields_fail_typed(small_grid, extra, message):
+    with pytest.raises(ValueError, match=f"^{message}$"):
+        flat_background(small_grid, **extra(small_grid))
+
+
 class TestBackgroundAt:
     def _finite_model(self, grid):
         return flat_background(

@@ -1,5 +1,6 @@
 import hashlib
 import itertools
+import re
 import struct
 import tracemalloc
 import warnings
@@ -95,6 +96,21 @@ class TestGridConstruction:
         assert (g.k, g.l) == (1, 1) and type(g.k) is int and type(g.l) is int
         assert g == BicomplexGrid(1, 1, (4,) * 4, (1.0,) * 4)
         assert g.block_axes("plus") == [(0, 1)] and g.block_axes("minus") == [(2, 3)]
+
+
+@pytest.mark.parametrize("call,error,message", [
+    (lambda: BicomplexGrid(1, 1, (8,) * 3, (1.0,) * 3), ValueError,
+     r"^expected 4 axes, got 3 counts / 3 spacings$"),
+    (lambda: BicomplexGrid.regular(1, 1, 8).block_axes("x"), ValueError,
+     r"^unknown block 'x'$"),
+    (lambda: ScalarField(BicomplexGrid.regular(1, 1, 4), np.zeros((4, 4, 4))), ValueError,
+     r"^values shape \(4, 4, 4\) != grid shape \(4, 4, 4, 4\)$"),
+    (lambda: hermitian_hessian(np.zeros((4,) * 4), "plus"), TypeError,
+     r"^hermitian_hessian expects a ScalarField$"),
+], ids=["three_counts", "unknown_block", "field_shape", "hessian_of_array"])
+def test_inputs_fail_typed(call, error, message):
+    with pytest.raises(error, match=message):
+        call()
 
 
 class TestHermitianHessian:
@@ -575,6 +591,12 @@ class TestSerialization:
         (tmp_path / "f.bin").write_bytes(header)
         with pytest.raises(ValueError, match="header"):
             load_field(tmp_path / "f.bin")
+
+    def test_unknown_version_rejected(self, tmp_path):
+        path = tmp_path / "v3.bin"
+        path.write_bytes((b"TMAF" + struct.pack("<HHH", 3, 1, 1)).ljust(32, b"\x00"))
+        with pytest.raises(ValueError, match=f"^{re.escape(str(path))}: unsupported version 3$"):
+            load_field(path)
 
     def test_period_one_roundtrip_keeps_spacing(self, rng, tmp_path):
         g = BicomplexGrid.regular(1, 2, 4, period=1.0)

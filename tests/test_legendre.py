@@ -382,3 +382,35 @@ class TestGridValidation:
     def test_trim_leaving_no_interior(self, trim):
         with pytest.raises(ValueError, match="trim"):
             legendre_roundtrip_error(concave_reduced(32), trim=trim)
+
+
+def _slices(n_times=3, second=None):
+    xp = np.arange(4) * 2 * np.pi / 4
+    xm = np.arange(8) * 2 * np.pi / 8 if second is None else second
+    return [ReducedField(xp, xm, np.broadcast_to(-0.5 * (xm - np.pi) ** 2, (4, 8)).copy())
+            for _ in range(n_times)]
+
+
+@pytest.mark.parametrize("call,message", [
+    (lambda: ReducedField(np.arange(4.0), np.arange(8.0), np.zeros((4, 7))),
+     r"^values must be \(len\(x_plus\), len\(second\)\)$"),
+    (lambda: ReducedField(np.arange(2.0), np.arange(3.0), np.full((2, 3), np.nan)),
+     r"^reduced field contains non-finite values$"),
+    (lambda: lift_field(concave_reduced(32), BicomplexGrid.regular(1, 1, 8)),
+     r"^reduced shape does not match the grid$"),
+    (lambda: partial_legendre(partial_legendre(concave_reduced(32))),
+     r"^input is already a conjugate field$"),
+    (lambda: inverse_partial_legendre(concave_reduced(32)),
+     r"^input is not a conjugate field$"),
+    (lambda: untransformed_residual(_slices(2), np.array([0.0, 0.1])),
+     r"^need one slice per time and at least three times$"),
+    (lambda: transformed_residual(_slices(), np.array([0.0, 0.1, 0.3])),
+     r"^uniform time spacing required$"),
+    (lambda: untransformed_residual(_slices(2) + _slices(1, np.arange(8) * 0.5),
+                                    np.array([0.0, 0.1, 0.2])),
+     r"^slices must share coordinates$"),
+], ids=["field_shape", "field_nan", "lift_shape", "conjugate_twice", "inverse_of_primal",
+        "two_slices", "non_uniform_times", "different_coordinates"])
+def test_inputs_fail_typed(call, message):
+    with pytest.raises(ValueError, match=message):
+        call()

@@ -3,6 +3,7 @@ import pytest
 
 from twistedma import localization_gap_probe
 from twistedma.errors import DegenerateFit
+from twistedma.localization import _negative_definite
 
 
 @pytest.fixture(scope="module")
@@ -247,3 +248,9 @@ class TestNewtonSearch:
         assert f0 == pytest.approx(0.5 * z @ A @ z + z @ b, rel=1e-14)
         np.testing.assert_allclose(grad, A @ z + b, rtol=0, atol=1e-9)
         np.testing.assert_allclose(H, A, rtol=0, atol=1e-6)
+
+
+def test_nan_hessian_is_not_negative_definite():
+    # a Cholesky pass need not raise on a NaN: the finite test decides
+    assert _negative_definite(-np.eye(2))
+    assert not _negative_definite(np.array([[-1.0, 0.0], [0.0, np.nan]]))

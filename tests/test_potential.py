@@ -848,3 +848,24 @@ class TestSpectralCertificates:
                        r"tolerance 1\.000e-08$")
             with pytest.raises(IncompatibleData, match=message):
                 solve_square(op, minus)
+
+
+@pytest.mark.parametrize("k,l,block,axis", [(2, 1, "plus", 0), (2, 2, "plus", 0),
+                                            (1, 2, "minus", 2)])
+def test_block_not_closed_in_its_own_variables(k, l, block, axis):
+    # entry (1, 1) = cos of the first axis of its own block, every other
+    # entry and the other block zero: no minus (plus) frequency, so the
+    # cross condition holds to roundoff, but entry (0, 0) stays zero, which
+    # no square(f) gives; content 1/2 per point off the stencil's image
+    g = BicomplexGrid.regular(k, l, 6)
+    m = k if block == "plus" else l
+    vals = np.zeros(g.shape + (m, m))
+    vals[..., 1, 1] = cos_axis_field(g, axis).values
+    blocks = {"plus": HermitianMatrixField.zeros(g, "plus"),
+              "minus": HermitianMatrixField.zeros(g, "minus")}
+    blocks[block] = HermitianMatrixField(g, block, vals)
+    assert compatibility_residual(blocks["plus"], blocks["minus"]) <= 1e-15
+    with pytest.raises(IncompatibleData, match=rf"^{block} block is not closed in its own "
+                                               r"variables \(content 5\.000e-01 per point "
+                                               r"outside its stencil's image\)$"):
+        solve_square(blocks["plus"], blocks["minus"])

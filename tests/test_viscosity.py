@@ -356,6 +356,18 @@ def test_public_inputs_fail_typed(grid16, call):
         call(grid16, bg, times, sub, sup)
 
 
+@pytest.mark.parametrize("call,message", [
+    (lambda g, bg, t, sub: touching_jets(sub, t, g, (0,) * 4, 1, side="left"),
+     r"^side must be 'above' or 'below'$"),
+    (lambda g, bg, t, sub: subsolution_check(sub[:, ::2, ::2, ::2, ::2], t, bg),
+     r"^stack slices must live on the background grid$")],
+    ids=["jets-side-left", "stack-off-grid"])
+def test_public_inputs_fail_with_message(grid16, call, message):
+    bg, times, sub, _ = _barrier_pair(grid16)
+    with pytest.raises(ValueError, match=message):
+        call(grid16, bg, times, sub)
+
+
 class TestComparison:
     def test_barrier_pair_holds(self, grid16):
         bg = flat_background(grid16)
@@ -422,6 +434,14 @@ class TestComparison:
 
 
 class TestSupPatch:
+    @pytest.mark.parametrize("n_coords", [1, 6])
+    def test_center_needs_one_coordinate_per_axis(self, n_coords):
+        g = BicomplexGrid.regular(1, 1, 8)
+        u = np.zeros((1,) + g.shape)
+        with pytest.raises(ValueError, match=rf"^center needs 4 coordinates, one per grid "
+                                             rf"axis, got {n_coords}$"):
+            sup_patch(u, u, g, 0.1, 1.0, (0.0,) * n_coords)
+
     def test_phi_below_u_identity(self, grid16):
         u = np.zeros((2,) + grid16.shape)
         phi = u - 5.0
