@@ -17,7 +17,7 @@ from .flow import (BarrierPair, FlowState, Trajectory, admissibility,
                    barriers, run, stable_dt, step, twisted_rhs)
 from .viscosity import (ComparisonVerdict, Jet, ViolationReport,
                         comparison_test, delta_lift, subsolution_check,
-                        sup_patch, supersolution_check, touching_jets,
+                        sup_patch, supersolution_check, touching_jet,
                         trajectory_checks)
 from .legendre import (ReducedField, inverse_partial_legendre, legendre_roundtrip_error,
                        lift_field, partial_legendre, reduce_field,

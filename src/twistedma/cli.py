@@ -1,8 +1,9 @@
 """Scenario runner and report emitter.
 
 Configs are plain-text INI (key = value under [section] headers); see the
-shipped files under ``scenarios/`` for the full key set.  All randomness
-(jet sampling, random probe fields) flows from the single ``seed`` key,
+shipped files under ``scenarios/`` for the full key set (a key the parser
+does not read is ignored).  All randomness (the roundtrip check's
+potential, random probe fields) flows from the single ``seed`` key,
 overridable with ``--seed``; identical configs and seeds produce
 byte-identical CSV artifacts apart from comment lines prefixed "#".
 
@@ -100,7 +101,6 @@ class ScenarioConfig:
     seed: int
     check_viscosity: bool
     check_roundtrip: bool
-    jet_samples: int
     tolerance: float | None
 
     def __post_init__(self):
@@ -114,7 +114,7 @@ class ScenarioConfig:
                  "t_end", "safety") + ("tolerance",) * (self.tolerance is not None)
         for kinds, what, names in (
                 ("iu", "an integer", ("forcing_axis", "initial_axis", "initial_mode",
-                                      "emit_every", "seed", "jet_samples")),
+                                      "emit_every", "seed")),
                 ("iuf", "a real number", reals)):
             for name in names:
                 value = getattr(self, name)
@@ -159,8 +159,6 @@ class ScenarioConfig:
             raise ConfigError("run: emit_every must be >= 1")
         if self.tolerance is not None and not 0 < self.tolerance < math.inf:
             raise ConfigError("checks: tolerance must be finite and > 0")
-        if self.jet_samples < 0:
-            raise ConfigError("checks: jet_samples must be >= 0")
         if self.seed < 0:
             raise ConfigError("run: seed must be >= 0")
 
@@ -219,7 +217,6 @@ def load_config(path):
         # ConfigParser.BOOLEAN_STATES, any case: 1/yes/true/on, 0/no/false/off
         viscosity = checks.getboolean("viscosity", fallback=True)
         roundtrip = checks.getboolean("roundtrip", fallback=False)
-        samples = int(checks.get("jet_samples", "2"))
         tol_raw = checks.get("tolerance", "").strip()
         tol = float(tol_raw) if tol_raw else None
     except (KeyError, ValueError, configparser.Error) as exc:
@@ -232,8 +229,7 @@ def load_config(path):
         initial_kind=kind, initial_amplitude=amp, initial_axis=axis,
         initial_mode=mode, initial_file=ifile,
         t_end=t_end, safety=safety, emit_every=emit_every, seed=seed,
-        check_viscosity=viscosity, check_roundtrip=roundtrip,
-        jet_samples=samples, tolerance=tol)
+        check_viscosity=viscosity, check_roundtrip=roundtrip, tolerance=tol)
 
 
 def _build_background(cfg):
@@ -332,8 +328,7 @@ def _flow_and_checks(cfg, background, u0, out_dir, lines, clock):
         lines.append(f"t_end_reached = False (stopped at t={traj.states[-1].t!r})")
     if cfg.check_viscosity and len(traj.states) >= 2:
         with clock("checks"):
-            sub, sup = trajectory_checks(traj, tol=cfg.tolerance,
-                                         samples=cfg.jet_samples, seed=cfg.seed)
+            sub, sup = trajectory_checks(traj, tol=cfg.tolerance)
         with clock("artifacts"):
             sub.write_csv(os.path.join(out_dir, "violations_sub.csv"))
             sup.write_csv(os.path.join(out_dir, "violations_super.csv"))

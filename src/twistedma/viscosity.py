@@ -2,10 +2,12 @@
 harness.
 
 A jet is the second-order space-time Taylor data of a test function at a
-touching point: time slope plus the two block Hessians.  The checkers are
-sound detectors (any reported violation is real to stencil accuracy) but
-only statistical verifiers of validity: the true quantifier ranges over
-all smooth test functions, and we sample the admissible perturbation cone.
+touching point: time slope plus the two block Hessians.  The checks
+decide the one-sided inequalities for every jet of the admissible cone at
+once, in closed form: the infimum of the slack over the cone is the base
+jet's slack, or -inf where the cone is unbounded below (``_check_slice``
+states the proof).  A reported violation is real to stencil accuracy, and
+a pass holds for every jet of the cone.
 
 Touching calculus.  For a function touched from above at an interior time
 (local maximum of u - phi over t <= t0), admissible test-jet perturbations
@@ -18,7 +20,6 @@ where the perturbation cone forces ellipticity.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -28,14 +29,14 @@ from .flow import FlowState, form_block_values
 # the checks read background_at through form_block_values; the name stays
 # bound here, where bench/test_bench.py checks the tracer's sibling imports
 from .forms import background_at  # noqa: F401
-from .grid import (ScalarField, _block_dtype, _entries, _write_lines, det_entries,
-                   det_plus_entries, hessian_block_values, pd_gate_entries)
+from .grid import (ScalarField, _eig_bounds_entries, _entries, _gate, _write_lines,
+                   det_entries, hessian_block_values, pd_gate_entries)
 
 __all__ = [
     "Jet",
     "Violation",
     "ViolationReport",
-    "touching_jets",
+    "touching_jet",
     "subsolution_check",
     "supersolution_check",
     "trajectory_checks",
@@ -45,7 +46,6 @@ __all__ = [
     "sup_patch",
 ]
 
-_MAG_LO, _MAG_HI = 1e-4, 1.0
 _VIOLATION_CAP = 1000                 # a report keeps its worst violations
 _DELTA_GRID = (1e-3, 1e-2, 1e-1)      # lifts of the comparison trace
 _LN2 = math.log(2.0)
@@ -76,47 +76,12 @@ def _stack(u_stack, times):
     return u_stack, _times(times, u_stack.shape[0])
 
 
-def _cone(grid, side, samples, seed):
-    """(sign, increments) of the touching calculus for one side.
-
-    sign is +1 from above and -1 from below.  The increments (dp_t, dH+,
-    dH-) are the base jet's (zero) and one per sampled jet: sign * (-c, P+,
-    P-) with P blocks PSD and c >= 0, magnitudes log-uniform in [1e-4, 1].
-    A 1x1 increment is real, so that the jets of real blocks stay real.
-    """
-    if side not in ("above", "below"):
-        raise ValueError("side must be 'above' or 'below'")
-    if not (isinstance(samples, numbers.Integral) and samples >= 0):
-        raise ValueError("samples must be an integer >= 0")
-    sign = 1.0 if side == "above" else -1.0
-    rng = np.random.default_rng(seed)
-    cone = [(0.0, *(np.zeros((m, m), _block_dtype(m, 0.0)) for m in (grid.k, grid.l)))]
-    for s in range(samples):
-        rho = 10.0 ** rng.uniform(np.log10(_MAG_LO), np.log10(_MAG_HI), size=3)
-        mats = []
-        for m, r in zip((grid.k, grid.l), rho[:2]):
-            if s % 2 == 0:
-                mat = r * np.eye(m, dtype=np.complex128)
-            else:
-                v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
-                v /= np.linalg.norm(v)
-                mat = r * np.outer(v, v.conj())
-            mats.append(mat.real if m == 1 else mat)
-        cone.append((-sign * float(rho[2]), sign * mats[0], sign * mats[1]))
-    return sign, cone
-
-
-def touching_jets(u_stack, times, grid, spatial_index, time_index,
-                  side="above", samples=4, seed=0):
-    """Candidate jets of test functions touching u at one point.
-
-    The base jet is the discrete Taylor data of slice ``time_index``: the
-    time slope (backward, matching the parabolic arrow) and both block
-    Hessians (central).  The other jets perturb it within the admissible
-    cone for the requested side.
-    """
+def touching_jet(u_stack, times, grid, spatial_index, time_index):
+    """The base jet of test functions touching u at one point: the discrete
+    Taylor data of slice ``time_index``, the time slope (backward, matching
+    the parabolic arrow) and both block Hessians (central).  The checks
+    decide the cone of jets around it in closed form (``_check_slice``)."""
     u_stack, times = _stack(u_stack, times)
-    _, cone = _cone(grid, side, samples, seed)
     n = time_index
     if not (1 <= n < len(times)):
         raise WindowTooSmall("need a backward time neighbor for the jet")
@@ -124,8 +89,7 @@ def touching_jets(u_stack, times, grid, spatial_index, time_index,
     p_t = ((u_stack[n] - u_stack[n - 1]) / (times[n] - times[n - 1]))[idx]
     hp, hm = (hessian_block_values(u_stack[n], grid, block)[idx]
               for block in ("plus", "minus"))
-    return [Jet(idx, n, float(p_t + dp), hp + dhp, hm + dhm)
-            for dp, dhp, dhm in cone]
+    return Jet(idx, n, float(p_t), hp, hm)
 
 
 @dataclass
@@ -182,12 +146,6 @@ def _below_tol(slack, tol, grid, dt, lhs, rhs, e=0):
     return slack * 2.0 ** -f < -math.ldexp(factor, -f) * scale
 
 
-def _jet_entries(entries, increment, op):
-    """op(form, increment) entry by entry (``_entries``): entry (i, j) of a
-    stacked form plus or minus a constant 2x2 (or 1x1) increment."""
-    return tuple(op(x, c) for x, c in zip(entries, _entries(increment)))
-
-
 def _scaled_det(entries, gated):
     """(det 2^-s, s) at some points: the entries scaled exactly by a
     power of two into [-1, 1] (s is that power for m = 1, twice it for
@@ -227,15 +185,42 @@ def _rescaled(sign, jet_p, jet_m, arg, zeta_p, zeta_m):
 
 def _check_slice(state, prev, dt, n, exp_z, sides, tol):
     """Check slice n, whose time step from the values ``prev`` is dt, for
-    each side of ``sides``, (sign, cone, report) triples.
+    each (sign, report) pair of ``sides``: +1 touches from above (the sub
+    side), -1 from below (the super side).
+
+    The check decides every jet of the cone at once.  With the forms plus
+    = omega_hat+ + hess+ u and minus = omega_hat- - hess- u, and P+- PSD
+    and c >= 0 unbounded, a jet's slack is, from above and from below,
+
+        det(plus + P+) e^zeta- - e^(p_t - c + F) det+(minus - P-) e^zeta+,
+        e^(p_t + c + F) det(minus + P-) e^zeta+ - det+(plus - P+) e^zeta-,
+
+    det+ being det gated to 0 off the positive definite blocks.  On PSD
+    blocks det is monotone in the Loewner order (A >= 0 gives det(A + P)
+    >= det A; A - P > 0 gives det+(A - P) <= det+ A), and the exponentials
+    are monotone in c.  So the infimum over the cone is the base jet's
+    slack (P = 0, c = 0) where the ungated block (plus from above, minus
+    from below) is PSD, and where it is 1x1 plus from above, which c does
+    not multiply (plus + P >= plus).  Elsewhere it is -inf, a violation at
+    every tolerance: a 2x2 ungated block with eigenvalues l1 < 0 and l2
+    (eigenvector v) has det(A + s v v*) = l1 (l2 + s), and a negative 1x1
+    minus block from below enters as e^c minus.
+
+    lambda_min is read by ``_eig_bounds_entries``, finite where a d - |b|^2
+    overflows.  The gate (``grid._gate``) reads "positive definite" as
+    lambda_min > 1e-12 (1 + |A|), |A| the trace norm.  Where A - P passes
+    it and A does not, A is positive definite with det(A - P) <= det A <=
+    1e-12 (1 + |A|) |A|: the base jet's gated term, 0 there, exceeds the
+    cone's infimum by at most that bound times the term's exponential, so
+    the closed form is exact up to the gate's own threshold.
 
     The forms are the transient ``state``'s blocks, split once into
-    contiguous entries; a jet adds its increments to them entry by entry.
-    Where a slack is not finite, the point is decided on both sides
-    scaled by a power of two (``_rescaled``), and its slack is that value
-    scaled back, infinite where it leaves the float range; a point whose
-    decision is undefined even so is NotAdmissible, since a check cannot
-    certify it.
+    contiguous entries, with one eigenvalue pass each for the gate and the
+    -inf mask.  Where another slack is not finite, the point is decided
+    on both sides scaled by a power of two (``_rescaled``), and its slack
+    is that value scaled back, infinite where it leaves the float range;
+    a point whose decision is undefined even so is NotAdmissible, since a
+    check cannot certify it.
     """
     background, t = state.background, state.t
     grid = background.grid
@@ -243,106 +228,110 @@ def _check_slice(state, prev, dt, n, exp_z, sides, tol):
     # a value beyond the float range is decided scaled, below
     with np.errstate(over="ignore", invalid="ignore"):
         # the time slope is backward, matching the parabolic arrow
-        p_t = (state.u.values - prev) / dt
-        Fv = background.F_at(t)
-        plus, minus = (tuple(np.ascontiguousarray(x) for x in _entries(form))
-                       for form in form_block_values(state))
-        for sign, cone, report in sides:
+        arg = (state.u.values - prev) / dt + background.F_at(t)
+        exp_arg = np.exp(arg)
+        blocks = []
+        for form in form_block_values(state):
+            entries = tuple(np.ascontiguousarray(x) for x in _entries(form))
+            lo, hi = _eig_bounds_entries(*entries)
+            det = det_entries(*entries)
+            blocks.append((entries, lo, det,
+                           np.where(_gate(lo, hi, len(entries) == 1), det, 0.0)))
+        (plus, lo_p, det_p, pos_p), (minus, lo_m, det_m, pos_m) = blocks
+        for sign, report in sides:
             # the one-sided inequality gates the block the cone does not
             # force elliptic: the minus block from above, the plus block
             # from below
-            det_p, det_m = ((det_entries, det_plus_entries) if sign > 0
-                            else (det_plus_entries, det_entries))
-            for dp, dhp, dhm in cone:
-                jet_p = _jet_entries(plus, dhp, np.add)
-                jet_m = _jet_entries(minus, dhm, np.subtract)
-                arg = p_t + dp + Fv
-                lhs = det_p(*jet_p) * exp_zm
-                rhs = np.exp(arg) * det_m(*jet_m) * exp_zp
-                slack = sign * (lhs - rhs)
-                below = _below_tol(slack, tol, grid, dt, lhs, rhs)
-                bad = ~np.isfinite(slack)
-                if bad.any():
-                    at = lambda x: np.broadcast_to(x, slack.shape)[bad]
-                    lhs_s, rhs_s, slack_s, e = _rescaled(
-                        sign, [at(x) for x in jet_p], [at(x) for x in jet_m], at(arg),
-                        at(background.zeta_plus.values), at(background.zeta_minus.values))
-                    undefined = ~np.isfinite(slack_s)
-                    if undefined.any():
-                        flat = np.flatnonzero(bad)[np.argmax(undefined)]
-                        point = tuple(int(i) for i in np.unravel_index(flat, slack.shape))
-                        raise NotAdmissible(f"{report.side}solution check slack is not "
-                                            f"finite at point {point}, t={t:.6g}",
-                                            point=point)
-                    # |e| beyond 2^20 saturates ldexp as it is
-                    e = np.clip(e, -2 ** 20, 2 ** 20).astype(np.int64)
-                    below[bad] = _below_tol(slack_s, tol, grid, dt, lhs_s, rhs_s, e)
-                    slack[bad] = np.ldexp(slack_s, e)
-                report.n_points_checked += slack.size
-                # only this jet's worst _VIOLATION_CAP can reach the report;
-                # the stable sort keeps ties in lattice order
-                bad = np.flatnonzero(below)
-                worst = bad[np.argsort(slack.flat[bad], kind="stable")[:_VIOLATION_CAP]]
-                points = np.transpose(np.unravel_index(worst, slack.shape)).tolist()
-                report.violations += [
-                    Violation(tuple(point), n, t, value, report.side)
-                    for point, value in zip(points, slack.flat[worst].tolist())]
+            if sign > 0:
+                lhs, rhs = det_p * exp_zm, exp_arg * pos_m * exp_zp
+                unbounded = (lo_p < 0.0) & (len(plus) == 3)
+            else:
+                lhs, rhs = pos_p * exp_zm, exp_arg * det_m * exp_zp
+                unbounded = lo_m < 0.0
+            slack = sign * (lhs - rhs)
+            below = _below_tol(slack, tol, grid, dt, lhs, rhs) | unbounded
+            slack[unbounded] = -np.inf
+            bad = ~(np.isfinite(slack) | unbounded)
+            if bad.any():
+                at = lambda x: np.broadcast_to(x, slack.shape)[bad]
+                lhs_s, rhs_s, slack_s, e = _rescaled(
+                    sign, [at(x) for x in plus], [at(x) for x in minus], at(arg),
+                    at(background.zeta_plus.values), at(background.zeta_minus.values))
+                undefined = ~np.isfinite(slack_s)
+                if undefined.any():
+                    flat = np.flatnonzero(bad)[np.argmax(undefined)]
+                    point = tuple(int(i) for i in np.unravel_index(flat, slack.shape))
+                    raise NotAdmissible(f"{report.side}solution check slack is not "
+                                        f"finite at point {point}, t={t:.6g}",
+                                        point=point)
+                # |e| beyond 2^20 saturates ldexp as it is
+                e = np.clip(e, -2 ** 20, 2 ** 20).astype(np.int64)
+                below[bad] = _below_tol(slack_s, tol, grid, dt, lhs_s, rhs_s, e)
+                slack[bad] = np.ldexp(slack_s, e)
+            report.n_points_checked += slack.size
+            # only this slice's worst _VIOLATION_CAP can reach the report;
+            # the stable sort keeps ties in lattice order
+            bad = np.flatnonzero(below)
+            worst = bad[np.argsort(slack.flat[bad], kind="stable")[:_VIOLATION_CAP]]
+            points = np.transpose(np.unravel_index(worst, slack.shape)).tolist()
+            report.violations += [
+                Violation(tuple(point), n, t, value, report.side)
+                for point, value in zip(points, slack.flat[worst].tolist())]
 
 
-def _check(states, sides, tol, samples, seed):
-    """The finalized report of each side ("above" | "below") over the
-    slices n >= 1 of ``states``, side i sampling with seed + i.  A slice is
+def _check(states, signs, tol):
+    """The finalized report of each side of ``signs`` (+1 the sub side, -1
+    the super side) over the slices n >= 1 of ``states``.  A slice is
     checked on a transient state: blocks built for it do not outlive it."""
     if tol is not None and math.isnan(tol):
         raise ValueError("tol must not be NaN")
     times = _times([s.t for s in states], len(states))
     background = states[0].background
-    checks = []
-    for i, side in enumerate(sides):
-        sign, cone = _cone(background.grid, side, samples, seed + i)
-        checks.append((sign, cone, ViolationReport(side="sub" if sign > 0 else "super")))
+    sides = [(sign, ViolationReport(side="sub" if sign > 0 else "super")) for sign in signs]
     with np.errstate(over="ignore"):
         exp_z = np.exp(background.zeta_plus.values), np.exp(background.zeta_minus.values)
     for n, (prev, s) in enumerate(zip(states, states[1:]), 1):
         _check_slice(FlowState(s.t, s.u, s.background, _blocks=s._blocks), prev.u.values,
-                     float(times[n] - times[n - 1]), n, exp_z, checks, tol)
-    return tuple(report.finalize() for _, _, report in checks)
+                     float(times[n] - times[n - 1]), n, exp_z, sides, tol)
+    return tuple(report.finalize() for _, report in sides)
 
 
-def _stack_check(u_stack, times, background, tol, samples, seed, side):
+def _stack_check(u_stack, times, background, tol, sign):
     u_stack, times = _stack(u_stack, times)
     grid = background.grid
     if u_stack.shape[1:] != grid.shape:
         raise ValueError("stack slices must live on the background grid")
     states = [FlowState(float(t), ScalarField(grid, u), background)
               for t, u in zip(times, u_stack)]
-    return _check(states, (side,), tol, samples, seed)[0]
+    return _check(states, (sign,), tol)[0]
 
 
-def subsolution_check(u_stack, times, background, tol=None, samples=4, seed=0):
-    """Check the one-sided flow inequality against jets touching from above.
+def subsolution_check(u_stack, times, background, tol=None):
+    """Check the one-sided flow inequality against every jet touching from
+    above.
 
     The determinant is ungated on the plus block and positively gated on
     the minus block; violations are points where some admissible jet makes
-    the inequality fail beyond tolerance.
+    the inequality fail beyond tolerance, each with the infimum of the
+    slack over the jets.
     """
-    return _stack_check(u_stack, times, background, tol, samples, seed, "above")
+    return _stack_check(u_stack, times, background, tol, 1.0)
 
 
-def supersolution_check(v_stack, times, background, tol=None, samples=4, seed=0):
+def supersolution_check(v_stack, times, background, tol=None):
     """Dual check: jets touch from below, gating swaps blocks."""
-    return _stack_check(v_stack, times, background, tol, samples, seed, "below")
+    return _stack_check(v_stack, times, background, tol, -1.0)
 
 
-def trajectory_checks(traj, tol=None, samples=4, seed=0):
+def trajectory_checks(traj, tol=None):
     """(sub report, super report) of a flow trajectory, in one pass per slice.
 
-    Bitwise ``subsolution_check`` (with ``seed``) and ``supersolution_check``
-    (with ``seed + 1``) on the stack of its states, through the same loop:
-    each slice's forms are built once for both sides, and the final state's
-    blocks, which ``run`` keeps, are read as they are.
+    Bitwise ``subsolution_check`` and ``supersolution_check`` on the stack
+    of its states, through the same loop: each slice's forms are built
+    once for both sides, and the final state's blocks, which ``run``
+    keeps, are read as they are.
     """
-    return _check(traj.states, ("above", "below"), tol, samples, seed)
+    return _check(traj.states, (1.0, -1.0), tol)
 
 
 def delta_lift(v_stack, times, delta, T):
@@ -364,8 +353,7 @@ class ComparisonVerdict:
     delta_trace: list
 
 
-def comparison_test(sub_stack, super_stack, times, background, T=None,
-                    tol=None, samples=4, seed=0):
+def comparison_test(sub_stack, super_stack, times, background, T=None, tol=None):
     """Ordered-at-zero verified sub/supersolutions stay ordered.
 
     Preconditions (checks pass, initial ordering) raise PreconditionFailed;
@@ -378,13 +366,12 @@ def comparison_test(sub_stack, super_stack, times, background, T=None,
     dt = float(np.diff(times).max())
     tol_order = _default_tol(background.grid, dt) if tol is None else tol
 
-    sub_report = subsolution_check(sub_stack, times, background, tol, samples, seed)
+    sub_report = subsolution_check(sub_stack, times, background, tol)
     if not sub_report.ok:
         raise PreconditionFailed(
             f"candidate subsolution fails its check "
             f"(worst slack {sub_report.worst_slack:.3e})")
-    super_report = supersolution_check(super_stack, times, background, tol,
-                                       samples, seed + 1)
+    super_report = supersolution_check(super_stack, times, background, tol)
     if not super_report.ok:
         raise PreconditionFailed(
             f"candidate supersolution fails its check "

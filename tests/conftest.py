@@ -58,18 +58,38 @@ def _long_det(mat, gated):
     return np.where(lo > PD_GATE * (1 + norm), det, 0) if gated else det
 
 
-def log_space_violations(stack, times, background, side, samples, seed, tol=None):
+def rescaled_sides(monkeypatch):
+    """The list to which each call of the checks' scaled path appends its
+    sign: +1 on the sub side, -1 on the super side."""
+    from twistedma import viscosity
+
+    sides, real = [], viscosity._rescaled
+    monkeypatch.setattr(viscosity, "_rescaled", lambda sign, *args: (
+        sides.append(sign) or real(sign, *args)))
+    return sides
+
+
+def unbounded_below(plus, minus, side):
+    """Mask of the points where the touching cone drives the slack to -inf:
+    the ungated block (plus from above, minus from below) has a negative
+    eigenvalue, a 1x1 plus block from above aside."""
+    ungated = plus if side == "above" else minus
+    if side == "above" and ungated.shape[-1] == 1:
+        return np.zeros(ungated.shape[:-2], dtype=bool)
+    return np.linalg.eigvalsh(ungated)[..., 0] < 0
+
+
+def log_space_violations(stack, times, background, side, tol=None):
     """{(time_index, point): log|slack|} of the points where a one-sided
-    check fails beyond tol (the worst jet's slack), decided in log space
-    with the determinants in long double: a reference for the checks where
-    exp and det leave the float range.  The jets come from the checks' own
-    cone."""
+    check fails beyond tol, decided in log space with the determinants in
+    long double: a reference for the checks where exp and det leave the
+    float range.  The slack is the cone's infimum in closed form: the base
+    jet's, or -inf (log|slack| = inf) where ``unbounded_below``."""
     from twistedma import background_at
     from twistedma.grid import hessian_block_values
-    from twistedma.viscosity import _cone
 
     grid = background.grid
-    sign, cone = _cone(grid, side, samples, seed)
+    sign = 1.0 if side == "above" else -1.0
     zp, zm = background.zeta_plus.values, background.zeta_minus.values
     out = {}
     for n in range(1, len(times)):
@@ -78,22 +98,23 @@ def log_space_violations(stack, times, background, side, samples, seed, tol=None
         plus = sl.omega_hat_plus.values + hessian_block_values(stack[n], grid, "plus")
         minus = sl.omega_hat_minus.values - hessian_block_values(stack[n], grid, "minus")
         p_t = (stack[n] - stack[n - 1]) / dt
-        for dp, dhp, dhm in cone:
-            det_p, det_m = _long_det(plus + dhp, sign < 0), _long_det(minus - dhm, sign > 0)
-            with np.errstate(divide="ignore"):
-                log_l = np.log(np.abs(det_p)) + zm
-                log_r = p_t + dp + background.F_at(t) + np.log(np.abs(det_m)) + zp
-            # slack e^-M, M = max(log|lhs|, log|rhs|, 0)
-            top = np.maximum(np.maximum(log_l, log_r), 0.0)
-            slack = sign * (np.sign(det_p) * np.exp(log_l - top)
-                            - np.sign(det_m) * np.exp(log_r - top))
-            if tol is None:
-                below = slack < -10.0 * (max(grid.spacing) ** 2 + dt)
-            else:
-                below = slack < -tol * np.exp(-top)
-            with np.errstate(divide="ignore"):
-                log_slack = np.log(np.abs(slack)) + top
-            for point in zip(*np.nonzero(below)):
-                key = (n, tuple(int(i) for i in point))
-                out[key] = max(out.get(key, -np.inf), float(log_slack[point]))
+        det_p, det_m = _long_det(plus, sign < 0), _long_det(minus, sign > 0)
+        with np.errstate(divide="ignore"):
+            log_l = np.log(np.abs(det_p)) + zm
+            log_r = p_t + background.F_at(t) + np.log(np.abs(det_m)) + zp
+        # slack e^-M, M = max(log|lhs|, log|rhs|, 0)
+        top = np.maximum(np.maximum(log_l, log_r), 0.0)
+        slack = sign * (np.sign(det_p) * np.exp(log_l - top)
+                        - np.sign(det_m) * np.exp(log_r - top))
+        if tol is None:
+            below = slack < -10.0 * (max(grid.spacing) ** 2 + dt)
+        else:
+            below = slack < -tol * np.exp(-top)
+        with np.errstate(divide="ignore"):
+            log_slack = np.log(np.abs(slack)) + top
+        unbounded = unbounded_below(plus, minus, side)
+        below |= unbounded
+        log_slack = np.where(unbounded, np.inf, log_slack)
+        for point in zip(*np.nonzero(below)):
+            out[(n, tuple(int(i) for i in point))] = float(log_slack[point])
     return out

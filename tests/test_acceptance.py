@@ -130,15 +130,15 @@ def test_criterion_06_sub_super_closure():
     bg = flat_background(g)
     times = np.linspace(0.0, 0.05, 3)
     rng = np.random.default_rng(99)
-    for i in range(20):
+    for _ in range(20):
         a = bandlimited_field(g, rng, amp=0.05)
         b = bandlimited_field(g, rng, amp=0.05)
         subs = [np.stack([f.values - t for t in times]) for f in (a, b)]
         for s in subs + [np.maximum(*subs)]:
-            assert subsolution_check(s, times, bg, samples=1, seed=i).ok
+            assert subsolution_check(s, times, bg).ok
         sups = [np.stack([f.values + t for t in times]) for f in (a, b)]
         for s in sups + [np.minimum(*sups)]:
-            assert supersolution_check(s, times, bg, samples=1, seed=i).ok
+            assert supersolution_check(s, times, bg).ok
     print("criterion 6 PASS: 20 random pairs, max of subsolutions and min of "
           "supersolutions pass the respective checks at the same tolerance")
 
@@ -149,11 +149,11 @@ def test_criterion_07_gating_and_psh_selection():
     bg16 = flat_background(g16)
     times = np.linspace(0.0, 0.05, 3)
     u = np.stack([cos_axis_field(g16, 2, 8.0).values - 2.0 * t for t in times])
-    assert subsolution_check(u, times, bg16, samples=2, tol=0.0).ok
-    assert not supersolution_check(u, times, bg16, samples=0, tol=0.0).ok
+    assert subsolution_check(u, times, bg16, tol=0.0).ok
+    assert not supersolution_check(u, times, bg16, tol=0.0).ok
     v = np.stack([cos_axis_field(g16, 0, -8.0).values + 2.0 * t for t in times])
-    assert supersolution_check(v, times, bg16, samples=2, tol=0.0).ok
-    assert not subsolution_check(v, times, bg16, samples=0, tol=0.0).ok
+    assert supersolution_check(v, times, bg16, tol=0.0).ok
+    assert not subsolution_check(v, times, bg16, tol=0.0).ok
 
     # selection: a tol=0 subsolution keeps a positive plus-block margin that
     # shrinks with the grid (continuum limit is degenerate-plurisubharmonic)
@@ -163,7 +163,7 @@ def test_criterion_07_gating_and_psh_selection():
         bg = flat_background(g)
         u0 = cos_axis_field(g, 0, amplitude=4.0)
         stack = np.stack([u0.values - 9.0 * t for t in times])
-        assert subsolution_check(stack, times, bg, samples=2, tol=0.0).ok
+        assert subsolution_check(stack, times, bg, tol=0.0).ok
         plus = bg.omega0_plus.values + hessian_block_values(u0.values, g, "plus")
         margins[n] = float(min_eig_values(plus).min())
     assert margins[32] > 0 and margins[64] > 0
@@ -181,11 +181,11 @@ def test_criterion_08_comparison_and_delta_lift():
     times = np.array([s.t for s in traj.states])
     stack = np.stack([s.u.values for s in traj.states])
     upper = np.stack([traj.barrier.upper(t) for t in times])
-    verdict = comparison_test(stack, upper, times, bg, samples=2)
+    verdict = comparison_test(stack, upper, times, bg)
     assert verdict.holds
     for delta in (1e-3, 1e-2, 1e-1):
         lifted = delta_lift(upper, times, delta, 1.0)
-        assert supersolution_check(lifted, times, bg, samples=3).ok
+        assert supersolution_check(lifted, times, bg).ok
     print("criterion 8 PASS: trajectory vs upper barrier comparison holds; "
           "delta-lift preserves supersolution status for delta in "
           "{1e-3, 1e-2, 1e-1}")

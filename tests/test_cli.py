@@ -25,7 +25,7 @@ from twistedma import (BicomplexGrid, ScalarField, cli, flow, grid, load_field,
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
 from twistedma.errors import BarrierViolation, ConfigError, TwistedMAError
 
-from conftest import log_space_violations
+from conftest import log_space_violations, rescaled_sides
 
 SCENARIO_DIR = os.path.join(os.path.dirname(__file__), "..", "scenarios")
 SRC = os.path.join(os.path.dirname(__file__), "..", "src")
@@ -74,10 +74,10 @@ class TestLoadConfig:
 
     @pytest.mark.parametrize("field,value", [
         ("forcing_axis", 1.5), ("initial_axis", 1.5), ("initial_mode", True),
-        ("emit_every", 10.0), ("seed", 1.5), ("jet_samples", 1.5),
+        ("emit_every", 10.0), ("seed", 1.5),
         ("zeta_plus", "0"), ("zeta_minus", None), ("forcing_amplitude", True),
-        ("initial_amplitude", 1j), ("t_end", "0.1"), ("safety", np.array([0.5])),
-        ("tolerance", "1e-8"), ("grid", 1.0), ("forcing", None), ("initial_kind", 1),
+        ("initial_amplitude", 1j), ("t_end", "0.1"), ("tolerance", "1e-8"),
+        ("safety", np.array([0.5])), ("grid", 1.0), ("forcing", None), ("initial_kind", 1),
         ("initial_file", True), ("check_viscosity", 1.5), ("check_roundtrip", "no")])
     def test_api_config_field_types(self, field, value):
         # each field's type is checked, so a config built in code fails
@@ -195,6 +195,23 @@ class TestRunScenario:
                              if l and not l.startswith("#")] for side in ("sub", "super")])
         assert reports[0] == reports[1]
         assert all(len(lines) > 1 for lines in reports[0])
+
+    def test_jet_samples_key_is_ignored(self, tmp_path):
+        # the checks no longer sample jets; a config that still sets
+        # jet_samples runs, and its artifacts are those of the config without
+        # it ('#' lines and the phase seconds aside)
+        text = open(scenario("cosine_decay.cfg")).read()
+        runs = []
+        for name, body in (("without", text),
+                           ("with", text.replace("[checks]\n", "[checks]\njet_samples = 2\n"))):
+            p = tmp_path / f"{name}.cfg"
+            p.write_text(body)
+            assert run_scenario(str(p), tmp_path / name)[0] == 0
+            runs.append({f.name: [l for l in f.read_bytes().split(b"\n")
+                                  if not l.startswith(b"#") and not re.match(rb"\w+_s = ", l)]
+                         for f in sorted((tmp_path / name).iterdir())})
+        assert "jet_samples = 2" in (tmp_path / "with.cfg").read_text()
+        assert runs[0] == runs[1] and "violations_sub.csv" in runs[0]
 
 
     def test_mutated_config_revalidated(self, tmp_path):
@@ -371,41 +388,44 @@ class TestMain:
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
 
-    def test_check_slack_overflow_decided(self, tmp_path, capsys):
-        # omega_plus = 1.7e308 makes u_t = log(1.7e308) = 709.7, and a jet's
-        # exp(u_t + c) overflows: once exit 3, each such point is now decided
-        # on both sides scaled by a power of two, as in log space
+    def test_check_slack_overflow_decided(self, tmp_path, monkeypatch):
+        # omega_plus = 1.7e308 and zeta_minus = 1: lhs = 1.7e308 e overflows,
+        # and u_t = log(1.7e308) + 1 = 710.7 makes exp(u_t) overflow too.
+        # Once exit 3, each point is now decided on both sides scaled by a
+        # power of two, as in log space
         text = open(scenario("flat_stationary.cfg")).read()
         old = "n = 8\n\n[background]\nomega_plus = 1\n"
         assert old in text
         p = tmp_path / "overflow.cfg"
-        p.write_text(text.replace(old, "n = 4\n\n[background]\nomega_plus = 1.7e308\n"))
+        p.write_text(text.replace(old, "n = 4\n\n[background]\nomega_plus = 1.7e308\n"
+                                       "zeta_minus = 1\n"))
+        scaled = rescaled_sides(monkeypatch)
         out = tmp_path / "o"
         assert main(["run", str(p), "--out", str(out)]) == 0
+        # both sides took the scaled path
+        assert scaled == [1.0, -1.0]
         summary = (out / "summary.txt").read_text().splitlines()
         assert "sub_check_ok = True (0 violations)" in summary
         assert "super_check_ok = True (0 violations)" in summary
         cfg = load_config(str(p))
         stack = np.stack([load_field(out / f).values for f in ("initial.bin", "final.bin")])
         times = np.array([0.0, cfg.t_end])
-        # the plain evaluation overflows: the base jet's exp(u_t) is within
-        # a factor e of the float maximum, and jets raise u_t by up to 1
-        assert abs(stack[1].max() / cfg.t_end - np.log(1.7e308)) < 1e-9
+        assert abs(stack[1].max() / cfg.t_end - (np.log(1.7e308) + 1.0)) < 1e-9
         bg = cli._build_background(cfg)
-        for side, seed in (("above", cfg.seed), ("below", cfg.seed + 1)):
-            assert log_space_violations(stack, times, bg, side, cfg.jet_samples, seed) == {}
+        for side in ("above", "below"):
+            assert log_space_violations(stack, times, bg, side) == {}
 
     def test_check_slack_overflow_decided_two_by_two(self, tmp_path, monkeypatch):
-        # k = l = 2 and omega_plus = 1.3e154: det omega_plus = 1.69e308 stays
-        # finite, u_t = log det = 709.7, and a jet's exp(u_t + c) overflows,
-        # so the checks decide those points on the 2x2 determinants scaled
-        # by a power of two
+        # k = l = 2, omega_plus = 1.3e154 and zeta_minus = 1: det omega_plus
+        # = 1.69e308 stays finite, but lhs = det e overflows, and so does
+        # exp(u_t) at u_t = log det + 1 = 710.7, so the checks decide the
+        # points on the 2x2 determinants scaled by a power of two
         text = open(scenario("flat_stationary.cfg")).read()
         old = "k = 1\nl = 1\nn = 8\n\n[background]\nomega_plus = 1\n"
         assert old in text
         p = tmp_path / "overflow.cfg"
         p.write_text(text.replace(old, "k = 2\nl = 2\nn = 4\n\n[background]\n"
-                                       "omega_plus = 1.3e154\n"))
+                                       "omega_plus = 1.3e154\nzeta_minus = 1\n"))
         sizes = []
         scaled_det = viscosity._scaled_det
         monkeypatch.setattr(viscosity, "_scaled_det", lambda entries, gated: (
@@ -420,32 +440,33 @@ class TestMain:
         cfg = load_config(str(p))
         stack = np.stack([load_field(out / f).values for f in ("initial.bin", "final.bin")])
         times = np.array([0.0, cfg.t_end])
-        assert abs(stack[1].max() / cfg.t_end - np.log(1.3e154 ** 2)) < 1e-9
+        assert abs(stack[1].max() / cfg.t_end - (np.log(1.3e154 ** 2) + 1.0)) < 1e-9
         bg = cli._build_background(cfg)
-        sides = (("above", cfg.seed, viscosity.subsolution_check),
-                 ("below", cfg.seed + 1, viscosity.supersolution_check))
-        for side, seed, _ in sides:
-            assert log_space_violations(stack, times, bg, side, cfg.jet_samples, seed) == {}
+        sides = (("above", viscosity.subsolution_check),
+                 ("below", viscosity.supersolution_check))
+        for side, _ in sides:
+            assert log_space_violations(stack, times, bg, side) == {}
         # at an absolute tolerance far above the roundoff of det ~ 1.7e308,
         # a time slope raised or lowered by 1 at one point fails one side
         # there and at its stencil neighbours: the checks find the points
-        # of the long-double reference, each with its worst slack
+        # of the long-double reference, each with its slack.  A slack is
+        # the difference of two terms near e^top, whose exponents both carry
+        # the roundoff of a float near 711: its error is bounded relative to
+        # e^top, not to the slack where the terms cancel
+        top = math.log(1.3e154 ** 2) + 1.0
         found = 0
         for bump in (1.0, -1.0):
             bumped = stack.copy()
             bumped[1][1, 2, 3, 0, 1, 2, 3, 0] += bump * cfg.t_end
-            for side, seed, check in sides:
-                report = check(bumped, times, bg, tol=1e300, samples=cfg.jet_samples, seed=seed)
-                worst = {}
-                for v in report.violations:
-                    key = (v.time_index, v.spatial_index)
-                    worst[key] = min(worst.get(key, np.inf), v.slack)
-                ref = log_space_violations(bumped, times, bg, side, cfg.jet_samples, seed,
-                                           tol=1e300)
-                assert worst.keys() == ref.keys()
-                for key, slack in worst.items():
+            for side, check in sides:
+                report = check(bumped, times, bg, tol=1e300)
+                got = {(v.time_index, v.spatial_index): v.slack for v in report.violations}
+                ref = log_space_violations(bumped, times, bg, side, tol=1e300)
+                assert got.keys() == ref.keys()
+                for key, slack in got.items():
                     if math.isfinite(slack):
-                        assert math.log(-slack) == pytest.approx(ref[key], rel=1e-12)
+                        assert math.log(-slack) == pytest.approx(
+                            ref[key], rel=1e-12, abs=1e-12 * math.exp(top - ref[key]))
                     else:
                         assert slack < 0 and ref[key] > math.log(sys.float_info.max)
                 found += len(ref)
@@ -567,14 +588,12 @@ class TestMain:
     @pytest.mark.parametrize("edit,message", [
         (lambda t: t.replace("emit_every = 10", "emit_every = 0"),
          "run: emit_every must be >= 1"),
-        (lambda t: t.replace("jet_samples = 2", "jet_samples = -1"),
-         "checks: jet_samples must be >= 0"),
         *[(lambda t, v=v: t.replace("[checks]\n", f"[checks]\ntolerance = {v}\n"),
            "checks: tolerance must be finite and > 0") for v in ("0", "-1", "inf", "nan")],
         (lambda t: "".join(line for line in t.splitlines(True) if not line.startswith("[")),
          "unparseable config {path}: File contains no section headers."),
         (lambda t: t + "\n[run]\nt_end = 0.1\n",
-         "unparseable config {path}: While reading from '{path}' [line 24]: "
+         "unparseable config {path}: While reading from '{path}' [line 23]: "
          "section 'run' already exists"),
         # a .bin header stores each count as a uint16: refused before the
         # flow runs, not by save_field once it has
@@ -582,7 +601,7 @@ class TestMain:
          .replace("viscosity = true", "viscosity = false"),
          "grid: a .bin header stores at most 65535 points per axis, "
          "got counts (65536, 4, 4, 4)")],
-        ids=["emit_every_0", "jet_samples_-1", "tolerance_0", "tolerance_-1",
+        ids=["emit_every_0", "tolerance_0", "tolerance_-1",
              "tolerance_inf", "tolerance_nan", "no_section_headers", "duplicate_run",
              "axis_beyond_the_header"])
     def test_config_error_exit_two(self, tmp_path, capsys, edit, message):
@@ -748,7 +767,6 @@ MUTATION_VALUES = {
     ("run", "seed"): ["0", "7", "-1", "99999999999999999999", "1.5", "x"],
     ("checks", "viscosity"): ["true", "false", "yes", "0", "x"],
     ("checks", "roundtrip"): ["true", "false"],
-    ("checks", "jet_samples"): ["0", "1", "3", "-1", "x"],
     ("checks", "tolerance"): ["", "1e-300", "1e-6", "1", "1e308", "0", "-1",
                               "nan", "inf", "x"],
 }
