@@ -241,7 +241,8 @@ def _check_slice(state, prev, dt, n, exp_z, sides, tol):
         for sign, report in sides:
             # the one-sided inequality gates the block the cone does not
             # force elliptic: the minus block from above, the plus block
-            # from below
+            # from below; the cone is unbounded below where the ungated
+            # block has lambda_min < 0, unless it is 1x1 plus from above
             if sign > 0:
                 lhs, rhs = det_p * exp_zm, exp_arg * pos_m * exp_zp
                 unbounded = (lo_p < 0.0) & (len(plus) == 3)
