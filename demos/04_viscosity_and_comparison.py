@@ -7,7 +7,8 @@ this script exhibits it with explicit candidates.  It then verifies the
 two structural facts the weak theory runs on: the max of subsolutions is
 a subsolution (dually for min), and an ordered sub/super pair stays
 ordered, robustly under the 1/(T - t) lift of the supersolution.  Each
-check decides every touching jet at once, in closed form.
+check decides every touching jet at once, in closed form, in the
+equation's log units.
 """
 
 import numpy as np
@@ -35,8 +36,15 @@ sub = subsolution_check(u, times, background, tol=0.0)
 sup = supersolution_check(u, times, background, tol=0.0)
 print(f"large minus-cosine, slope -2:  sub ok = {sub.ok}, super ok = {sup.ok}")
 print(f"  (super check worst slack {sup.worst_slack:.3f}: the ungated minus "
-      f"block is negative there, and jets touching from below drive the "
-      f"slack to -inf)")
+      f"block has a negative eigenvalue there, so the test form is not "
+      f"semipositive)")
+
+# a slack is a residual of u_t in the equation's log units: on the flat
+# background u = 5 t rises 5 faster than the equation allows
+ramp = np.stack([np.full(grid.shape, 5.0 * t) for t in times])
+sub = subsolution_check(ramp, times, background)
+print(f"u = 5 t:  sub ok = {sub.ok}, worst slack {sub.worst_slack:.3f} "
+      f"(default tolerance 10 (h^2 + dt) in log units)")
 
 # closure: the pointwise max of two verified subsolutions passes too
 u1 = np.stack([cosine(0, 0.15) - t for t in times])

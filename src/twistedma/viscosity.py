@@ -2,12 +2,14 @@
 harness.
 
 A jet is the second-order space-time Taylor data of a test function at a
-touching point: time slope plus the two block Hessians.  The checks
-decide the one-sided inequalities for every jet of the admissible cone at
-once, in closed form: the infimum of the slack over the cone is the base
-jet's slack, or -inf where the cone is unbounded below (``_check_slice``
-states the proof).  A reported violation is real to stencil accuracy, and
-a pass holds for every jet of the cone.
+touching point: time slope plus the two block Hessians.  The checks test
+the flow's own equation, u_t = log det(plus) - log det(minus) + zeta- -
+zeta+ - F, one-sided, in its log units: a slack is a residual of u_t.
+They decide the inequality for every jet of the admissible cone at once,
+in closed form: the infimum of the slack over the cone is the base jet's
+slack, or -inf where the ungated test form is not semipositive
+(``_check_slice`` states the proof).  A reported violation is real to
+stencil accuracy, and a pass holds for every jet of the cone.
 
 Touching calculus.  For a function touched from above at an interior time
 (local maximum of u - phi over t <= t0), admissible test-jet perturbations
@@ -30,7 +32,7 @@ from .flow import FlowState, form_block_values
 # bound here, where bench/test_bench.py checks the tracer's sibling imports
 from .forms import background_at  # noqa: F401
 from .grid import (ScalarField, _eig_bounds_entries, _entries, _gate, _write_lines,
-                   det_entries, hessian_block_values, pd_gate_entries)
+                   hessian_block_values)
 
 __all__ = [
     "Jet",
@@ -48,7 +50,6 @@ __all__ = [
 
 _VIOLATION_CAP = 1000                 # a report keeps its worst violations
 _DELTA_GRID = (1e-3, 1e-2, 1e-1)      # lifts of the comparison trace
-_LN2 = math.log(2.0)
 
 
 @dataclass
@@ -94,6 +95,10 @@ def touching_jet(u_stack, times, grid, spatial_index, time_index):
 
 @dataclass
 class Violation:
+    """A failing point of one slice.  ``slack`` is the cone's infimum in
+    the equation's log units (-inf where the ungated form is not
+    semipositive), as is the ``slack`` column of the violation CSVs."""
+
     spatial_index: tuple
     time_index: int
     t: float
@@ -126,153 +131,100 @@ class ViolationReport:
 
 
 def _default_tol(grid, dt):
-    """The checks' default tolerance unit, 10 (h_max^2 + dt)."""
+    """The default tolerance factor c = 10 (h_max^2 + dt): the checks read
+    it in log units (a point fails below slack -c), ``comparison_test`` in
+    units of u (an excess above c)."""
     h_max = max(grid.spacing)
     return 10.0 * (h_max * h_max + dt)
 
 
-def _below_tol(slack, tol, grid, dt, lhs, rhs, e=0):
-    """Mask of slack < -tol, where slack, lhs and rhs are values scaled by
-    2^-e (an integer per point; 0 for a plain point), and tol and the 1 of
-    the max below are scaled alike.  The default tol is c 2^f max(1, |lhs|,
-    |rhs|) with c 2^f = 10 (h_max^2 + dt), f >= 0 and c < 1.  It is tested
-    as slack 2^-f < -c max(...): powers of two scale exactly, so that is
-    the same test, and it stays finite where the tolerance would overflow."""
-    if tol is not None:
-        return slack < -np.ldexp(tol, -e)
-    factor = _default_tol(grid, dt)
-    f = max(math.frexp(factor)[1], 0)
-    scale = np.maximum(np.ldexp(1.0, -e), np.maximum(np.abs(lhs), np.abs(rhs)))
-    return slack * 2.0 ** -f < -math.ldexp(factor, -f) * scale
+def _log_det(a, d=None, b=None):
+    """log det [[a, b], [conj b, d]], or log a for m = 1, as log a + log(d -
+    |b| (|b| / a)): finite for every finite positive definite block, since
+    no product of two entries is formed, and -inf where rounding takes a
+    nearly singular one's d - |b|^2 / a to 0 or below.  Off the positive
+    definite blocks it is not read."""
+    if d is None:
+        return np.log(a)
+    nb = np.abs(b)
+    return np.log(a) + np.log(np.maximum(d - nb * (nb / a), 0.0))
 
 
-def _scaled_det(entries, gated):
-    """(det 2^-s, s) at some points: the entries scaled exactly by a
-    power of two into [-1, 1] (s is that power for m = 1, twice it for
-    m = 2); where ``gated``, zero unless the matrix is positive definite,
-    as read on the entries themselves."""
-    parts = entries[:1] if len(entries) == 1 else (*entries[:2], entries[2].real,
-                                                   entries[2].imag)
-    peak = np.abs(parts[0])
-    for x in parts[1:]:
-        peak = np.maximum(peak, np.abs(x))
-    e = np.frexp(peak)[1]
-    scaled = [np.ldexp(x, -e) for x in parts]
-    if len(scaled) == 1:
-        det, s = scaled[0], e
-    else:
-        a, d, br, bi = scaled
-        det, s = a * d - (br * br + bi * bi), 2 * e
-    if gated:
-        det = np.where(pd_gate_entries(*entries), det, 0.0)
-    return det, s
-
-
-def _rescaled(sign, jet_p, jet_m, arg, zeta_p, zeta_m):
-    """(lhs, rhs, slack, e) of jets at points where their plain evaluation
-    is not finite, all three scaled by 2^-e with one integer e per point:
-    the forms' determinants by ``_scaled_det`` and the exponentials by
-    e^(x - k ln 2) = e^x 2^-k.  Each side is then at most 2 in magnitude,
-    and a slack that is still not finite has no decision."""
-    det_p, s_p = _scaled_det(jet_p, sign < 0)
-    det_m, s_m = _scaled_det(jet_m, sign > 0)
-    log_rhs = arg + zeta_p
-    e = np.ceil(np.maximum(s_p + zeta_m / _LN2, s_m + log_rhs / _LN2))
-    lhs = det_p * np.exp(zeta_m - (e - s_p) * _LN2)
-    rhs = det_m * np.exp(log_rhs - (e - s_m) * _LN2)
-    return lhs, rhs, sign * (lhs - rhs), e
-
-
-def _check_slice(state, prev, dt, n, exp_z, sides, tol):
+def _check_slice(state, prev, dt, n, sides, tol):
     """Check slice n, whose time step from the values ``prev`` is dt, for
     each (sign, report) pair of ``sides``: +1 touches from above (the sub
     side), -1 from below (the super side).
 
-    The check decides every jet of the cone at once.  With the forms plus
-    = omega_hat+ + hess+ u and minus = omega_hat- - hess- u, and P+- PSD
-    and c >= 0 unbounded, a jet's slack is, from above and from below,
+    The check decides every jet of the cone at once, in the equation's
+    log units.  With the forms plus = omega_hat+ + hess+ u and minus =
+    omega_hat- - hess- u, and P+- PSD and c >= 0 unbounded, a jet's slack
+    is, from above and from below,
 
-        det(plus + P+) e^zeta- - e^(p_t - c + F) det+(minus - P-) e^zeta+,
-        e^(p_t + c + F) det(minus + P-) e^zeta+ - det+(plus - P+) e^zeta-,
+        log det(plus + P+) + zeta- - (p_t - c + F + zeta+ + log det+(minus - P-)),
+        p_t + c + F + zeta+ + log det(minus + P-) - (log det+(plus - P+) + zeta-),
 
-    det+ being det gated to 0 off the positive definite blocks.  On PSD
-    blocks det is monotone in the Loewner order (A >= 0 gives det(A + P)
-    >= det A; A - P > 0 gives det+(A - P) <= det+ A), and the exponentials
-    are monotone in c.  So the infimum over the cone is the base jet's
-    slack (P = 0, c = 0) where the ungated block (plus from above, minus
-    from below) is PSD, and where it is 1x1 plus from above, which c does
-    not multiply (plus + P >= plus).  Elsewhere it is -inf, a violation at
-    every tolerance: a 2x2 ungated block with eigenvalues l1 < 0 and l2
-    (eigenvector v) has det(A + s v v*) = l1 (l2 + s), and a negative 1x1
-    minus block from below enters as e^c minus.
+    det+ being det gated to 0 off the positive definite blocks, and log 0
+    = -inf.  On PSD blocks log det is monotone in the Loewner order (A >= 0
+    gives det(A + P) >= det A; A - P > 0 gives det+(A - P) <= det+ A), and
+    each slack rises with c.  So the infimum over the cone is the base
+    jet's slack (P = 0, c = 0) where the ungated block (plus from above,
+    minus from below) is PSD.  Where it has lambda_min < 0, 1x1 or 2x2 on
+    either side, the slack is -inf, a violation at every finite tolerance:
+    the test form is not semipositive, as the definition asks of it, and
+    the inequality fails beyond any bound (a 2x2 block with eigenvalues
+    l1 < 0 and l2, eigenvector v, has det(A + s v v*) = l1 (l2 + s)).
+    Where both sides are -inf the inequality reads 0 >= 0: slack 0.
 
-    lambda_min is read by ``_eig_bounds_entries``, finite where a d - |b|^2
-    overflows.  The gate (``grid._gate``) reads "positive definite" as
-    lambda_min > 1e-12 (1 + |A|), |A| the trace norm.  Where A - P passes
-    it and A does not, A is positive definite with det(A - P) <= det A <=
-    1e-12 (1 + |A|) |A|: the base jet's gated term, 0 there, exceeds the
-    cone's infimum by at most that bound times the term's exponential, so
-    the closed form is exact up to the gate's own threshold.
+    lambda_min is read by ``_eig_bounds_entries``.  The gate
+    (``grid._gate``) reads "positive definite" as lambda_min > 1e-12 (1 +
+    |A|), |A| the trace norm.  Where A - P passes it and A does not, A is
+    positive definite with log det+(A - P) <= log det A <= log(1e-12 (1 +
+    |A|) |A|): the base jet's gated term is -inf where the cone's is at
+    most that, so the closed form is exact up to the gate's own threshold.
 
     The forms are the transient ``state``'s blocks, split once into
     contiguous entries, with one eigenvalue pass each for the gate and the
-    -inf mask.  Where another slack is not finite, the point is decided
-    on both sides scaled by a power of two (``_rescaled``), and its slack
-    is that value scaled back, infinite where it leaves the float range;
-    a point whose decision is undefined even so is NotAdmissible, since a
-    check cannot certify it.
+    -inf mask.  Where the time slope and both forms are finite, so is
+    every log det of a positive definite block, and the slack is never
+    NaN.  A point where one of them is not finite has no decision: it is
+    NotAdmissible, since a check cannot certify it.
     """
     background, t = state.background, state.t
-    grid = background.grid
-    exp_zp, exp_zm = exp_z
-    # a value beyond the float range is decided scaled, below
-    with np.errstate(over="ignore", invalid="ignore"):
+    zeta_p, zeta_m = background.zeta_plus.values, background.zeta_minus.values
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         # the time slope is backward, matching the parabolic arrow
         arg = (state.u.values - prev) / dt + background.F_at(t)
-        exp_arg = np.exp(arg)
         blocks = []
         for form in form_block_values(state):
             entries = tuple(np.ascontiguousarray(x) for x in _entries(form))
             lo, hi = _eig_bounds_entries(*entries)
-            det = det_entries(*entries)
-            blocks.append((entries, lo, det,
-                           np.where(_gate(lo, hi, len(entries) == 1), det, 0.0)))
-        (plus, lo_p, det_p, pos_p), (minus, lo_m, det_m, pos_m) = blocks
+            log_det = _log_det(*entries)
+            blocks.append((lo, np.where(lo > 0.0, log_det, -np.inf),
+                           np.where(_gate(lo, hi, len(entries) == 1), log_det, -np.inf)))
+        (lo_p, log_p, gated_p), (lo_m, log_m, gated_m) = blocks
+        undefined = ~(np.isfinite(arg) & np.isfinite(lo_p) & np.isfinite(lo_m))
+        if undefined.any():
+            point = tuple(int(i) for i in np.unravel_index(int(np.argmax(undefined)),
+                                                           undefined.shape))
+            raise NotAdmissible(f"{sides[0][1].side}solution check slack is not "
+                                f"finite at point {point}, t={t:.6g}", point=point)
         for sign, report in sides:
             # the one-sided inequality gates the block the cone does not
             # force elliptic: the minus block from above, the plus block
             # from below; the cone is unbounded below where the ungated
-            # block has lambda_min < 0, unless it is 1x1 plus from above
+            # block has lambda_min < 0
             if sign > 0:
-                lhs, rhs = det_p * exp_zm, exp_arg * pos_m * exp_zp
-                unbounded = (lo_p < 0.0) & (len(plus) == 3)
+                lhs, rhs, unbounded = log_p + zeta_m, arg + zeta_p + gated_m, lo_p < 0.0
             else:
-                lhs, rhs = pos_p * exp_zm, exp_arg * det_m * exp_zp
-                unbounded = lo_m < 0.0
+                lhs, rhs, unbounded = gated_p + zeta_m, arg + zeta_p + log_m, lo_m < 0.0
             slack = sign * (lhs - rhs)
-            below = _below_tol(slack, tol, grid, dt, lhs, rhs) | unbounded
+            slack[(lhs == -np.inf) & (rhs == -np.inf)] = 0.0
             slack[unbounded] = -np.inf
-            bad = ~(np.isfinite(slack) | unbounded)
-            if bad.any():
-                at = lambda x: np.broadcast_to(x, slack.shape)[bad]
-                lhs_s, rhs_s, slack_s, e = _rescaled(
-                    sign, [at(x) for x in plus], [at(x) for x in minus], at(arg),
-                    at(background.zeta_plus.values), at(background.zeta_minus.values))
-                undefined = ~np.isfinite(slack_s)
-                if undefined.any():
-                    flat = np.flatnonzero(bad)[np.argmax(undefined)]
-                    point = tuple(int(i) for i in np.unravel_index(flat, slack.shape))
-                    raise NotAdmissible(f"{report.side}solution check slack is not "
-                                        f"finite at point {point}, t={t:.6g}",
-                                        point=point)
-                # |e| beyond 2^20 saturates ldexp as it is
-                e = np.clip(e, -2 ** 20, 2 ** 20).astype(np.int64)
-                below[bad] = _below_tol(slack_s, tol, grid, dt, lhs_s, rhs_s, e)
-                slack[bad] = np.ldexp(slack_s, e)
             report.n_points_checked += slack.size
             # only this slice's worst _VIOLATION_CAP can reach the report;
             # the stable sort keeps ties in lattice order
-            bad = np.flatnonzero(below)
+            bad = np.flatnonzero(slack < -(_default_tol(background.grid, dt)
+                                           if tol is None else tol))
             worst = bad[np.argsort(slack.flat[bad], kind="stable")[:_VIOLATION_CAP]]
             points = np.transpose(np.unravel_index(worst, slack.shape)).tolist()
             report.violations += [
@@ -287,13 +239,10 @@ def _check(states, signs, tol):
     if tol is not None and math.isnan(tol):
         raise ValueError("tol must not be NaN")
     times = _times([s.t for s in states], len(states))
-    background = states[0].background
     sides = [(sign, ViolationReport(side="sub" if sign > 0 else "super")) for sign in signs]
-    with np.errstate(over="ignore"):
-        exp_z = np.exp(background.zeta_plus.values), np.exp(background.zeta_minus.values)
     for n, (prev, s) in enumerate(zip(states, states[1:]), 1):
         _check_slice(FlowState(s.t, s.u, s.background, _blocks=s._blocks), prev.u.values,
-                     float(times[n] - times[n - 1]), n, exp_z, sides, tol)
+                     float(times[n] - times[n - 1]), n, sides, tol)
     return tuple(report.finalize() for _, report in sides)
 
 
@@ -313,8 +262,9 @@ def subsolution_check(u_stack, times, background, tol=None):
 
     The determinant is ungated on the plus block and positively gated on
     the minus block; violations are points where some admissible jet makes
-    the inequality fail beyond tolerance, each with the infimum of the
-    slack over the jets.
+    the inequality fail by more than ``tol`` in the equation's log units
+    (default 10 (h_max^2 + dt)), each with the infimum of the slack over
+    the jets.
     """
     return _stack_check(u_stack, times, background, tol, 1.0)
 

@@ -39,52 +39,29 @@ def rng():
     return np.random.default_rng(12345)
 
 
-def _long_det(mat, gated):
-    """det of stacked 1x1 or 2x2 Hermitian matrices, formed in long double,
-    where products of entries near the float maximum stay finite; where
-    ``gated``, zero unless lambda_min > PD_GATE (1 + trace norm)."""
+def log_dets(mat):
+    """(lambda_min, log det, positive definite by the PD_GATE threshold) of
+    stacked 1x1 or 2x2 Hermitian matrices, by eigvalsh and slogdet: finite
+    for every finite positive definite matrix, without scaling."""
     from twistedma.grid import PD_GATE
 
-    a = mat[..., 0, 0].real.astype(np.longdouble)
-    if mat.shape[-1] == 1:
-        det, lo, norm = a, a, np.abs(a)
-    else:
-        d = mat[..., 1, 1].real.astype(np.longdouble)
-        b2 = (mat[..., 0, 1].real.astype(np.longdouble) ** 2
-              + mat[..., 0, 1].imag.astype(np.longdouble) ** 2)
-        det = a * d - b2
-        half, disc = (a + d) / 2, np.sqrt(((a - d) / 2) ** 2 + b2)
-        lo, norm = half - disc, np.abs(half - disc) + np.abs(half + disc)
-    return np.where(lo > PD_GATE * (1 + norm), det, 0) if gated else det
-
-
-def rescaled_sides(monkeypatch):
-    """The list to which each call of the checks' scaled path appends its
-    sign: +1 on the sub side, -1 on the super side."""
-    from twistedma import viscosity
-
-    sides, real = [], viscosity._rescaled
-    monkeypatch.setattr(viscosity, "_rescaled", lambda sign, *args: (
-        sides.append(sign) or real(sign, *args)))
-    return sides
-
-
-def unbounded_below(plus, minus, side):
-    """Mask of the points where the touching cone drives the slack to -inf:
-    the ungated block (plus from above, minus from below) has a negative
-    eigenvalue, a 1x1 plus block from above aside."""
-    ungated = plus if side == "above" else minus
-    if side == "above" and ungated.shape[-1] == 1:
-        return np.zeros(ungated.shape[:-2], dtype=bool)
-    return np.linalg.eigvalsh(ungated)[..., 0] < 0
+    ev = np.linalg.eigvalsh(mat)
+    sign, log_det = np.linalg.slogdet(mat)
+    log_det = np.where(sign.real > 0, log_det, -np.inf)
+    # the trace norm in long double, so that it stays finite near the float maximum
+    norm = np.abs(ev.astype(np.longdouble)).sum(axis=-1)
+    return ev[..., 0], log_det, ev[..., 0] > PD_GATE * (1 + norm)
 
 
 def log_space_violations(stack, times, background, side, tol=None):
-    """{(time_index, point): log|slack|} of the points where a one-sided
-    check fails beyond tol, decided in log space with the determinants in
-    long double: a reference for the checks where exp and det leave the
-    float range.  The slack is the cone's infimum in closed form: the base
-    jet's, or -inf (log|slack| = inf) where ``unbounded_below``."""
+    """{(time_index, point): slack} of the points where a one-sided check
+    fails beyond tol (default 10 (h_max^2 + dt)), the slack in the
+    equation's log units: log det(plus) + zeta- - (p_t + F + zeta+ + log
+    det(minus)) from above, its negative from below, the block on the
+    touching side gated (log 0 = -inf off positive definite blocks), 0
+    where both sides are -inf, and -inf where the ungated block has a
+    negative eigenvalue.  A reference for the checks, by eigvalsh and
+    slogdet."""
     from twistedma import background_at
     from twistedma.grid import hessian_block_values
 
@@ -98,23 +75,17 @@ def log_space_violations(stack, times, background, side, tol=None):
         plus = sl.omega_hat_plus.values + hessian_block_values(stack[n], grid, "plus")
         minus = sl.omega_hat_minus.values - hessian_block_values(stack[n], grid, "minus")
         p_t = (stack[n] - stack[n - 1]) / dt
-        det_p, det_m = _long_det(plus, sign < 0), _long_det(minus, sign > 0)
-        with np.errstate(divide="ignore"):
-            log_l = np.log(np.abs(det_p)) + zm
-            log_r = p_t + background.F_at(t) + np.log(np.abs(det_m)) + zp
-        # slack e^-M, M = max(log|lhs|, log|rhs|, 0)
-        top = np.maximum(np.maximum(log_l, log_r), 0.0)
-        slack = sign * (np.sign(det_p) * np.exp(log_l - top)
-                        - np.sign(det_m) * np.exp(log_r - top))
-        if tol is None:
-            below = slack < -10.0 * (max(grid.spacing) ** 2 + dt)
+        (lo_p, log_p, pd_p), (lo_m, log_m, pd_m) = log_dets(plus), log_dets(minus)
+        if side == "above":
+            log_m, unbounded = np.where(pd_m, log_m, -np.inf), lo_p < 0
         else:
-            below = slack < -tol * np.exp(-top)
-        with np.errstate(divide="ignore"):
-            log_slack = np.log(np.abs(slack)) + top
-        unbounded = unbounded_below(plus, minus, side)
-        below |= unbounded
-        log_slack = np.where(unbounded, np.inf, log_slack)
-        for point in zip(*np.nonzero(below)):
-            out[(n, tuple(int(i) for i in point))] = float(log_slack[point])
+            log_p, unbounded = np.where(pd_p, log_p, -np.inf), lo_m < 0
+        lhs, rhs = log_p + zm, p_t + background.F_at(t) + zp + log_m
+        with np.errstate(invalid="ignore"):
+            slack = sign * (lhs - rhs)
+        slack = np.where((lhs == -np.inf) & (rhs == -np.inf), 0.0, slack)
+        slack = np.where(unbounded, -np.inf, slack)
+        c = 10.0 * (max(grid.spacing) ** 2 + dt) if tol is None else tol
+        for point in zip(*np.nonzero(slack < -c)):
+            out[(n, tuple(int(i) for i in point))] = float(slack[point])
     return out

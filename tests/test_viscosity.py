@@ -12,8 +12,7 @@ from twistedma.grid import det_plus, det_values, hessian_block_values
 from twistedma import flow, viscosity
 from twistedma.viscosity import Violation, ViolationReport
 
-from conftest import (bandlimited_field, cos_axis_field, log_space_violations,
-                      rescaled_sides, unbounded_below)
+from conftest import bandlimited_field, cos_axis_field, log_dets, log_space_violations
 
 
 @pytest.fixture
@@ -178,89 +177,112 @@ class TestSubSuperChecks:
 
 class TestFloatRange:
     def test_default_tolerance_near_float_max(self, grid16):
-        # |lhs| = 1.7e308 makes 10 (h^2 + dt) |lhs| overflow; the test runs
-        # scaled by a power of two instead, and both checks pass
+        # omega_plus = 1.7e308 and u = 0: u_t = 0 falls short of log det
+        # omega_plus by log(1.7e308), the residual the super check reports
         big = HermitianMatrixField.constant(grid16, "plus", [[1.7e308]])
         bg = flat_background(grid16, omega0_plus=big)
         times = np.array([0.0, 0.01, 0.02])
         stack = static_stack(ScalarField.zeros(grid16), times)
-        for check in (subsolution_check, supersolution_check):
-            report = check(stack, times, bg)
-            assert report.ok and report.n_points_checked == 2 * grid16.size
+        sub = subsolution_check(stack, times, bg)
+        sup = supersolution_check(stack, times, bg)
+        assert sub.ok and sub.n_points_checked == sup.n_points_checked == 2 * grid16.size
+        assert len(sup.violations) == 1000
+        assert sup.worst_slack == pytest.approx(-np.log(1.7e308), rel=1e-15)
+        assert all(v.slack == sup.worst_slack for v in sup.violations)
 
-    def test_scaled_tolerance_is_the_plain_one(self, grid16, rng):
-        # slacks within a few ulps of the plain tolerance decide alike
-        h, dt = max(grid16.spacing), 0.37
-        lhs = 10.0 ** rng.uniform(-3, 3, grid16.shape)
-        rhs = 10.0 ** rng.uniform(-3, 3, grid16.shape)
-        tol = 10.0 * (h * h + dt) * np.maximum(1.0, np.maximum(lhs, rhs))
-        slack = -tol * (1.0 + rng.integers(-3, 4, grid16.shape) * 2.0 ** -52)
-        got = viscosity._below_tol(slack, None, grid16, dt, lhs, rhs)
-        assert np.array_equal(got, slack < -tol) and 0 < got.sum() < got.size
+    @pytest.mark.parametrize("b", [1.3e154, 1.3e155, 1e300])
+    def test_two_by_two_residual_near_float_max(self, b):
+        # omega_plus = b I on k = l = 2, where det omega_plus = b^2 leaves the
+        # float range from b = 1.3e155 on, and u = (log det omega_plus +
+        # delta) t: the residual is delta, decided in the equation's log units
+        g = BicomplexGrid.regular(2, 2, 4)
+        bg = flat_background(g, omega0_plus=HermitianMatrixField.constant(g, "plus", b * np.eye(2)))
+        times = np.array([0.0, 0.01, 0.02])
+        for delta in (0.0, 1.0, -1.0):
+            stack = sloped_stack(ScalarField.zeros(g), times, 2.0 * np.log(b) + delta)
+            sub, sup = (check(stack, times, bg, tol=0.5)
+                        for check in (subsolution_check, supersolution_check))
+            # u_t above log det fails from above, below it from below
+            failing = [r for r in (sub, sup) if not r.ok]
+            assert [r.side for r in failing] == {0.0: [], 1.0: ["sub"], -1.0: ["super"]}[delta]
+            for report in failing:
+                assert report.worst_slack == pytest.approx(-1.0, abs=1e-9)
+                assert len(report.violations) == 1000
 
-    def test_slack_beyond_float_range_is_decided(self, grid16, monkeypatch):
-        # a time slope of 709.9 makes exp(u_t) overflow at every point; each
-        # point is decided scaled by a power of two, as in log space (the
-        # default tolerance, above 1 on this grid, passes both checks)
+    def test_slack_beyond_float_range_is_decided(self, grid16):
+        # a time slope of 709.9 makes exp(u_t) overflow at every point; in
+        # log units the slack is -709.9 from above and +709.9 from below
         times = np.array([0.0, 0.01])
         stack = sloped_stack(ScalarField.zeros(grid16), times, 709.9)
         bg = flat_background(grid16)
-        scaled = rescaled_sides(monkeypatch)
         for tol in (None, 1.0):
             sup = supersolution_check(stack, times, bg, tol=tol)
             assert sup.ok and sup.n_points_checked == grid16.size
             assert log_space_violations(stack, times, bg, "below", tol) == {}
-        assert subsolution_check(stack, times, bg).ok
-        assert log_space_violations(stack, times, bg, "above") == {}
-        sub = subsolution_check(stack, times, bg, tol=1.0)
-        ref = log_space_violations(stack, times, bg, "above", 1.0)
-        # the base jet's exp(u_t) overflows: every check took the scaled path
-        assert scaled == [-1.0, -1.0, 1.0, 1.0]
-        # every point fails; the report keeps a thousand of them
-        assert len(ref) == grid16.size and len(sub.violations) == 1000
-        assert {(v.time_index, v.spatial_index) for v in sub.violations} <= set(ref)
-        # e^709.9 is beyond the float range, and so is every slack
-        assert all(v.slack == -np.inf for v in sub.violations)
-        assert min(ref.values()) > np.log(np.finfo(float).max)
+            sub = subsolution_check(stack, times, bg, tol=tol)
+            ref = log_space_violations(stack, times, bg, "above", tol)
+            # every point fails; the report keeps a thousand of them
+            assert len(ref) == grid16.size and len(sub.violations) == 1000
+            assert {(v.time_index, v.spatial_index) for v in sub.violations} <= set(ref)
+            assert all(v.slack == pytest.approx(-709.9, rel=1e-12) for v in sub.violations)
 
     @pytest.mark.parametrize("slope,tol", [(720.0, None), (720.0, 1e300),
                                            (np.log(1.7e308) + 5.001, 1e300)])
-    def test_scaled_decision_matches_log_space(self, slope, tol, monkeypatch):
-        # lhs = 1.7e308 e^5 and rhs = e^slope det overflow on both sides:
-        # the subsolution check fails where the log-space slack does, the
-        # supersolution check holds, and a slack beyond the float range is
-        # -inf.  A slope 1e-3 above log lhs leaves the base jet's slack
-        # within the range
+    def test_scaled_decision_matches_log_space(self, slope, tol):
+        # log lhs = log(1.7e308) + 5 and e^slope are beyond the float range;
+        # in log units the sub check's slack is log lhs - slope at every
+        # point, and the super check's its negative.  Each check finds the
+        # points of the log-space reference, at tol and at tol = 0, each
+        # with its slack; a tolerance of 1e300 in log units passes both
         g = BicomplexGrid.regular(1, 1, 4, period=1.0)
         bg = flat_background(g, zeta_minus=ScalarField(g, np.full(g.shape, 5.0)),
                              omega0_plus=HermitianMatrixField.constant(g, "plus", [[1.7e308]]))
         times = np.array([0.0, 0.01])
         stack = sloped_stack(cos_axis_field(g, 1, 1e-3), times, slope)
-        log_max = np.log(np.finfo(float).max)
-        refs = {}
-        scaled = rescaled_sides(monkeypatch)
-        for check, side in ((subsolution_check, "above"), (supersolution_check, "below")):
-            report = check(stack, times, bg, tol=tol)
-            ref = refs[side] = log_space_violations(stack, times, bg, side, tol)
-            got = {(v.time_index, v.spatial_index): v.slack for v in report.violations}
-            assert set(got) == set(ref)
-            assert bool(ref) == (side == "above")
-            for key, log_slack in ref.items():
-                if log_slack > log_max + 1e-9:
-                    assert got[key] == -np.inf
-                else:
-                    assert np.log(-got[key]) == pytest.approx(log_slack, rel=1e-12)
-        assert (min(refs["above"].values()) < log_max) == (slope < 715.0)
-        assert scaled == [1.0, -1.0]
+        expected = np.log(1.7e308) + 5.0 - slope
+        for check, side, sign in ((subsolution_check, "above", 1.0),
+                                  (supersolution_check, "below", -1.0)):
+            for level in (tol, 0.0):
+                report = check(stack, times, bg, tol=level)
+                ref = log_space_violations(stack, times, bg, side, level)
+                got = {(v.time_index, v.spatial_index): v.slack for v in report.violations}
+                assert set(got) == set(ref)
+                assert bool(ref) == (side == "above" and level != 1e300)
+                for key, slack in ref.items():
+                    assert got[key] == pytest.approx(slack, rel=1e-12)
+                    assert slack == pytest.approx(sign * expected, rel=1e-9)
 
     def test_undefined_decision_is_typed(self, grid16):
-        # a slice of 1e308 cos x: its time slope and Hessian leave the float
-        # range, and no scaling gives the slack a value
+        # slices of 1e308 cos x, moving (the time slope leaves the float
+        # range) or stationary (the time slope is 0): the Hessian leaves the
+        # range, and neither side certifies the point
         times = np.array([0.0, 0.01])
-        stack = np.stack([np.zeros(grid16.shape), cos_axis_field(grid16, 0, 1e308).values])
-        with pytest.raises(NotAdmissible, match=r"^subsolution check slack is not "
-                                                r"finite at point \(0, 0, 0, 0\), t=0\.01$"):
-            subsolution_check(stack, times, flat_background(grid16))
+        u = cos_axis_field(grid16, 0, 1e308).values
+        for stack in (np.stack([np.zeros(grid16.shape), u]), np.stack([u, u])):
+            for check, side in ((subsolution_check, "sub"), (supersolution_check, "super")):
+                with pytest.raises(NotAdmissible, match=rf"^{side}solution check slack is not "
+                                                        r"finite at point \(0, 0, 0, 0\), "
+                                                        r"t=0\.01$"):
+                    check(stack, times, flat_background(grid16))
+
+
+class TestDetection:
+    @pytest.mark.parametrize("n,s,fails", [(16, 5.0, True), (8, 100.0, True),
+                                           (16, 0.5, False)])
+    def test_default_tolerance_sees_the_residual(self, n, s, fails):
+        # on a flat background u = s t is no subsolution and -s t no
+        # supersolution: each fails its check by s in log units, which the
+        # default tolerance 10 (h^2 + dt) (1.64 on 16^4, 6.27 on 8^4) sees
+        g = BicomplexGrid.regular(1, 1, n)
+        bg = flat_background(g)
+        times = np.array([0.0, 0.01, 0.02])
+        for check, sign in ((subsolution_check, 1.0), (supersolution_check, -1.0)):
+            report = check(sloped_stack(ScalarField.zeros(g), times, sign * s), times, bg)
+            assert report.ok != fails
+            if fails:
+                assert report.worst_slack == pytest.approx(-s, rel=1e-9)
+            # the other role passes with slack +s
+            assert check(sloped_stack(ScalarField.zeros(g), times, -sign * s), times, bg).ok
 
 
 class TestDeltaLift:
@@ -363,14 +385,14 @@ class TestComparison:
             comparison_test(sup + 5.0, sub, times, bg)
 
     @pytest.mark.parametrize("sub_slope,sup_slope,message", [
-        (1.0, 0.0, r"^candidate subsolution fails its check \(worst slack -1\.718e\+00\)$"),
+        (1.0, 0.0, r"^candidate subsolution fails its check \(worst slack -1\.000e\+00\)$"),
         (0.0, -1.0, r"^candidate supersolution fails its check "
-                    r"\(worst slack -6\.321e-01\)$"),
+                    r"\(worst slack -1\.000e\+00\)$"),
     ], ids=["sub", "super"])
     def test_failed_check_fails_precondition(self, sub_slope, sup_slope, message):
         # on a flat background u = t is a strict supersolution and -t a
         # strict subsolution, so each fails the check of the role it is
-        # given, by e - 1 and 1 - 1/e
+        # given, by its time slope 1 in log units
         g = BicomplexGrid.regular(1, 1, 8)
         times = np.array([0.0, 0.1, 0.2])
         ramp = times[:, None, None, None, None] * np.ones((1,) + g.shape)
@@ -451,8 +473,8 @@ class TestSupPatch:
 
 
 # ---------------------------------------------------------------------------
-# the touching calculus written out point by point, the cone in closed form
-# (conftest.unbounded_below): the reference the checks and touching_jet
+# the touching calculus written out point by point, in the equation's log
+# units, the cone in closed form: the reference the checks and touching_jet
 # must reproduce bitwise
 
 def reference_jet(stack, times, grid, idx, n):
@@ -463,39 +485,85 @@ def reference_jet(stack, times, grid, idx, n):
     return float(p_t), hp, hm
 
 
+def closed_log_det(form, pd):
+    """log det of stacked 1x1 or 2x2 Hermitian blocks where ``pd``, -inf
+    elsewhere, as log a + log(d - |b| (|b| / a))."""
+    a = form[..., 0, 0].real
+    with np.errstate(invalid="ignore", divide="ignore"):
+        log_det = np.log(a)
+        if form.shape[-1] == 2:
+            nb = np.abs(form[..., 0, 1])
+            log_det = log_det + np.log(form[..., 1, 1].real - nb * (nb / a))
+    return np.where(pd, log_det, -np.inf)
+
+
 def reference_check(stack, times, bg, tol, side):
-    """A Violation for every bad point of every slice, then finalize."""
+    """A Violation for every bad point of every slice, then finalize.  The
+    slack is log det(plus) + zeta- - (p_t + F + zeta+ + log det(minus))
+    from above and its negative from below, the block on the touching side
+    gated (log 0 = -inf below the PD_GATE threshold), 0 where both sides are
+    -inf, and -inf where the ungated block has a negative eigenvalue; the
+    eigenvalues are eigvalsh's."""
     grid = bg.grid
     report = ViolationReport(side="sub" if side == "above" else "super")
+    sign = 1.0 if side == "above" else -1.0
+    zp, zm = bg.zeta_plus.values, bg.zeta_minus.values
+    for n in range(1, len(times)):
+        t, dt = float(times[n]), float(times[n] - times[n - 1])
+        sl = background_at(bg, t)
+        plus = sl.omega_hat_plus.values + hessian_block_values(stack[n], grid, "plus")
+        minus = sl.omega_hat_minus.values - hessian_block_values(stack[n], grid, "minus")
+        p_t = (stack[n] - stack[n - 1]) / dt
+        (lo_p, _, pd_p), (lo_m, _, pd_m) = log_dets(plus), log_dets(minus)
+        lhs = closed_log_det(plus, pd_p if side == "below" else lo_p > 0) + zm
+        rhs = p_t + bg.F_at(t) + zp + closed_log_det(minus, pd_m if side == "above" else lo_m > 0)
+        with np.errstate(invalid="ignore"):
+            slack = sign * (lhs - rhs)
+        slack = np.where((lhs == -np.inf) & (rhs == -np.inf), 0.0, slack)
+        slack = np.where((lo_p if side == "above" else lo_m) < 0, -np.inf, slack)
+        c = 10.0 * (max(grid.spacing) ** 2 + dt) if tol is None else tol
+        report.n_points_checked += slack.size
+        for idx in zip(*np.nonzero(slack < -c)):
+            report.violations.append(Violation(
+                tuple(int(i) for i in idx), n, t, float(slack[idx]), report.side))
+    return report.finalize()
+
+
+def exponentiated_violations(stack, times, bg, tol, side):
+    """The (time_index, point) pairs that the exponentiated inequality
+    det(plus) e^zeta- >= e^(p_t + F) det+(minus) e^zeta+ flags (its mirror
+    from below), at tol or at the relative default 10 (h_max^2 + dt) max(1,
+    |lhs|, |rhs|): the rule the checks applied before they read the
+    equation in log units, with its cone (-inf where the ungated block has
+    a negative eigenvalue, a 1x1 plus block from above aside)."""
+    grid = bg.grid
+    out = set()
     exp_zp, exp_zm = np.exp(bg.zeta_plus.values), np.exp(bg.zeta_minus.values)
     for n in range(1, len(times)):
         t, dt = float(times[n]), float(times[n] - times[n - 1])
-        sl, Fv = background_at(bg, t), bg.F_at(t)
+        sl = background_at(bg, t)
         plus = sl.omega_hat_plus.values + hessian_block_values(stack[n], grid, "plus")
         minus = sl.omega_hat_minus.values - hessian_block_values(stack[n], grid, "minus")
         p_t = (stack[n] - stack[n - 1]) / dt
         if side == "above":
             lhs = det_values(plus) * exp_zm
-            rhs = np.exp(p_t + Fv) * det_plus(minus) * exp_zp
-            slack = lhs - rhs
+            rhs = np.exp(p_t + bg.F_at(t)) * det_plus(minus) * exp_zp
+            slack, ungated = lhs - rhs, plus
         else:
             lhs = det_plus(plus) * exp_zm
-            rhs = np.exp(p_t + Fv) * det_values(minus) * exp_zp
-            slack = rhs - lhs
+            rhs = np.exp(p_t + bg.F_at(t)) * det_values(minus) * exp_zp
+            slack, ungated = rhs - lhs, minus
         if tol is None:
-            h = max(grid.spacing)
             scale = np.maximum(1.0, np.maximum(np.abs(lhs), np.abs(rhs)))
-            tol_arr = 10.0 * (h * h + dt) * scale
+            tol_arr = 10.0 * (max(grid.spacing) ** 2 + dt) * scale
         else:
             tol_arr = tol
-        unbounded = unbounded_below(plus, minus, side)
-        below = (slack < -tol_arr) | unbounded
-        slack = np.where(unbounded, -np.inf, slack)
-        report.n_points_checked += slack.size
-        for idx in zip(*np.nonzero(below)):
-            report.violations.append(Violation(
-                tuple(int(i) for i in idx), n, t, float(slack[idx]), report.side))
-    return report.finalize()
+        unbounded = np.linalg.eigvalsh(ungated)[..., 0] < 0
+        if side == "above" and ungated.shape[-1] == 1:
+            unbounded[...] = False
+        out |= {(n, tuple(int(i) for i in idx))
+                for idx in zip(*np.nonzero((slack < -tol_arr) | unbounded))}
+    return out
 
 
 def drifting_background(grid, rng):
@@ -542,8 +610,30 @@ class TestAgainstReference:
                 assert got.worst_slack == ref.worst_slack
                 assert got.n_points_checked == ref.n_points_checked
                 sizes.append(len(got.violations))
+                # and to roundoff those of eigvalsh and slogdet, which the
+                # report's worst thousand come first in
+                logs = log_space_violations(stack, times, bg, side, tol)
+                assert len(got.violations) == min(len(logs), 1000)
+                for v in got.violations:
+                    assert v.slack == pytest.approx(logs[(v.time_index, v.spatial_index)],
+                                                    rel=1e-9, abs=1e-12)
         # the report's cap binds wherever the slices hold more points than it
         assert all(sizes) and (1000 in sizes) == ((len(times) - 1) * g.size > 1000)
+
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_log_units_keep_the_exponentiated_violations(self, k, l, monkeypatch):
+        # the log slack has the sign of the exponentiated one, so at tol = 0
+        # the violations are the same points; at the default tolerance every
+        # point that the exponentiated test flags, lhs / rhs < 1 - c, has
+        # log slack < log(1 - c) <= -c, and some more points fail
+        monkeypatch.setattr(viscosity, "_VIOLATION_CAP", 10 ** 9)
+        g, stack, times, bg = check_case(k, l)
+        for check, side in ((subsolution_check, "above"), (supersolution_check, "below")):
+            got = {tol: {(v.time_index, v.spatial_index)
+                         for v in check(stack, times, bg, tol=tol).violations}
+                   for tol in (0.0, None)}
+            assert got[0.0] == exponentiated_violations(stack, times, bg, 0.0, side)
+            assert got[None] > exponentiated_violations(stack, times, bg, None, side)
 
     @pytest.mark.parametrize("k,l", [(1, 1), (2, 2)])
     def test_touching_jets_bitwise(self, k, l):
@@ -559,21 +649,19 @@ class TestAgainstReference:
             assert np.array_equal(jet.H_minus, hm)
 
     def test_jet_slack_is_the_checks_slack(self):
-        # tol = -inf reports every point of the slice, 256 of them: the
-        # slack at each is the base jet's, or -inf where the cone is
-        # unbounded below (a negative minus form from below)
+        # tol = -inf reports every point of the slice whose slack is below
+        # +inf: the slack at each is the base jet's in log units, +inf where
+        # only the gated block is -inf, or -inf where the ungated block has
+        # a negative eigenvalue
         g, stack, times, bg = check_case(1, 1)
         stack, times = stack[:2], times[:2]
         t = float(times[1])
         sl = background_at(bg, t)
         at = lambda values, idx: np.broadcast_to(
             values, g.shape + values.shape[g.real_dim:])[idx]
-        unbounded = 0
-        for check, side, sign, det_p, det_m in (
-                (subsolution_check, "above", 1.0, det_values, det_plus),
-                (supersolution_check, "below", -1.0, det_plus, det_values)):
+        counts = {-np.inf: 0, np.inf: 0}
+        for check, side in ((subsolution_check, "above"), (supersolution_check, "below")):
             report = check(stack, times, bg, tol=-np.inf)
-            assert len(report.violations) == g.size
             from_check = {v.spatial_index: v.slack for v in report.violations}
             for idx in np.ndindex(g.shape):
                 jet = touching_jet(stack, times, g, idx, 1)
@@ -581,29 +669,31 @@ class TestAgainstReference:
                                                   bg.F_at(t)))
                 plus = at(sl.omega_hat_plus.values, idx) + jet.H_plus
                 minus = at(sl.omega_hat_minus.values, idx) - jet.H_minus
-                if side == "below" and minus[0, 0] < 0:
-                    assert from_check[idx] == -np.inf
-                    unbounded += 1
+                from_jet = cone_slack(side, plus, minus, jet.p_t, F, zp, zm,
+                                      0 * plus, 0 * minus, 0.0)
+                if np.isinf(from_jet):
+                    counts[from_jet] += 1
+                    assert from_check.get(idx, np.inf) == from_jet
                     continue
-                from_jet = sign * (det_p(plus) * np.exp(zm)
-                                   - np.exp(jet.p_t + F) * det_m(minus) * np.exp(zp))
                 # the check adds the Hessian to the form over the slice, the
-                # jet at one point: the two round alike up to the last bits
-                assert from_jet == pytest.approx(from_check[idx], rel=1e-12, abs=1e-14)
-        assert 0 < unbounded < g.size
+                # jet at one point, and the logs differ from slogdet's
+                assert from_jet == pytest.approx(from_check[idx], rel=1e-12, abs=1e-12)
+        assert all(counts.values())
 
 
 def cone_slack(side, plus, minus, p_t, F, zp, zm, P, Q, c):
     """The slack of the jet (p_t, plus, minus) + s (-c, P, -Q), s = +1 from
-    above and -1 from below, with det+ gated on exact positive
-    definiteness: the quantifier the checks decide, jet by jet."""
+    above and -1 from below, in the equation's log units by eigvalsh, with
+    det+ gated on exact positive definiteness: the quantifier the checks
+    decide, jet by jet."""
     s = 1.0 if side == "above" else -1.0
     ev_p, ev_m = np.linalg.eigvalsh(plus + s * P), np.linalg.eigvalsh(minus - s * Q)
-    det_p, det_m = np.prod(ev_p), np.prod(ev_m)
-    arg = p_t - s * c + F
-    if side == "above":
-        return det_p * np.exp(zm) - np.exp(arg) * (det_m if ev_m[0] > 0 else 0.0) * np.exp(zp)
-    return np.exp(arg) * det_m * np.exp(zp) - (det_p if ev_p[0] > 0 else 0.0) * np.exp(zm)
+    if (ev_p if side == "above" else ev_m)[0] < 0:
+        return -np.inf          # the ungated form is not semipositive
+    with np.errstate(divide="ignore"):
+        log_p, log_m = (np.sum(np.log(ev)) if ev[0] > 0 else -np.inf for ev in (ev_p, ev_m))
+    lhs, rhs = log_p + zm, p_t - s * c + F + zp + log_m
+    return 0.0 if lhs == rhs == -np.inf else s * (lhs - rhs)
 
 
 def random_hermitian(rng, m, lo, hi):
@@ -656,20 +746,19 @@ class TestClosedForm:
         for check, side in ((subsolution_check, "above"), (supersolution_check, "below")):
             closed = check(stack, times, bg, tol=-np.inf).worst_slack
             base = cone_slack(side, plus, minus, p_t, F, zp, zm, 0 * plus, 0 * minus, 0.0)
-            scale = 1.0 + abs(np.linalg.det(plus)) * np.exp(zm) \
-                + np.exp(p_t + F) * abs(np.linalg.det(minus)) * np.exp(zp)
-            assert closed == pytest.approx(base, abs=1e-12 * scale)
+            assert closed == pytest.approx(base, rel=1e-12, abs=1e-12)
             for _ in range(20):
                 c = 0.0 if rng.random() < 0.1 else 10.0 ** rng.uniform(-6, 1.5)
                 jet = cone_slack(side, plus, minus, p_t, F, zp, zm,
                                  random_psd(rng, k), random_psd(rng, l), c)
-                assert jet >= closed - 1e-12 * scale
+                assert jet >= closed - 1e-12
 
     @pytest.mark.parametrize("side", ["above", "below"])
     @pytest.mark.parametrize("definite", [False, True], ids=["indefinite", "negative"])
     def test_negative_eigenvalue_is_unbounded_below(self, side, definite):
-        # a 2x2 ungated block with a negative eigenvalue l1: the jet adding
-        # s v v* along the other eigenvector v makes det = l1 (l2 + s)
+        # a 2x2 ungated block with a negative eigenvalue l1: every jet of the
+        # cone has no log det, and the jet adding s v v* along the other
+        # eigenvector v drives the exponentiated slack to -inf, det = l1 (l2 + s)
         rng = np.random.default_rng(7 + definite)
         ungated = random_hermitian(rng, 2, -2.0, -0.5) if definite else \
             random_hermitian(rng, 2, -2.0, 2.0)
@@ -678,12 +767,13 @@ class TestClosedForm:
         gated = random_hermitian(rng, 2, 0.1, 3.0)
         plus, minus = (ungated, gated) if side == "above" else (gated, ungated)
         v = np.linalg.eigh(ungated)[1][:, 1:]
-        slacks = []
+        dets = []
         for s in 10.0 ** np.arange(0, 16, 3):
             P = s * (v @ v.conj().T)
             increments = (P, 0 * P) if side == "above" else (0 * P, P)
-            slacks.append(cone_slack(side, plus, minus, 0.1, 0.2, 0.3, -0.1, *increments, 0.0))
-        assert all(np.diff(slacks) < 0) and slacks[-1] < -1e12
+            assert cone_slack(side, plus, minus, 0.1, 0.2, 0.3, -0.1, *increments, 0.0) == -np.inf
+            dets.append(np.linalg.det(ungated + P).real)
+        assert all(np.diff(dets) < 0) and dets[-1] < -1e12
 
     @staticmethod
     def point_slack(report, point):
@@ -707,19 +797,19 @@ class TestClosedForm:
         report = subsolution_check(stack, times, bg)
         assert self.point_slack(report, origin) == -np.inf
 
-    def test_negative_one_by_one_plus_from_above_keeps_its_slack(self):
-        # c does not multiply the plus side: the base jet's slack stands
-        # (tol = -inf reports every point with its slack)
+    def test_negative_one_by_one_plus_from_above_is_minus_inf(self):
+        # a negative determinant has no log: like every ungated block with a
+        # negative eigenvalue, the plus block from above fails at every
+        # finite tolerance
         g = BicomplexGrid.regular(1, 1, 4)
         u = cos_axis_field(g, 0, 8.0).values
         times = np.array([0.0, 0.01])
         stack = np.stack([u, u])
         origin = (0,) * g.real_dim
         jet = touching_jet(stack, times, g, origin, 1)
-        plus = 1.0 + jet.H_plus[0, 0]
-        assert plus < 0
-        report = subsolution_check(stack, times, flat_background(g), tol=-np.inf)
-        assert self.point_slack(report, origin) == pytest.approx(plus - 1.0, rel=1e-14)
+        assert 1.0 + jet.H_plus[0, 0] < 0
+        report = subsolution_check(stack, times, flat_background(g))
+        assert self.point_slack(report, origin) == -np.inf
 
     def test_negative_one_by_one_minus_from_below_is_minus_inf(self):
         # e^c multiplies the negative minus determinant: unbounded below
