@@ -49,7 +49,7 @@ from .errors import (BarrierViolation, ConcavityViolated, ConfigError,
                      DegenerateFit, IncompatibleData, NonzeroMeanObstruction,
                      NotAdmissible, NotReducible, PreconditionFailed,
                      TwistedMAError, WindowTooSmall)
-from .flow import MONITOR_HEADER, FlowState, run as run_flow
+from .flow import MONITOR_HEADER, FlowState, _write_monitor, run as run_flow
 from .forms import BackgroundData, flat_background
 from .grid import (_MAX_COUNT, BicomplexGrid, HermitianMatrixField, ScalarField,
                    _read_lines, _write_lines, load_field, save_field)
@@ -309,9 +309,17 @@ def _flow_and_checks(cfg, background, u0, out_dir, lines, clock):
     """Run the flow and the viscosity checks and write their artifacts;
     returns whether the run reached t_end and its checks passed.  The
     trajectory ends with this call, before the roundtrip check runs."""
-    with clock("flow"):
-        traj = run_flow(FlowState(0.0, u0, background), cfg.t_end, safety=cfg.safety,
-                        emit_every=cfg.emit_every)
+    try:
+        with clock("flow"):
+            traj = run_flow(FlowState(0.0, u0, background), cfg.t_end, safety=cfg.safety,
+                            emit_every=cfg.emit_every)
+    except (NotAdmissible, BarrierViolation) as exc:
+        # the rows emitted before the error explain how the flow got there
+        if exc.rows:
+            with clock("artifacts"):
+                _write_monitor(os.path.join(out_dir, "monitor.csv"), exc.rows,
+                               comment=f"written {time.strftime('%Y-%m-%dT%H:%M:%S')}")
+        raise
     stamp = time.strftime("%Y-%m-%dT%H:%M:%S")
     with clock("artifacts"):
         traj.write_monitor_csv(os.path.join(out_dir, "monitor.csv"),
@@ -358,6 +366,9 @@ def run_scenario(config, out_dir, seed=None, override_tau_star=False):
     the wall seconds of each phase (flow, checks, roundtrip, artifacts).
     A run that ends with an error once the out directory exists writes it
     too, with the seconds up to the error, before the error propagates.
+    A flow that fails after its first row (``NotAdmissible`` or
+    ``BarrierViolation``) also leaves ``monitor.csv`` with the rows it
+    emitted before the error.
     """
     cfg = config if isinstance(config, ScenarioConfig) else load_config(config)
     cfg.validate()

@@ -19,6 +19,9 @@ class NotAdmissible(TwistedMAError):
     breakdowns can be diagnosed rather than silently projected away.
     """
 
+    #: the monitor rows ``flow.run`` emitted before the error, if it ran
+    rows = ()
+
     def __init__(self, message, point=None, eigenvalue=None, block=None):
         super().__init__(message)
         self.point = point
@@ -28,6 +31,9 @@ class NotAdmissible(TwistedMAError):
 
 class BarrierViolation(TwistedMAError):
     """The evolving potential escaped its affine barrier sandwich."""
+
+    #: the monitor rows ``flow.run`` emitted before the error
+    rows = ()
 
 
 class IncompatibleData(TwistedMAError):

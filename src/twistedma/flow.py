@@ -111,20 +111,25 @@ class AdmissibilityReport:
 def form_block_values(state):
     """(plus form, minus form) raw matrix arrays at the state's time.
 
-    Cached on the state with its background slice: u and background are
-    treated as immutable once the state exists, so the blocks are built at
-    most once per state.
+    Each form is built in its Hessian's buffer: omega_hat+ + hess+ u and
+    omega_hat- - hess- u, bitwise the out-of-place sum and difference (a
+    complex 1x1 background over a real Hessian, which the buffer cannot
+    hold, keeps them out of place).  Cached on the state with its
+    background slice: u and background are treated as immutable once the
+    state exists, so the blocks are built at most once per state.
     """
     if state._blocks is None:
         bg = state._slice = background_at(state.background, state.t)
-        grid = state.u.grid
+        forms = []
         # a Hessian beyond the float range is left to the record and to the
         # rhs's typed non-finite error
         with np.errstate(over="ignore", invalid="ignore"):
-            plus = bg.omega_hat_plus.values + hessian_block_values(state.u.values, grid, "plus")
-            minus = bg.omega_hat_minus.values - hessian_block_values(state.u.values, grid,
-                                                                     "minus")
-        state._blocks = (plus, minus)
+            for omega, block, op in ((bg.omega_hat_plus.values, "plus", np.add),
+                                     (bg.omega_hat_minus.values, "minus", np.subtract)):
+                hess = hessian_block_values(state.u.values, state.u.grid, block)
+                forms.append(op(omega, hess, out=hess if np.result_type(omega, hess)
+                                == hess.dtype else None))
+        state._blocks = tuple(forms)
     return state._blocks
 
 
@@ -198,8 +203,10 @@ class _Linearization:
 
 
 def _linearization(state):
-    """The state's slice's L, built on first use and cached on the slice."""
-    form_block_values(state)
+    """The state's slice's L, built on first use and cached on the slice;
+    the slice is the one its forms were built on."""
+    if state._slice is None:
+        form_block_values(state)
     bg = state._slice
     if bg._linear is None:
         grid = state.u.grid
@@ -391,8 +398,13 @@ class Trajectory:
     dt_max: float = math.nan
 
     def write_monitor_csv(self, path, comment=None):
-        _write_lines(path, [",".join(MONITOR_HEADER)]
-                     + [",".join(map(repr, row)) for row in self.rows], comment)
+        _write_monitor(path, self.rows, comment)
+
+
+def _write_monitor(path, rows, comment=None):
+    """``monitor.csv``: the ``MONITOR_HEADER`` line and one line per row."""
+    _write_lines(path, [",".join(MONITOR_HEADER)]
+                 + [",".join(map(repr, row)) for row in rows], comment)
 
 
 def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
@@ -416,6 +428,10 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
     drifting backgrounds the gaps are still recorded but not enforced.
     ``keep_states``: "emitted" | "none" (the final state is always kept,
     with its blocks, background slice and record; emitted copies without).
+    Only one state holds its forms at a time: a state's go once its rhs
+    and L are cached, before ``step`` builds the next state's.  A
+    ``NotAdmissible`` or ``BarrierViolation`` raised after the first row
+    carries the rows emitted before it in its ``rows``.
     """
     if keep_states not in ("emitted", "none"):
         raise ValueError(f"keep_states must be 'emitted' or 'none', got {keep_states!r}")
@@ -446,40 +462,49 @@ def run(state0, t_end, safety=0.5, emit_every=10, keep_states="emitted"):
         if keep_states == "emitted":
             states.append(state.copy())
 
-    emit()
-    # relative, so that a t_end below the tolerance is still reached
-    t_stop = t_end * (1.0 - 1e-14)
-    while state.t < t_stop and n_step < _MAX_STEPS:
-        explicit_dt = stable_dt(state, safety)
-        cap = _ETD_STEP_FACTOR * explicit_dt
-        limit = min(_remainder_dt(state, safety), _drift_dt(state, safety))
-        bound = min(cap, limit)
-        if bound < 1e-12 * max(t_end, 1.0):
-            # the step bounds collapsed: an ellipticity block is
-            # degenerating and the flow cannot advance past this time
-            rep = admissibility(state)
-            block = "plus" if rep.plus_margin <= rep.minus_margin else "minus"
-            raise NotAdmissible(
-                f"step size collapsed at t={state.t:.6g}: "
-                f"{block} block is degenerating",
-                point=(rep.plus_worst_point if block == "plus"
-                       else rep.minus_worst_point),
-                eigenvalue=min(rep.plus_margin, rep.minus_margin),
-                block=block)
-        left = t_end - state.t
-        state = step(state, min(max(cap, grown), limit, left), record,
-                     min(bound, left))
-        record = state._last_step
-        dt = record.dt
-        grown = _scaled(dt, record.err, record.tol)
-        n_step += 1
-        rejected += record.rejected
-        dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
-        tol_dt = min(dt, explicit_dt)
-        before, explicit_steps = explicit_steps, explicit_steps + dt / explicit_dt
-        if (explicit_steps // emit_every > before // emit_every
-                or state.t >= t_stop or n_step == _MAX_STEPS):
-            emit()
+    try:
+        emit()
+        # relative, so that a t_end below the tolerance is still reached
+        t_stop = t_end * (1.0 - 1e-14)
+        while state.t < t_stop and n_step < _MAX_STEPS:
+            explicit_dt = stable_dt(state, safety)
+            cap = _ETD_STEP_FACTOR * explicit_dt
+            limit = min(_remainder_dt(state, safety), _drift_dt(state, safety))
+            bound = min(cap, limit)
+            if bound < 1e-12 * max(t_end, 1.0):
+                # the step bounds collapsed: an ellipticity block is
+                # degenerating and the flow cannot advance past this time
+                rep = admissibility(state)
+                block = "plus" if rep.plus_margin <= rep.minus_margin else "minus"
+                raise NotAdmissible(
+                    f"step size collapsed at t={state.t:.6g}: "
+                    f"{block} block is degenerating",
+                    point=(rep.plus_worst_point if block == "plus"
+                           else rep.minus_worst_point),
+                    eigenvalue=min(rep.plus_margin, rep.minus_margin),
+                    block=block)
+            left = t_end - state.t
+            # step reads the replaced state's cached rhs and L, not its forms,
+            # which go before the next state's are built
+            twisted_rhs(state)
+            state._blocks = None
+            state = step(state, min(max(cap, grown), limit, left), record,
+                         min(bound, left))
+            record = state._last_step
+            dt = record.dt
+            grown = _scaled(dt, record.err, record.tol)
+            n_step += 1
+            rejected += record.rejected
+            dt_min, dt_max = min(dt_min, dt), max(dt_max, dt)
+            tol_dt = min(dt, explicit_dt)
+            before, explicit_steps = explicit_steps, explicit_steps + dt / explicit_dt
+            if (explicit_steps // emit_every > before // emit_every
+                    or state.t >= t_stop or n_step == _MAX_STEPS):
+                emit()
+    except (NotAdmissible, BarrierViolation) as exc:
+        # the rows emitted so far explain the failed run
+        exc.rows = tuple(rows)
+        raise
     # the final state keeps its forms, slice and record, which the viscosity
     # checks read, but not its rhs and step spectra; it replaces its emitted copy
     if states and states[-1].t == state.t:

@@ -177,15 +177,18 @@ def _require_hermitian(values, block):
     ValueError otherwise.  On the diagonal the deviation is 2 |Im v_ii|,
     read without a temporary.  A real 1x1 block is Hermitian by type, and
     its peak is read as max(max v, -min v), without a |values| array; a
+    complex block's entry by entry, with one entry's |v_ij| at a time.  A
     NaN anywhere makes the peak NaN."""
-    real = values.shape[-1] == 1 and not np.iscomplexobj(values)
+    m = values.shape[-1]
+    real = m == 1 and not np.iscomplexobj(values)
     peak = float(np.maximum(values.max(), -values.min()) if real
-                 else np.abs(values).max())
+                 else np.max([np.abs(values[..., i, j]).max()
+                              for i in range(m) for j in range(m)]))
     if not np.isfinite(peak):
         raise ValueError(f"{block} block is not finite (max |value| {peak})")
     if real:
         return peak
-    for i, j in itertools.combinations_with_replacement(range(values.shape[-1]), 2):
+    for i, j in itertools.combinations_with_replacement(range(m), 2):
         if i == j:
             im = values[..., i, i].imag
             dev = 2.0 * max(im.max(), -im.min())

@@ -182,11 +182,11 @@ def _check_slice(state, prev, dt, n, sides, tol):
     |A|) |A|): the base jet's gated term is -inf where the cone's is at
     most that, so the closed form is exact up to the gate's own threshold.
 
-    The forms are the transient ``state``'s blocks, split once into
-    contiguous entries, with one eigenvalue pass each for the gate and the
-    -inf mask.  Where the time slope and both forms are finite, so is
-    every log det of a positive definite block, and the slack is never
-    NaN.  A point where one of them is not finite has no decision: it is
+    The forms are the transient ``state``'s blocks, whose entries are read
+    as views, with no copy of a whole block, and one eigenvalue pass each
+    for the gate and the -inf mask.  Where the time slope and both forms
+    are finite, so is every log det of a positive definite block, and the
+    slack is never NaN.  A point where one of them is not finite has no decision: it is
     NotAdmissible, since a check cannot certify it.
     """
     background, t = state.background, state.t
@@ -196,7 +196,7 @@ def _check_slice(state, prev, dt, n, sides, tol):
         arg = (state.u.values - prev) / dt + background.F_at(t)
         blocks = []
         for form in form_block_values(state):
-            entries = tuple(np.ascontiguousarray(x) for x in _entries(form))
+            entries = _entries(form)
             lo, hi = _eig_bounds_entries(*entries)
             log_det = _log_det(*entries)
             blocks.append((lo, np.where(lo > 0.0, log_det, -np.inf),

@@ -9,6 +9,7 @@ import re
 import subprocess
 import sys
 import tempfile
+import tracemalloc
 import unittest.mock
 from dataclasses import replace
 
@@ -23,7 +24,8 @@ import twistedma
 from twistedma import (BicomplexGrid, ScalarField, cli, flow, grid, load_field,
                        save_field, viscosity)
 from twistedma.cli import EXIT_CODES, load_config, main, report, run_scenario
-from twistedma.errors import BarrierViolation, ConfigError, TwistedMAError
+from twistedma.errors import (BarrierViolation, ConfigError, NotAdmissible,
+                              TwistedMAError)
 
 from conftest import log_space_violations
 
@@ -148,6 +150,39 @@ class TestRunScenario:
         code, lines = run_scenario(scenario("drift_k2l2.cfg"), tmp_path)
         assert code == 0 and "steps = 1" in lines
         assert len(calls) == 6
+
+    # peaks above each phase's start, in forms of the 4^8 k = l = 2 grid
+    # (4 MiB): the flow holds one state's forms at a time, built in their
+    # Hessians' buffers, and the checks read the forms' entries as views
+    PHASE_BOUNDS = {"run_flow": 4.0, "trajectory_checks": 2.0, "_roundtrip_check": 4.25}
+    WHOLE_BOUND = 5.0
+
+    def test_traced_memory_per_phase(self, tmp_path, monkeypatch):
+        form = 4 * 2 ** 20
+        path = scenario("drift_k2l2.cfg")
+        assert run_scenario(path, tmp_path)[0] == 0      # warm-up: symbols, imports
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            run_scenario(path, tmp_path)
+            whole = (tracemalloc.get_traced_memory()[1] - start) / form
+            peaks = {}
+            for name in self.PHASE_BOUNDS:
+                def traced(*args, _name=name, _real=getattr(cli, name), **kwargs):
+                    begin = tracemalloc.get_traced_memory()[0]
+                    tracemalloc.reset_peak()
+                    try:
+                        return _real(*args, **kwargs)
+                    finally:
+                        peaks[_name] = (tracemalloc.get_traced_memory()[1] - begin) / form
+                monkeypatch.setattr(cli, name, traced)
+            run_scenario(path, tmp_path)
+        finally:
+            tracemalloc.stop()
+        assert set(peaks) == set(self.PHASE_BOUNDS)
+        for name, bound in self.PHASE_BOUNDS.items():
+            assert peaks[name] <= bound, (name, peaks[name])
+        assert whole <= self.WHOLE_BOUND
 
     def test_summary_carries_run_statistics(self, tmp_path):
         code, lines = run_scenario(scenario("cosine_decay.cfg"), tmp_path)
@@ -627,6 +662,32 @@ class TestMain:
         assert code == 4 == EXIT_CODES[BarrierViolation]
         err = capsys.readouterr().err
         assert err.startswith("error: barrier sandwich failed at t=0 ")
+
+    @pytest.mark.parametrize("error,code", [(NotAdmissible, 3), (BarrierViolation, 4)])
+    def test_failed_flow_keeps_its_rows(self, tmp_path, monkeypatch, capsys, error, code):
+        # a failure injected after the second step: monitor.csv holds the
+        # three rows emitted before it, those of the run that did not fail;
+        # the exit code and message are the error's
+        p = tmp_path / "every_step.cfg"
+        p.write_text(open(scenario("cosine_decay.cfg")).read()
+                     .replace("emit_every = 20", "emit_every = 1"))
+        assert main(["run", str(p), "--out", str(tmp_path / "full")]) == 0
+        capsys.readouterr()
+        calls, real = [], flow.step
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error("injected after the second step")
+            return real(*args)
+        monkeypatch.setattr(flow, "step", failing)
+        out = tmp_path / "o"
+        assert main(["run", str(p), "--out", str(out)]) == code
+        assert capsys.readouterr().err == "error: injected after the second step\n"
+        assert sorted(os.listdir(out)) == ["monitor.csv", "run_info.txt"]
+        rows, full = (grid._read_lines(d / "monitor.csv") for d in (out, tmp_path / "full"))
+        assert len(rows) == 1 + 3 and rows == full[:4]
+        assert "emissions = 3" in report(out)
 
     def test_report_missing_dir_exit_one(self, tmp_path, capsys):
         assert main(["report", str(tmp_path / "nothing")]) == 1

@@ -9,7 +9,7 @@ from twistedma import (BicomplexGrid, FlowState, HermitianMatrixField,
                        ScalarField, admissibility, background_at, barriers,
                        flat_background, run, stable_dt, step, twisted_rhs)
 from twistedma import flow
-from twistedma.errors import NotAdmissible
+from twistedma.errors import BarrierViolation, NotAdmissible
 from twistedma.flow import MONITOR_HEADER
 from twistedma.grid import hessian_block_values
 
@@ -466,6 +466,112 @@ class TestRun:
         assert 0.0 < exc.value.eigenvalue < 1e-9
 
 
+def _bits(a):
+    return a.dtype, a.shape, a.tobytes()
+
+
+def _form_background(g, full, complex_one):
+    """A drifting background whose omega_0 blocks are constant (broadcast)
+    or vary over the lattice (full); ``complex_one`` stores a 1x1 block as
+    complex128."""
+    def omega(block):
+        m = g.block_dim(block)
+        scale = 1.0 + (0.1 * np.cos(g.axis_coords(0)).reshape((-1,) + (1,) * (g.real_dim - 1))
+                       if full else 0.0)
+        values = np.broadcast_to(np.asarray(scale)[..., None, None], (
+            g.shape if full else (1,) * g.real_dim) + (1, 1)) * np.eye(m)
+        if m == 2:
+            values = values + 0.1j * np.array([[0.0, 1.0], [-1.0, 0.0]])
+        if complex_one:
+            values = values.astype(np.complex128)
+        return HermitianMatrixField(g, block, values)
+    chi = lambda block: HermitianMatrixField.constant(g, block, 0.3 * np.eye(g.block_dim(block)))
+    return flat_background(g, omega0_plus=omega("plus"), omega0_minus=omega("minus"),
+                           chi_plus=chi("plus"), chi_minus=chi("minus"))
+
+
+class TestInPlaceForms:
+    @pytest.mark.parametrize("complex_one", [False, True])
+    @pytest.mark.parametrize("full", [False, True])
+    @pytest.mark.parametrize("k,l", [(1, 1), (1, 2), (2, 1), (2, 2)])
+    def test_forms_are_the_out_of_place_ones_bitwise(self, k, l, full, complex_one, rng):
+        # omega+ + hess+ u and omega- - hess- u, built in the Hessian's buffer;
+        # a complex 1x1 background over a real Hessian keeps the sum out of place
+        g = BicomplexGrid.regular(k, l, 4)
+        bg = _form_background(g, full, complex_one)
+        u = bandlimited_field(g, rng, amp=0.05)
+        for t in (0.0, 0.1):
+            state = FlowState(t, u, bg)
+            plus, minus = flow.form_block_values(state)
+            slice_ = background_at(bg, t)
+            ref_plus = slice_.omega_hat_plus.values + hessian_block_values(u.values, g, "plus")
+            ref_minus = (slice_.omega_hat_minus.values
+                         - hessian_block_values(u.values, g, "minus"))
+            assert _bits(plus) == _bits(ref_plus) and _bits(minus) == _bits(ref_minus)
+            for form, omega in ((plus, state._slice.omega_hat_plus.values),
+                                (minus, state._slice.omega_hat_minus.values)):
+                assert form.shape == g.shape + omega.shape[-2:]
+                assert not np.shares_memory(form, omega)
+                assert not np.shares_memory(form, u.values)
+            if complex_one:
+                assert plus.dtype == minus.dtype == np.complex128
+
+    def test_step_keeps_its_arguments_forms(self):
+        g = BicomplexGrid.regular(2, 2, 4)
+        state = FlowState(0.0, cos_axis_field(g, 2, amplitude=0.05),
+                          _form_background(g, True, False))
+        blocks = flow.form_block_values(state)
+        copies = [b.copy() for b in blocks]
+        new = step(state, stable_dt(state))
+        assert state._blocks is blocks
+        assert all(np.array_equal(b, c) for b, c in zip(blocks, copies))
+        assert new._blocks is not None and new._blocks is not blocks
+
+    def test_run_drops_the_forms_of_replaced_states(self, monkeypatch):
+        # each state run hands to step has its rhs and L cached and no forms
+        # (test_run_builds_each_state_once: none are built twice); the final
+        # state keeps its own
+        g = BicomplexGrid.regular(1, 1, 16)
+        bg = flat_background(
+            g, chi_plus=HermitianMatrixField.constant(g, "plus", 0.5 * np.eye(1)))
+        seen, real_step = [], flow.step
+
+        def spied(state, *args):
+            seen.append((state._blocks, state._rhs, state._slice))
+            return real_step(state, *args)
+        monkeypatch.setattr(flow, "step", spied)
+        traj = run(FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-2), bg), 0.5)
+        assert len(seen) == traj.steps >= 2
+        assert all(blocks is None and rhs is not None and slice_ is not None
+                   and slice_._linear is not None for blocks, rhs, slice_ in seen)
+        assert traj.states[-1]._blocks is not None
+
+
+class TestFailedRunRows:
+    @pytest.mark.parametrize("error", [NotAdmissible, BarrierViolation])
+    def test_error_carries_the_rows_emitted_before_it(self, monkeypatch, error):
+        g = BicomplexGrid.regular(1, 1, 16)
+        state0 = FlowState(0.0, cos_axis_field(g, 0, amplitude=1e-2), flat_background(g))
+        full = run(state0, 0.5, emit_every=1)
+        calls, real_step = [], flow.step
+
+        def failing(*args):
+            calls.append(None)
+            if len(calls) == 3:
+                raise error("injected after the second step")
+            return real_step(*args)
+        monkeypatch.setattr(flow, "step", failing)
+        with pytest.raises(error, match="^injected after the second step$") as exc:
+            run(state0, 0.5, emit_every=1)
+        assert exc.value.rows == tuple(full.rows[:3])
+
+    def test_failure_at_t0_carries_no_row(self, small_grid):
+        u0 = cos_axis_field(small_grid, 0, amplitude=8.0)
+        with pytest.raises(NotAdmissible) as exc:
+            run(FlowState(0.0, u0, flat_background(small_grid)), 0.1)
+        assert exc.value.rows == ()
+
+
 class TestStateRecord:
     @staticmethod
     def _count(monkeypatch, name):
@@ -653,8 +759,10 @@ def _ordered_pair(u0, point):
 
 def _assert_ordered(u, v, t_end):
     assert u.t == v.t == t_end
+    # floats only: a failing report does not print the lattice arrays
     gap = float((v.u.values - u.u.values).min())
-    assert gap >= -_COMPARISON_TOL * (1.0 + float(np.abs(u.u.values).max()))
+    tol = _COMPARISON_TOL * (1.0 + float(np.abs(u.u.values).max()))
+    assert gap >= -tol
 
 
 def _cosines(terms):
@@ -707,3 +815,18 @@ def test_comparison_principle_diagonal_k2l2(seed, point, t_end):
     u, v = (run(s, t_end, keep_states="none").states[-1]
             for s in _ordered_pair(ScalarField(g, 0.05 * noise), point))
     _assert_ordered(u, v, t_end)
+
+
+# the two draws of the test above that breached its tolerance in full
+# tier-1 runs: u and v take the same single step (dt = t_end, below
+# stable_dt), and min(v - u) is -3.43e-10 and -1.58e-9 against -1.2e-10
+@pytest.mark.xfail(strict=True, raises=AssertionError,
+                   reason="the one-step k = l = 2 scheme is not monotone even with "
+                          "diagonal forms (ROADMAP item 1)")
+@pytest.mark.parametrize("seed,point,t_end", [
+    (396, (1, 1, 0, 1, 0, 1, 1, 3), 0.05078125),
+    (241, (3, 3, 3, 2, 1, 1, 1, 0), 0.0546875),
+])
+def test_comparison_principle_diagonal_k2l2_breaches(seed, point, t_end):
+    # the property test's own body, on one draw
+    test_comparison_principle_diagonal_k2l2.hypothesis.inner_test(seed, point, t_end)
