@@ -1,6 +1,8 @@
 """Desk-scale numerical laboratory for the twisted parabolic complex
 Monge-Ampere flow on flat periodic bicomplex tori."""
 
+import ctypes
+
 from .errors import (BarrierViolation, ConcavityViolated, ConfigError,
                      DegenerateFit, IncompatibleData, NonzeroMeanObstruction,
                      NotAdmissible, NotReducible, PreconditionFailed,
@@ -25,3 +27,24 @@ from .legendre import (ReducedField, inverse_partial_legendre, legendre_roundtri
 from .localization import ProbeResult, localization_gap_probe
 
 __version__ = "0.1.0"
+
+
+def _keep_freed_arrays_mapped():
+    """Let malloc reuse freed arrays of up to 32 MiB from its heap rather
+    than unmap them and fault zeroed pages in at their next allocation
+    (mallopt(3): glibc's thresholds otherwise follow the largest array
+    freed so far, and the heap's free top is trimmed past twice that).
+    Both thresholds or neither: fixing one alone turns glibc's dynamic
+    rule off for the other.  Nothing happens where the C library has no
+    mallopt (macOS; Windows, whose CDLL takes no None) or refuses the mmap
+    threshold (musl)."""
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, TypeError, AttributeError):
+        return
+    mallopt.argtypes, mallopt.restype = (ctypes.c_int, ctypes.c_int), ctypes.c_int
+    if mallopt(-3, 32 << 20):  # M_MMAP_THRESHOLD, glibc's 64-bit maximum
+        mallopt(-1, 128 << 20)  # M_TRIM_THRESHOLD
+
+
+_keep_freed_arrays_mapped()
