@@ -49,8 +49,8 @@ import numpy as np
 
 from .errors import BarrierViolation, NotAdmissible
 from .forms import background_at
-from .grid import (ScalarField, _finite, _l1_bound, _worst, _write_lines, det_values,
-                   hessian_block_values)
+from .grid import (ScalarField, _block_mean, _finite, _l1_bound, _worst, _write_lines,
+                   det_values, hessian_block_values)
 from .potential import _grid_symbols, _irfftn, _rfftn
 
 __all__ = [
@@ -210,14 +210,13 @@ def _linearization(state):
     bg = state._slice
     if bg._linear is None:
         grid = state.u.grid
-        ax = tuple(range(grid.real_dim))
         means, norms, symbol = [], [], 0.0
         # an A beyond the float range is inf or nan, and the step collapses
         # on stable_dt before the symbol is used
         with np.errstate(over="ignore", divide="ignore", invalid="ignore"):
             for omega, sym in zip((bg.omega_hat_plus, bg.omega_hat_minus),
                                   _grid_symbols(grid)):
-                mean = omega.values.mean(axis=ax)
+                mean = _block_mean(omega.values)
                 # adj / det (m <= 2) keeps LAPACK, and the memory its first
                 # call maps, off the flow's path
                 adj = (np.eye(1) if len(mean) == 1 else

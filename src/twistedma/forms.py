@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import NotAdmissible
-from .grid import (HermitianMatrixField, ScalarField, _require_hermitian,
+from .grid import (HermitianMatrixField, ScalarField, _block_mean, _require_hermitian,
                    _worst, hermitian_hessian)
 
 __all__ = [
@@ -57,8 +57,7 @@ class CohomologyClassRep:
 
     @classmethod
     def of(cls, omega_plus, omega_minus):
-        ax = tuple(range(omega_plus.grid.real_dim))
-        return cls(omega_plus.values.mean(axis=ax), omega_minus.values.mean(axis=ax))
+        return cls(_block_mean(omega_plus.values), _block_mean(omega_minus.values))
 
 
 def chi_from_weights(phi_plus, phi_minus):

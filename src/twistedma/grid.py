@@ -206,7 +206,13 @@ class HermitianMatrixField:
     shape ``grid.shape + (m, m)`` or, if constant in space, ``(1,) * real_dim + (m, m)``.
 
     A real m = 1 block is stored as float64; a complex m = 1 block and
-    every m = 2 block as complex128.
+    every m = 2 block as complex128.  A computed m = 2 block (a Hessian,
+    or a form built in one) is an entry-major view (``_block_empty``):
+    its shape and dtype are as above, and each ``values[..., i, j]`` is
+    one contiguous plane.  ``ndarray.copy()`` (C order) would undo that
+    layout, ``.view`` of another dtype raises and ``reshape`` copies, so
+    none of them is used on a block; a mean over the lattice is
+    ``_block_mean``'s.
     """
 
     grid: BicomplexGrid
@@ -342,13 +348,30 @@ def _centred(values, axis, scale=None):
     return d
 
 
-def _block_stencil(values, grid, block):
+def _block_empty(shape, m, dtype):
+    """An uninitialized ``shape + (m, m)`` block stored entry by entry: the
+    view of an ``(m, m) + shape`` array, so that each ``out[..., i, j]``
+    is one contiguous plane (C order for m = 1).  Ufuncs keep the layout,
+    since their order is "K"."""
+    return np.moveaxis(np.empty((m, m) + shape, dtype=dtype), (0, 1), (-2, -1))
+
+
+def _block_mean(values):
+    """A block's (m, m) mean over the lattice axes, summed on a C-order
+    array: an entry-major block summed as it lies would take another
+    order of summation and differ in the last bits."""
+    return np.ascontiguousarray(values).mean(axis=tuple(range(values.ndim - 2)))
+
+
+def _block_stencil(values, grid, block, out=None):
     """The ``_hessian_terms`` loop on real ``values``: the whole grid, or a
-    slab of it along axes the block's stencil does not couple.  The
-    output is sized from ``values``."""
+    slab of it along axes the block's stencil does not couple.  Each
+    entry is written into ``out`` (``values.shape + (m, m)``), or into a
+    new ``_block_empty`` block if None; an m = 1 block without ``out``
+    is its one accumulated entry."""
     h, m = grid.spacing, grid.block_dim(block)
-    if m > 1:
-        out = np.empty(values.shape + (m, m), dtype=np.complex128)
+    if m > 1 and out is None:
+        out = _block_empty(values.shape, m, np.complex128)
     for (i, j), terms in _hessian_terms(grid, block):
         parts, c_axis = [None, None], None
         for part, a, b, w in terms:
@@ -363,7 +386,10 @@ def _block_stencil(values, grid, block):
         re, im = parts
         if m == 1:
             # the one real entry is the output
-            return re[..., None, None]
+            if out is None:
+                return re[..., None, None]
+            out[..., 0, 0] = re
+            return out
         out[..., i, j].real = re
         out[..., i, j].imag = 0.0 if im is None else im
         if i != j:
@@ -390,12 +416,14 @@ def hessian_block_values(values, grid, block):
     folded into the stencil scales.  Entry (j, i) of real values is the
     exact conjugate of (i, j); complex values are stencilled part by part.
     The output has ``HermitianMatrixField``'s dtype: float64 for real
-    values and m = 1, complex128 otherwise.
+    values and m = 1, complex128 otherwise; an m = 2 output is stored
+    entry by entry (``_block_empty``).
 
     An array of more than ``_SLAB_POINTS`` points is evaluated slab by
     slab (``_block_slabs``), which keeps the passes of each entry in
-    cache.  Every point gets the same operations in the same order, so
-    the output is bitwise that of one whole pass.
+    cache; each slab's entries are written into the output's slab.  Every
+    point gets the same operations in the same order, so the output is
+    bitwise that of one whole pass.
     """
     if np.iscomplexobj(values):
         out = hessian_block_values(values.real, grid, block).astype(np.complex128, copy=False)
@@ -404,9 +432,9 @@ def hessian_block_values(values, grid, block):
     if values.size <= _SLAB_POINTS:
         return _block_stencil(values, grid, block)
     m = grid.block_dim(block)
-    out = np.empty(values.shape + (m, m), dtype=_block_dtype(m, values))
+    out = _block_empty(values.shape, m, _block_dtype(m, values))
     for slab in _block_slabs(values, grid, block):
-        out[slab] = _block_stencil(np.ascontiguousarray(values[slab]), grid, block)
+        _block_stencil(np.ascontiguousarray(values[slab]), grid, block, out[slab])
     return out
 
 
@@ -436,7 +464,9 @@ def _entries(values):
     and (a, d, b) for 2x2, a and d the real diagonal and b the complex
     entry (0, 1).  The ``*_entries`` kernels take them, so that a caller
     can add a constant increment entry by entry instead of copying the
-    stack: entry (i, j) of ``values + inc`` is ``values[..., i, j] + inc[i, j]``."""
+    stack: entry (i, j) of ``values + inc`` is ``values[..., i, j] + inc[i, j]``.
+    On a computed m = 2 block each entry is one contiguous plane
+    (``_block_empty``)."""
     if values.shape[-1] == 1:
         return (values[..., 0, 0].real,)
     return values[..., 0, 0].real, values[..., 1, 1].real, values[..., 0, 1]

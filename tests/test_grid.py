@@ -10,10 +10,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from twistedma import (BicomplexGrid, HermitianMatrixField, ScalarField,
-                       det_plus, export_csv, flat_background, hermitian_hessian, load_field,
-                       min_eigenvalue, save_field, solve_square, square_operator)
+from twistedma import (BicomplexGrid, CohomologyClassRep, FlowState, HermitianMatrixField,
+                       ScalarField, chi_from_weights, det_plus, export_csv, flat_background,
+                       hermitian_hessian, load_field, min_eigenvalue, save_field,
+                       solve_square, square_operator)
+from twistedma import flow
 from twistedma import grid as grid_module
+from twistedma.flow import form_block_values
 from twistedma.grid import (PD_GATE, _eig_bounds, _hessian_terms, det_values,
                             hessian_block_values, min_eig_values, pd_gate)
 
@@ -313,6 +316,105 @@ class TestStencil:
         assert table[0, 0] == ((0, 0, 0, 0.25), (0, 1, 1, 0.25))
         assert table[0, 1] == ((0, 0, 2, 0.25), (1, 0, 3, 0.25),
                                (0, 1, 3, 0.25), (1, 1, 2, -0.25))
+
+
+class TestEntryMajorBlocks:
+    """Computed blocks are stored entry by entry: each ``values[..., i, j]``
+    of an m = 2 block is one contiguous plane, and the values are bitwise
+    those of the C-order blocks stored before."""
+
+    # sha256 of each output's dtype, shape and C-order bytes on the inputs
+    # of test_bitwise_and_entry_major, recorded from the C-order stencil.
+    # "whole" is one whole-array pass on 4 points per axis (on 4^8 with
+    # _SLAB_POINTS raised to its size), "slabs" a grid above _SLAB_POINTS;
+    # on 4^8 the two are one grid and one input, so one hash
+    PINNED = {
+        (1, 1, "whole"): "03b061f2d274c0686325fc7d6cc3a87fd551ce75c56a83a4b4fb19d7f36d9b0a",
+        (1, 1, "slabs"): "5dcba77dbab4d333630053466944453838c2b273cb609e53968cd8c364912f8e",
+        (1, 2, "whole"): "8285d55f78bca6e8ea902164b2b228bdcd8a5c6e29262f210140708cc1fa89f3",
+        (1, 2, "slabs"): "f01e1596e3a4fb607d4cce047dbb99a54c2595a6c16b0eed8ce18d206cb85d68",
+        (2, 1, "whole"): "e733f48217cc5e89e15d78a9c6f34937dd930ce1010358f2f8ad37256663e50d",
+        (2, 1, "slabs"): "d4eadc3173b5900ce7b8d8761cbc40ba9f7972194ca9a1c1a431fd75d1b1077c",
+        (2, 2, "whole"): "18ee76f7395806c6eeece62d07a171c5de0b0917c7b7226a0372ca8d78754e50",
+        (2, 2, "slabs"): "18ee76f7395806c6eeece62d07a171c5de0b0917c7b7226a0372ca8d78754e50",
+    }
+    # points per axis of the "slabs" grids
+    SLAB_N = {(1, 1): 16, (1, 2): 8, (2, 1): 8, (2, 2): 4}
+
+    @staticmethod
+    def assert_entry_major(values):
+        m = values.shape[-1]
+        for i, j in itertools.product(range(m), repeat=2):
+            assert values[..., i, j].flags.c_contiguous, (i, j)
+
+    @pytest.mark.parametrize("k,l,path", sorted(PINNED))
+    def test_bitwise_and_entry_major(self, k, l, path, monkeypatch):
+        g = BicomplexGrid.regular(k, l, 4 if path == "whole" else self.SLAB_N[k, l])
+        if path == "whole":
+            monkeypatch.setattr(grid_module, "_SLAB_POINTS",
+                                max(grid_module._SLAB_POINTS, g.size))
+        assert (g.size > grid_module._SLAB_POINTS) == (path == "slabs")
+        rng = np.random.default_rng([k, l, g.size])
+        real = rng.standard_normal(g.shape)
+        cplx = real + 1j * rng.standard_normal(g.shape)
+        sha = hashlib.sha256()
+        for values in (real, cplx):
+            for block in ("plus", "minus"):
+                out = hessian_block_values(values, g, block)
+                m = g.block_dim(block)
+                assert out.shape == g.shape + (m, m)
+                assert out.dtype == (np.float64 if m == 1 and values is real
+                                     else np.complex128)
+                self.assert_entry_major(out)
+                sha.update(f"{out.dtype.str}{out.shape}".encode())
+                sha.update(np.ascontiguousarray(out).tobytes())
+        assert sha.hexdigest() == self.PINNED[k, l, path]
+
+    def test_flow_forms_stay_entry_major(self):
+        # the forms are built in their Hessians' buffers
+        g = BicomplexGrid.regular(2, 2, 4)
+        bg = flat_background(g, chi_plus=HermitianMatrixField.constant(
+            g, "plus", np.diag([0.6, -0.4])))
+        u = cos_axis_field(g, 2, amplitude=0.05)
+        for form in form_block_values(FlowState(0.1, u, bg)):
+            self.assert_entry_major(form)
+
+    def test_block_means_do_not_depend_on_the_layout(self):
+        # the class means and the flow's mean forms of an entry-major chi
+        # are bitwise those of its C-order copy
+        g = BicomplexGrid.regular(2, 2, 4)
+        rng = np.random.default_rng(12)
+        chi = chi_from_weights(*(ScalarField(g, 0.1 * rng.standard_normal(g.shape))
+                                 for _ in range(2)))
+        self.assert_entry_major(chi[0].values)
+        c_order = [HermitianMatrixField(g, c.block, np.ascontiguousarray(c.values),
+                                        check=False) for c in chi]
+        assert not c_order[0].values[..., 0, 1].flags.c_contiguous
+        u = cos_axis_field(g, 2, amplitude=0.05)
+        seen = []
+        for plus, minus in (chi, c_order):
+            rep = CohomologyClassRep.of(plus, minus)
+            lin = flow._linearization(FlowState(
+                0.05, u, flat_background(g, chi_plus=plus, chi_minus=minus)))
+            seen.append([rep.mean_plus, rep.mean_minus, *lin.mean_forms, lin.symbol])
+        for got, ref in zip(*seen):
+            assert np.array_equal(got, ref)
+
+    @pytest.mark.parametrize("block", ["plus", "minus"])
+    def test_slabs_write_in_place(self, block):
+        # 4^8 k = l = 2: a slab's block built and then copied in would add
+        # a quarter of the output: the peak was 1.50 and 1.47 times it
+        # when each slab's block was copied in
+        g = BicomplexGrid.regular(2, 2, 4)
+        values = np.random.default_rng(13).standard_normal(g.shape)
+        hessian_block_values(values, g, block)
+        tracemalloc.start()
+        try:
+            out = hessian_block_values(values, g, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.35 * out.nbytes
 
 
 class TestHermitianMatrixFieldShape:
