@@ -42,7 +42,9 @@ print(f"re-applied residuals: plus {dec.residual_plus:.2e}, "
 print(f"kernel note: {dec.kernel_note}")
 
 # data that no potential can produce: a plus block varying in a minus
-# coordinate violates the cross-derivative compatibility system
+# coordinate, where the plus stencil has no reach, so square(f) misses it
+# by its full size and the plus residual exceeds the tolerance (it also
+# violates the cross-derivative compatibility system)
 bad = 0.25 * np.cos(grid.axis_coords(2)).reshape(1, 1, -1, 1)
 bad = np.broadcast_to(bad, grid.shape)[..., None, None].astype(complex)
 try:

@@ -2,12 +2,14 @@
 square(f) = i(d+ dbar+ - d- dbar-) f on the periodic lattice.
 
 The inversion works in frequency space: every discrete stencil is a
-convolution, so each Fourier mode decouples.  Modes carrying a nonzero
-plus-block frequency are determined by the plus form, modes carrying a
-nonzero minus-block frequency by the minus form; where both apply the two
-answers must agree (the discrete shadow of the slice-correction
-bookkeeping in the analytic construction).  Periodic harmonics are
-constants, so fixing the grid mean of f to zero is a complete gauge.
+convolution, so each Fourier mode decouples.  A mode carrying a nonzero
+plus-block frequency takes the plus form's least-squares estimate of
+hat(f), every other mode the minus form's.  The data are accepted when
+square(f) reproduces both blocks to the tolerance: on the modes where
+both blocks apply, that is the agreement of the two answers (the
+discrete shadow of the slice-correction bookkeeping in the analytic
+construction).  Periodic harmonics are constants, so fixing the grid
+mean of f to zero is a complete gauge.
 
 Every stencil symbol is real and even, so the solver works on the
 ``rfftn`` half spectrum of real data.  A complex matrix entry is carried
@@ -40,17 +42,15 @@ __all__ = [
 _symbol_cache = {}
 _dense_cache = {}
 
-#: relative margin the l1 certificate keeps below the tolerance, far above
-#: the roundoff of the transforms and sums (a few ulps times log2 N)
-_CERTIFICATE_SLACK = 1e-9
-
 
 class SquareDecomposition:
     """The zero-mean potential ``f`` with square(f) = (omega_plus, omega_minus).
 
     ``residual_plus`` and ``residual_minus`` are the max norms of
     ``square_operator(f)`` minus each block, over every (i, j) and (j, i)
-    entry: they certify the lattice ``f`` that is returned.  The
+    entry: they certify the lattice ``f`` that is returned, and they are
+    what ``solve_square``'s tolerance bounds (its l1 bounds where those
+    suffice, these exact values otherwise, read once).  The
     decomposition holds f and the two input blocks, and no spectrum; the
     first read of either residual applies the block stencil to f slab by
     slab (``grid._block_slabs``), with no transform, and computes both.
@@ -258,10 +258,12 @@ def _lattice_slabs(parts, shape):
         yield cut, (re[cut] if im is None else re[cut] + 1j * im[cut])
 
 
-def _cut(pairs, slab):
-    """{(i, j): (re, im)} on one slab of the first axis; a part of length
-    1 there (a broadcast symbol) is passed through uncut."""
-    return {ij: tuple(x if x is None or len(x) == 1 else x[slab] for x in pair)
+def _cut(pairs, index):
+    """{(i, j): (re, im)} at ``index``, as views: a slab of the first axis,
+    where a part of length 1 (a broadcast symbol) is passed through uncut,
+    or a point of the leading axes."""
+    return {ij: tuple(x if x is None or (len(x) == 1 and isinstance(index, slice))
+                      else x[index] for x in pair)
             for ij, pair in pairs.items()}
 
 
@@ -272,42 +274,18 @@ def _cross_spectrum(hat_p, hat_m, sym_plus, sym_minus, abcd):
                  _times(_entry(sym_plus, a, b), _entry(hat_m, c, d)))
 
 
-def _cross_bounds(spectra, tuples, grid):
-    """{tuple: l1 bound of its cross spectrum} for ``spectra`` = (hat_p,
-    hat_m, sym_plus, sym_minus), summed slab by slab along the first axis
-    (``grid._slabs``), so that no full spectrum is made."""
-    bounds = dict.fromkeys(tuples, 0.0)
-    first = spectra[0][0, 0][0]
-    for slab in _slabs(len(first), first.size):
-        cut = [_cut(pairs, slab) for pairs in spectra]
-        for t in tuples:
-            bounds[t] += _l1_bound(_cross_spectrum(*cut, t), grid.shape)
-    return bounds
-
-
 @np.errstate(over="ignore", invalid="ignore")
-def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):
-    """Max norm of the cross condition, by exact inverse transforms, over
-    the tuples whose l1 bound does not certify it to be at most ``tol``
-    (0.0 when every tuple is certified): only those make their full
-    spectrum.  At ``tol`` 0 a bound certifies only a zero spectrum, whose
-    exact max norm is 0 too, so no bound is summed and every tuple is
-    transformed.  Tuple (b, a, d, c) is the conjugate of (a, b, c, d), so
+def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid):
+    """Max norm of the cross condition, by the exact inverse transform of
+    every tuple.  Tuple (b, a, d, c) is the conjugate of (a, b, c, d), so
     only the smaller is evaluated.  An entry spectrum that overflowed
     makes a NaN or inf, which propagates silently into the value."""
     spectra = hat_p, hat_m, sym_plus, sym_minus
-    tuples = [t for t in itertools.product(range(grid.k), range(grid.k),
-                                           range(grid.l), range(grid.l))
-              if t <= (t[1], t[0], t[3], t[2])]
-    bounds = (_cross_bounds(spectra, tuples, grid) if tol > 0
-              else dict.fromkeys(tuples, np.inf))
-    maxima = [0.0]
-    for t, bound in bounds.items():
-        if bound * (1.0 + _CERTIFICATE_SLACK) <= tol:
-            continue
-        maxima += [np.abs(r).max() for _, r in
-                   _lattice_slabs(_cross_spectrum(*spectra, t), grid.shape)]
-    return float(np.max(maxima))
+    return float(np.max([0.0] + [
+        np.abs(r).max()
+        for t in itertools.product(range(grid.k), range(grid.k), range(grid.l), range(grid.l))
+        if t <= (t[1], t[0], t[3], t[2])
+        for _, r in _lattice_slabs(_cross_spectrum(*spectra, t), grid.shape)]))
 
 
 def _check_blocks(omega_plus, omega_minus):
@@ -324,167 +302,153 @@ def _check_blocks(omega_plus, omega_minus):
 
 
 def compatibility_residual(omega_plus, omega_minus):
-    """Max norm of the cross condition ``solve_square`` needs, zero to
-    roundoff for formally generalized Kahler blocks: the solver's own
-    evaluation at tolerance 0, which transforms every tuple, so the value
-    is exact.  The blocks are checked as by
-    ``solve_square`` (ValueError)."""
+    """Max norm of the cross condition, over every tuple (a, b, c, d) of
+    hess_minus(omega_plus[a, b])[c, d] + hess_plus(omega_minus[c, d])[a, b]:
+    zero to roundoff for formally generalized Kahler blocks, and exact,
+    since every tuple takes its inverse transform.  A diagnostic of the
+    data: ``solve_square`` does not read it, since square(f) = omega to
+    its tolerance implies the cross condition to that tolerance times the
+    symbols' size.  The blocks are checked as by ``solve_square``
+    (ValueError)."""
     _check_blocks(omega_plus, omega_minus)
     grid = omega_plus.grid
     return _cross_residual(_entry_spectra(omega_plus), _entry_spectra(omega_minus),
-                           *_grid_symbols(grid), grid, 0.0)
+                           *_grid_symbols(grid), grid)
 
 
 fgk_residual = compatibility_residual
 
 
-def _block_estimate(hats, sym, sign):
-    """Least-squares mode estimate of hat(f) from one block, built in the
-    buffers of ``hats``, which it consumes.
+def _estimate_weights(sym, sign):
+    """{(i, j): (w re, w im)}, the weights of one block's least-squares
+    mode estimate of hat(f): sum over i <= j of the weights times the
+    entry spectra (``_estimate``).
 
-    Per mode, sum_ij conj(s_ij) hat(omega_ij) / sum_ij |s_ij|^2 with the
-    symbols scaled by ``sign``.  The pair (i, j), (j, i) with s = R + iI
-    and hat(omega) = A + iB contributes 2(RA + IB) above and 2(R^2 + I^2)
-    below.  The estimate is zero where the denominator vanishes, which is
-    exactly where the block frequency is zero.
+    Per mode, the estimate is sum_ij conj(s_ij) hat(omega_ij) / sum_ij
+    |s_ij|^2 with the symbols scaled by ``sign``.  The pair (i, j), (j, i)
+    with s = R + iI and hat(omega) = A + iB contributes 2(RA + IB) above
+    and 2(R^2 + I^2) below.  The weights are zero where the denominator
+    vanishes, which is exactly where the block frequency is zero.
     """
     den = 0.0
     for (i, j), (r, im) in sym.items():
         den = den + (r * r if i == j else 2.0 * (r * r + im * im))
     inv = np.divide(sign, den, out=np.zeros_like(den), where=den > 0.0)
+    return {(i, j): tuple(None if x is None else (inv if i == j else 2.0 * inv) * x
+                          for x in (r, im))
+            for (i, j), (r, im) in sym.items()}
+
+
+def _estimate(hats, weights):
+    """sum over the entries of weights times entry spectra, in entry
+    order, each entry's (re, im) pair summed first."""
     est = None
-    for (i, j), (r, im) in sym.items():
-        a, b = hats[i, j]
-        w = inv if i == j else 2.0 * inv
-        # a (w r) has the bits of (w r) a: multiplication commutes exactly
-        term = np.multiply(a, w * r, out=a)
+    for ij, (a, b) in hats.items():
+        wr, wi = weights[ij]
+        term = a * wr
         if b is not None:
-            term += np.multiply(b, w * im, out=b)
-        if est is None:
-            est = term
-        else:
-            est += term
+            term += b * wi
+        est = term if est is None else np.add(est, term, out=est)
     return est
 
 
-def _slice(pairs, index):
-    """{(i, j): (re, im)} on ``index``, copied; a None part stays None."""
-    return {ij: tuple(None if x is None else x[index].copy() for x in pair)
-            for ij, pair in pairs.items()}
+@np.errstate(over="ignore", invalid="ignore")
+def _residual_pass(hat_p, hat_m, sym_plus, sym_minus, grid):
+    """(hat(f), [plus bound, minus bound]) in one pass over the half
+    spectrum, slab by slab along its first axis (``grid._slabs``).
 
-
-def _zero_block_content(hats, sym=None, f_hat=None):
-    """Per-mode max over all (i, j) of |hat(omega_ij) - s_ij hat(f)|, for
-    the entry spectra ``hats`` (copies from ``_slice``, which the read may
-    overwrite) and symbols ``sym`` on one slice of the half spectrum; with
-    no ``f_hat``, |hat(omega_ij)|, the content of a block where its symbols
-    vanish.
-
-    On the half spectrum the pair (i, j), (j, i) contributes |A + iB| and
-    |A - iB|, which covers the mirrored modes of the full spectrum.
+    hat(f) is the plus estimate, and the minus estimate on the slice where
+    the plus frequency is zero, the plus-invisible modes.  Each block's
+    bound is the max over its entries (i <= j) of ``grid._l1_bound`` of the
+    residual spectrum, r_plus = hat(omega_plus) - s_plus hat(f) and
+    r_minus = hat(omega_minus) + s_minus hat(f) (the minus block stores
+    -hess_minus f), summed over the slabs: it bounds the max norm of
+    square(f) - omega on that block.  The residuals are built in the entry
+    spectra, which the pass consumes, and hat(f) is written into the plus
+    (0, 0) entry's buffer.  An entry spectrum that overflowed makes a NaN
+    or inf bound.
     """
-    content = 0.0
-    for ij, (a, b) in hats.items():
-        if f_hat is not None:
-            a, b = _plus((a, b), _times(sym[ij], (-f_hat, None)))
-        if b is None:
-            c = np.abs(a)
-        else:
-            b = 1j * b
-            c = np.maximum(np.abs(a + b), np.abs(a - b))
-        content = np.maximum(content, c)
-    return content
+    weights_p, weights_m = _estimate_weights(sym_plus, 1.0), _estimate_weights(sym_minus, -1.0)
+    zero_p = (0,) * (2 * grid.k)                 # in the first slab
+    f_hat = hat_p[0, 0][0]
+    sums = dict.fromkeys(hat_p, 0.0), dict.fromkeys(hat_m, 0.0)
+    for slab in _slabs(len(f_hat), f_hat.size):
+        hp, hm, sp, sm = (_cut(pairs, slab) for pairs in (hat_p, hat_m, sym_plus, sym_minus))
+        est = _estimate(hp, _cut(weights_p, slab))
+        if slab.start == 0:
+            est[zero_p] = _estimate(_cut(hm, zero_p), _cut(weights_m, zero_p))
+        for total, hats, sym, f_part in ((sums[0], hp, sp, -est), (sums[1], hm, sm, est)):
+            for ij, pair in hats.items():
+                total[ij] += _l1_bound(_plus(pair, _times(sym[ij], (f_part, None))), grid.shape)
+        f_hat[slab] = est
+    return f_hat, [max(total.values()) for total in sums]
 
 
 def solve_square(omega_plus, omega_minus, tol_compat=1e-8):
     """Invert square(f) = omega for the zero-mean potential f.
 
-    Raises IncompatibleData when the cross condition or the overlap
-    consistency fails, or when a block is not closed in its own variables
-    (on the modes where the other block's frequency is zero, the cross
-    condition says nothing of it), and NonzeroMeanObstruction when a block
-    mean is not representable (constants are class data, not potential
-    data).
+    f is the least-squares solution mode by mode: each block's estimate
+    of hat(f), the plus one wherever the plus frequency is nonzero.  It is
+    returned when square(f) = omega to ``tol_compat`` times the blocks'
+    scale max(max |omega|, 1), in max norm on each block: that one
+    certificate covers the cross condition, each block's content where its
+    symbols vanish, the two estimates' agreement where both blocks'
+    frequencies are nonzero, and each block's closedness in its own
+    variables.  A block passes on its spectral l1 bound
+    (``_residual_pass``); otherwise the solve decides on the exact lattice
+    residuals (``SquareDecomposition._residuals``, which are then cached)
+    and raises IncompatibleData naming the first block beyond the
+    tolerance, with its exact residual.  A non-finite bound or f raises
+    IncompatibleData at once.  NonzeroMeanObstruction is raised first when
+    a block mean is not representable (constants are class data, not
+    potential data).
 
-    All checks run in frequency space; the symbols are the exact Fourier
-    multipliers of the stencils, so the spectral evaluations agree with
-    the direct ones to roundoff.  Only the entries with i <= j of each
-    block are read, so a block that is not Hermitian raises ValueError.
-    The cross condition is certified by its l1 spectral bound where that
-    suffices, and decided on its exact max norm otherwise.  The blocks
-    must be a plus and a minus block on one grid (ValueError).
+    The symbols are the exact Fourier multipliers of the stencils, so the
+    spectral evaluations agree with the direct ones to roundoff.  Only
+    the entries with i <= j of each block are read, so a block that is
+    not Hermitian raises ValueError, as do blocks that are not a plus and
+    a minus block on one grid.
 
     The solver holds the half spectra of the entries and no full-size
-    temporary beside them: the l1 bounds are summed slab by slab, only
-    an uncertified tuple makes its full spectrum, each block's estimate
-    of hat(f) is built in that block's entry spectra, the overlap
-    mismatch is read slab by slab, the closedness read works on copies of
-    the two zero-frequency slices, and f's inverse transform works in
-    hat(f)'s buffer.
+    temporary beside them: the estimates, the residuals and their bounds
+    are made slab by slab, hat(f) is written into the plus (0, 0) entry's
+    spectrum, and f's inverse transform works in hat(f)'s buffer.
     """
     scale = _check_blocks(omega_plus, omega_minus)
     grid = omega_plus.grid
+    tol = tol_compat * scale
 
-    sym_plus, sym_minus = _grid_symbols(grid)
     hat_p = _entry_spectra(omega_plus)
     hat_m = _entry_spectra(omega_minus)
-
-    tol = tol_compat * scale
-    compat = _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol)
-    if not compat <= tol:
-        raise IncompatibleData(
-            f"cross compatibility residual {compat:.3e} exceeds tolerance "
-            f"{tol:.3e}")
-
-    npts = grid.size
-    mean_tol = tol * npts
-    n_plus = 2 * grid.k
-    zero_p = (0,) * n_plus                       # plus frequency zero
-    zero_m = (slice(None),) * n_plus + (0,) * (grid.real_dim - n_plus)
-    content_p = _zero_block_content(_slice(hat_p, zero_p))
-    content_m = _zero_block_content(_slice(hat_m, zero_m))
-    # the zero mode is the first element of either slice
-    if not (content_p.flat[0] <= mean_tol and content_m.flat[0] <= mean_tol):
+    # the zero mode of each entry (i, j) and (j, i) is N times its mean; one
+    # that overflowed is left to the residual bound, which it makes non-finite
+    zero = (0,) * grid.real_dim
+    mean = np.max([abs(a[zero] + s * (0.0 if b is None else b[zero]))
+                   for hats in (hat_p, hat_m) for a, b in hats.values() for s in (1j, -1j)])
+    if mean > tol * grid.size and np.isfinite(mean):
         raise NonzeroMeanObstruction(
             "block mean is not in the image of the potential operator; "
             "handle constants as the class representative")
 
-    # plus form content on modes invisible to the plus stencil (and dually)
-    stray = float(np.max([content_p.max(), content_m.max()]))
-    if not stray <= mean_tol:
-        raise IncompatibleData(
-            "block data varies across slices where its stencil has no reach "
-            f"(stray content {stray / npts:.3e} per point)")
-
-    # each block on the other block's zero slice, kept for the closedness
-    # read below: the estimates consume the spectra
-    closed = _slice(hat_p, zero_m), _slice(hat_m, zero_p)
-    # the minus block stores -hess_minus f, so its symbols are negated; the
-    # plus-invisible modes (plus frequency zero) take the minus estimate
-    f_hat = _block_estimate(hat_p, sym_plus, 1.0)
-    est_m = _block_estimate(hat_m, sym_minus, -1.0)
-    f_hat[zero_p] = est_m[zero_p]
+    f_hat, bounds = _residual_pass(hat_p, hat_m, *_grid_symbols(grid), grid)
     del hat_p, hat_m
-    # overlap frequencies (both blocks nonzero) must agree
-    est_m -= f_hat
-    est_m[zero_m] = 0.0
-    mismatch = float(np.max([np.abs(est_m[s]).max()
-                             for s in _slabs(len(est_m), est_m.size)])) / npts
-    del est_m
-    if not mismatch <= tol:
-        raise IncompatibleData(
-            f"plus/minus determinations disagree on overlap frequencies "
-            f"({mismatch:.3e} per point)")
+    names = "plus", "minus"
+    for name, bound in zip(names, bounds):
+        if not np.isfinite(bound):
+            raise IncompatibleData(_refusal(name, bound, tol))
+    values = _irfftn(f_hat, grid.shape, consume=True)
+    try:
+        f = ScalarField(grid, values)
+    except ValueError:                           # a transform that overflowed
+        raise IncompatibleData("potential is not finite: its inverse transform "
+                               "overflowed") from None
+    dec = SquareDecomposition(f, omega_plus, omega_minus)
+    if max(bounds) > tol:
+        for name, residual in zip(names, dec._residuals):
+            if not residual <= tol:
+                raise IncompatibleData(_refusal(name, residual, tol))
+    return dec
 
-    # each block in the image of its own stencil: where the other block's
-    # frequency is zero the cross condition says nothing of it
-    for name, hats, sym, index, sign in (("plus", closed[0], sym_plus, zero_m, 1.0),
-                                         ("minus", closed[1], sym_minus, zero_p, -1.0)):
-        off = float(_zero_block_content(hats, _slice(sym, index), sign * f_hat[index]).max())
-        if not off <= mean_tol:
-            raise IncompatibleData(
-                f"{name} block is not closed in its own variables (content "
-                f"{off / npts:.3e} per point outside its stencil's image)")
 
-    f = ScalarField(grid, _irfftn(f_hat, grid.shape, consume=True))
-    return SquareDecomposition(f, omega_plus, omega_minus)
+def _refusal(name, residual, tol):
+    return f"{name} block residual {residual:.3e} exceeds tolerance {tol:.3e}"

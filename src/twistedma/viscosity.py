@@ -88,7 +88,8 @@ def touching_jet(u_stack, times, grid, spatial_index, time_index):
         raise WindowTooSmall("need a backward time neighbor for the jet")
     idx = tuple(spatial_index)
     p_t = ((u_stack[n] - u_stack[n - 1]) / (times[n] - times[n - 1]))[idx]
-    hp, hm = (hessian_block_values(u_stack[n], grid, block)[idx]
+    # copies of the point's matrices: views would keep both Hessians alive
+    hp, hm = (hessian_block_values(u_stack[n], grid, block)[idx].copy()
               for block in ("plus", "minus"))
     return Jet(idx, n, float(p_t), hp, hm)
 

@@ -236,7 +236,7 @@ class TestHalfSpectrum:
         vals = op.values.copy()
         vals[..., 0, 1] += bump
         vals[..., 1, 0] -= bump
-        with pytest.raises(IncompatibleData, match="cross compatibility"):
+        with pytest.raises(IncompatibleData, match=r"^plus block residual 1\.000e-01 exceeds"):
             solve_square(HermitianMatrixField(g, "plus", vals, check=False), om)
 
     @pytest.mark.parametrize("c", [0.3, 0.2j, 0.3 - 0.2j])
@@ -359,9 +359,9 @@ def lattice(pair, shape):
     return re if im is None else re + 1j * im
 
 
-def reference_cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid, tol):
+def reference_cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid):
     """The cross-condition loop as first written: an exact inverse
-    transform for every tuple, whatever its size against ``tol``."""
+    transform of every tuple's whole field."""
     compat = 0.0
     for a, b, c, d in itertools.product(range(grid.k), range(grid.k),
                                         range(grid.l), range(grid.l)):
@@ -388,22 +388,6 @@ def lattice_residuals(f, blocks):
             for back, omega in zip(square_operator(f), blocks)]
 
 
-def outcome(monkeypatch, blocks, reference, **kw):
-    """("f", values) of solve_square, or (error type, message)."""
-    with monkeypatch.context() as mp:
-        if reference:
-            mp.setattr(potential, "_cross_residual", reference_cross_residual)
-        try:
-            return "f", solve_square(*blocks, **kw).f.values
-        except (IncompatibleData, NonzeroMeanObstruction) as exc:
-            return type(exc), str(exc)
-
-
-def same_outcome(got, ref):
-    return got[0] == ref[0] and (np.array_equal(got[1], ref[1]) if got[0] == "f"
-                                 else got[1] == ref[1])
-
-
 def block_grid(k, l):
     return BicomplexGrid.regular(k, l, 4 if k + l == 4 else 6)
 
@@ -425,137 +409,217 @@ def mixed_pattern(grid, rng, n_modes=4):
     return vals
 
 
-def exact_cross(op, om):
-    g = op.grid
-    return reference_cross_residual(potential._entry_spectra(op), potential._entry_spectra(om),
-                                    *_grid_symbols(g), g, 0.0)
-
-
 KL = [(1, 1), (1, 2), (2, 1), (2, 2)]
 
 
-class TestCrossCertificate:
-    """The l1 certificate with its exact fallback decides as the loop that
-    transforms every tuple, and reports the same numbers."""
+def reference_f_hat(hat_p, hat_m, sym_plus, sym_minus, grid):
+    """hat(f) as first built: each block's whole-array least-squares
+    estimate, the minus one on the slice where the plus frequency is zero."""
+    def estimate(hats, sym, sign):
+        den = 0.0
+        for (i, j), (r, im) in sym.items():
+            den = den + (r * r if i == j else 2.0 * (r * r + im * im))
+        inv = np.divide(sign, den, out=np.zeros_like(den), where=den > 0.0)
+        est = None
+        for (i, j), (r, im) in sym.items():
+            (a, b), w = hats[i, j], (inv if i == j else 2.0 * inv)
+            term = a * (w * r) if b is None else a * (w * r) + b * (w * im)
+            est = term if est is None else est + term
+        return est
+    f_hat = estimate(hat_p, sym_plus, 1.0)
+    zero_p = (0,) * (2 * grid.k)
+    f_hat[zero_p] = estimate(hat_m, sym_minus, -1.0)[zero_p]
+    return f_hat
 
-    @pytest.mark.parametrize("k,l", KL)
-    def test_compatible_data_same_f(self, k, l, monkeypatch):
-        g = block_grid(k, l)
-        blocks = square_operator(bandlimited_field(g, np.random.default_rng(k + 2 * l)))
-        got = outcome(monkeypatch, blocks, reference=False)
-        assert got[0] == "f"
-        assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
 
-    @pytest.mark.parametrize("k,l", KL)
-    def test_incompatible_data_same_message(self, k, l, monkeypatch, rng):
-        g = block_grid(k, l)
-        cases = []
-        # a plus diagonal entry varying along a minus axis
-        vals = np.zeros(g.shape + (k, k), complex)
-        vals[..., 0, 0] = 0.25 * cos_axis_field(g, 2 * k).values
-        cases.append((HermitianMatrixField(g, "plus", vals, check=False),
-                      HermitianMatrixField.zeros(g, "minus")))
-        op, om = square_operator(bandlimited_field(g, rng))
-        if k == 2:
-            # purely imaginary, Hermitian, varying along a minus axis only
-            bump = 0.1j * cos_axis_field(g, 2 * k).values
-            vals = op.values.copy()
-            vals[..., 0, 1] += bump
-            vals[..., 1, 0] -= bump
-            cases.append((HermitianMatrixField(g, "plus", vals, check=False), om))
-        vals = op.values + 1e-3 * mixed_pattern(g, rng)
-        cases.append((HermitianMatrixField(g, "plus", vals, check=False), om))
-        for blocks in cases:
-            got = outcome(monkeypatch, blocks, reference=False)
-            assert got[0] is IncompatibleData and "cross compatibility" in got[1]
-            assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
+def residual_pass(blocks):
+    """``potential._residual_pass`` on fresh entry spectra of ``blocks``."""
+    g = blocks[0].grid
+    return potential._residual_pass(*(potential._entry_spectra(b) for b in blocks),
+                                    *_grid_symbols(g), g)
 
-    def test_existing_incompatible_cases_same_message(self, monkeypatch, rng):
-        # the data of test_incompatible_data and of
-        # test_imaginary_off_diagonal_incompatibility
-        g = BicomplexGrid.regular(1, 1, 16)
-        vals = 0.25 * cos_axis_field(g, 2).values[..., None, None].astype(complex)
-        cases = [(HermitianMatrixField(g, "plus", vals, check=False),
-                  HermitianMatrixField.zeros(g, "minus"))]
-        g = TestHalfSpectrum.grid
-        op, om = square_operator(bandlimited_field(g, rng))
-        bump = 0.1j * cos_axis_field(g, 4).values
+
+def square_scale(blocks):
+    """The solver's scale max(max |omega|, 1)."""
+    return max([float(np.abs(b.values).max()) for b in blocks] + [1.0])
+
+
+def counted(monkeypatch, *names):
+    """{name: calls} of the potential module's functions ``names``."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        real = getattr(potential, name)
+
+        def wrapper(*a, real=real, name=name, **kw):
+            calls[name] += 1
+            return real(*a, **kw)
+        monkeypatch.setattr(potential, name, wrapper)
+    return calls
+
+
+def refusal(name, residual, tol):
+    return f"{name} block residual {residual:.3e} exceeds tolerance {tol:.3e}"
+
+
+def cos_plus(g, amplitude, axis):
+    """``amplitude`` cos of ``axis`` on the plus (0, 0) entry; the minus
+    block zero."""
+    vals = np.zeros(g.shape + (g.k, g.k))
+    vals[..., 0, 0] = amplitude * cos_axis_field(g, axis).values
+    return HermitianMatrixField(g, "plus", vals), HermitianMatrixField.zeros(g, "minus")
+
+
+def bumped_square(k, l, kind):
+    """Square data with the plus block moved off the image: by a purely
+    imaginary Hermitian off-diagonal entry along a minus axis, or by
+    1e-3 times a mixed pattern."""
+    g = block_grid(k, l)
+    rng = np.random.default_rng(k + 2 * l)
+    op, om = square_operator(bandlimited_field(g, rng))
+    if kind == "imaginary":
+        bump = 0.1j * cos_axis_field(g, 2 * k).values
         vals = op.values.copy()
         vals[..., 0, 1] += bump
         vals[..., 1, 0] -= bump
-        cases.append((HermitianMatrixField(g, "plus", vals, check=False), om))
-        for blocks in cases:
-            got = outcome(monkeypatch, blocks, reference=False)
-            assert got[0] is IncompatibleData and "cross compatibility" in got[1]
-            assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
+    else:
+        vals = op.values + 1e-3 * mixed_pattern(g, rng)
+    return HermitianMatrixField(g, "plus", vals, check=False), om
+
+
+def overlap_mismatch(c):
+    """The square data of cos(x0 + x1 + x2 + x3) on 16^4, with c 1e-8
+    cos x0 cos x2 added to the minus block: on the four overlap modes the
+    two blocks' estimates of hat(f) disagree."""
+    g = BicomplexGrid.regular(1, 1, 16)
+    x = np.meshgrid(*(g.axis_coords(i) for i in range(4)), indexing="ij", sparse=True)
+    op, om = square_operator(ScalarField(g, np.broadcast_to(np.cos(x[0] + x[1] + x[2] + x[3]),
+                                                            g.shape).copy()))
+    bump = (np.cos(x[0]) * np.cos(x[2]))[..., None, None]
+    return op, HermitianMatrixField(g, "minus", om.values + c * 1e-8 * bump)
+
+
+def not_closed(k, l, block, axis):
+    """Entry (1, 1) of ``block`` = cos of its own first axis, everything
+    else zero: the cross condition holds to roundoff, but no square(f)
+    has entry (0, 0) zero with it."""
+    g = BicomplexGrid.regular(k, l, 6)
+    m = g.block_dim(block)
+    vals = np.zeros(g.shape + (m, m))
+    vals[..., 1, 1] = cos_axis_field(g, axis).values
+    blocks = {"plus": HermitianMatrixField.zeros(g, "plus"),
+              "minus": HermitianMatrixField.zeros(g, "minus")}
+    blocks[block] = HermitianMatrixField(g, block, vals)
+    return blocks["plus"], blocks["minus"]
+
+
+#: the incompatible block pairs that the earlier reads (cross condition,
+#: stray content, overlap mismatch, closedness) refused, by name
+REFUSED = {
+    "cos-x2-16": lambda: cos_plus(BicomplexGrid.regular(1, 1, 16), 0.25, 2),
+    "stray-3e-08": lambda: cos_plus(BicomplexGrid.regular(1, 1, 16), 3e-8, 2),
+    "stray-5e-08": lambda: cos_plus(BicomplexGrid.regular(1, 1, 16), 5e-8, 2),
+    "overlap-2": lambda: overlap_mismatch(2),
+    "overlap-6": lambda: overlap_mismatch(6),
+    "imaginary-k2-l2": lambda: bumped_square(2, 2, "imaginary"),
+    "imaginary-k2-l1": lambda: bumped_square(2, 1, "imaginary"),
+    **{f"cos-minus-axis-k{k}-l{l}": lambda k=k, l=l: cos_plus(block_grid(k, l), 0.25, 2 * k)
+       for k, l in KL},
+    **{f"mixed-k{k}-l{l}": lambda k=k, l=l: bumped_square(k, l, "mixed") for k, l in KL},
+    **{f"not-closed-k{k}-l{l}-{b}": lambda k=k, l=l, b=b, a=a: not_closed(k, l, b, a)
+       for k, l, b, a in [(2, 1, "plus", 0), (2, 2, "plus", 0), (1, 2, "minus", 2)]},
+}
+
+
+class TestResidualCertificate:
+    """One certificate decides every solve: square(f) = omega to the
+    tolerance in max norm on each block, for the f that is returned; an
+    l1 bound of the residual spectra where it suffices, the exact lattice
+    residuals otherwise."""
 
     @pytest.mark.parametrize("k,l", KL)
-    def test_bound_dominates_exact_max(self, k, l):
+    def test_f_hat_has_the_bits_of_the_whole_array_estimates(self, k, l):
+        g = block_grid(k, l)
+        rng = np.random.default_rng(k + 2 * l)
+        for blocks in (square_operator(bandlimited_field(g, rng)),
+                       (random_hermitian(g, "plus", rng), random_hermitian(g, "minus", rng))):
+            ref = reference_f_hat(*(potential._entry_spectra(b) for b in blocks),
+                                  *_grid_symbols(g), g)
+            assert residual_pass(blocks)[0].tobytes() == ref.tobytes()
+
+    @pytest.mark.parametrize("k,l", KL)
+    def test_bound_dominates_exact_residual(self, k, l):
         # random Hermitian blocks: complex off-diagonal entries where m = 2
         g = block_grid(k, l)
         rng = np.random.default_rng(10 * k + l)
-        hats = []
-        for block, m in (("plus", k), ("minus", l)):
-            z = (rng.standard_normal(g.shape + (m, m))
-                 + 1j * rng.standard_normal(g.shape + (m, m)))
-            hats.append(potential._entry_spectra(HermitianMatrixField(
-                g, block, z + np.conj(np.swapaxes(z, -1, -2)), check=False)))
-        for abcd in itertools.product(range(k), range(k), range(l), range(l)):
-            r_hat = cross_spectrum(*hats, *_grid_symbols(g), abcd)
-            exact = float(np.abs(lattice(r_hat, g.shape)).max())
-            assert potential._l1_bound(r_hat, g.shape) >= exact > 0.0
+        blocks = random_hermitian(g, "plus", rng), random_hermitian(g, "minus", rng)
+        f_hat, bounds = residual_pass(blocks)
+        exact = lattice_residuals(ScalarField(g, potential._irfftn(f_hat, g.shape)), blocks)
+        for bound, value in zip(bounds, exact):
+            assert bound >= value > 0.0
 
     @pytest.mark.parametrize("k,l,n", [(1, 1, 16), (1, 1, 32), (2, 2, 4), (1, 2, 8)])
-    def test_slab_bounds_match_whole_array(self, k, l, n):
+    def test_slab_sums_match_whole_array(self, k, l, n):
         # the bounds summed slab by slab against grid._l1_bound of each
-        # tuple's whole cross spectrum, on random Hermitian blocks
+        # entry's whole residual spectrum, on random Hermitian blocks
         g = BicomplexGrid.regular(k, l, n)
         rng = np.random.default_rng(n + k)
-        hats = [potential._entry_spectra(random_hermitian(g, b, rng)) for b in ("plus", "minus")]
-        tuples = list(itertools.product(range(k), range(k), range(l), range(l)))
-        bounds = potential._cross_bounds((*hats, *_grid_symbols(g)), tuples, g)
-        first = hats[0][0, 0][0]
-        assert len(grid_module._slabs(len(first), first.size)) > 1
-        for abcd in tuples:
-            whole = grid_module._l1_bound(cross_spectrum(*hats, *_grid_symbols(g), abcd), g.shape)
-            assert bounds[abcd] == pytest.approx(whole, rel=1e-14, abs=0.0)
+        blocks = [random_hermitian(g, b, rng) for b in ("plus", "minus")]
+        f_hat, bounds = residual_pass(blocks)
+        assert len(grid_module._slabs(len(f_hat), f_hat.size)) > 1
+        whole = [max(grid_module._l1_bound(potential._plus(
+                         pair, potential._times(sym[ij], (sign * f_hat, None))), g.shape)
+                     for ij, pair in potential._entry_spectra(b).items())
+                 for b, sym, sign in zip(blocks, _grid_symbols(g), (-1.0, 1.0))]
+        assert bounds == pytest.approx(whole, rel=1e-14, abs=0.0)
 
     @pytest.mark.parametrize("k,l", KL)
     @pytest.mark.parametrize("factor", [0.99, 1.01])
     def test_near_tolerance(self, k, l, factor, monkeypatch):
-        # compatible data plus eps times a mixed pattern, eps chosen so the
-        # exact cross residual sits 1% below or above the tolerance
+        # square data plus eps times a mixed plus pattern, eps chosen so
+        # that the exact residual sits 1% below or above the tolerance: the
+        # residual is linear in eps, so the pattern's own gives eps
         g = block_grid(k, l)
         rng = np.random.default_rng(k + 2 * l)
         op, om = square_operator(bandlimited_field(g, rng))
         pattern = mixed_pattern(g, rng)
-        zero_m = HermitianMatrixField.zeros(g, "minus")
-        rho = exact_cross(HermitianMatrixField(g, "plus", pattern, check=False), zero_m)
-        scale = max(np.abs(op.values).max(), np.abs(om.values).max(), 1.0)
-        plus = HermitianMatrixField(g, "plus", op.values + factor * 1e-8 * scale / rho * pattern,
-                                    check=False)
-        blocks = (plus, om)
-        exact = exact_cross(*blocks)
-        hats = potential._entry_spectra(plus), potential._entry_spectra(om)
-        bound = max(potential._l1_bound(cross_spectrum(*hats, *_grid_symbols(g), abcd),
-                                        g.shape)
-                    for abcd in itertools.product(range(k), range(k), range(l), range(l)))
-        tol = 1e-8 * scale
-        assert bound > tol
-        calls = []
-        real_irfftn = potential._irfftn
+        alone = solve_square(HermitianMatrixField(g, "plus", pattern, check=False),
+                             HermitianMatrixField.zeros(g, "minus"), tol_compat=np.inf)
+        rho = max(alone.residual_plus, alone.residual_minus)
+        eps = factor * 1e-8 * square_scale((op, om)) / rho
+        blocks = HermitianMatrixField(g, "plus", op.values + eps * pattern, check=False), om
+        tol = 1e-8 * square_scale(blocks)
+        assert max(residual_pass(blocks)[1]) > tol
+        ref = solve_square(*blocks, tol_compat=np.inf)
+        exact = ref.residual_plus, ref.residual_minus
+        # the bound failed, so the solve read the exact residuals on f
         with monkeypatch.context() as mp:
-            mp.setattr(potential, "_irfftn",
-                       lambda *a, **kw: calls.append(1) or real_irfftn(*a, **kw))
-            got = outcome(monkeypatch, blocks, reference=False)
-        # the bound failed, so the fallback transformed (f takes one more)
-        assert len(calls) > (got[0] == "f")
-        assert same_outcome(got, outcome(monkeypatch, blocks, reference=True))
+            calls = counted(mp, "_irfftn", "_block_stencil")
+            try:
+                got = solve_square(*blocks)
+            except IncompatibleData as exc:
+                got = exc
+        assert calls["_irfftn"] == 1 and calls["_block_stencil"] > 0
         if factor < 1.0:
-            assert exact <= tol and got[0] == "f"
+            assert max(exact) <= tol
+            assert got.f.values.tobytes() == ref.f.values.tobytes()
+            assert (got.residual_plus, got.residual_minus) == exact
         else:
-            assert exact > tol and got == (IncompatibleData, (
-                f"cross compatibility residual {exact:.3e} exceeds tolerance {tol:.3e}"))
+            name, value = next((n, v) for n, v in zip(("plus", "minus"), exact) if v > tol)
+            assert isinstance(got, IncompatibleData) and str(got) == refusal(name, value, tol)
+
+    @pytest.mark.parametrize("case", sorted(REFUSED))
+    def test_earlier_refusals_still_refused(self, case):
+        # every block pair that the cross, stray, overlap and closedness
+        # reads refused is refused, naming the first block beyond the
+        # tolerance with its exact residual
+        blocks = REFUSED[case]()
+        tol = 1e-8 * square_scale(blocks)
+        dec = solve_square(*blocks, tol_compat=np.inf)
+        exact = dec.residual_plus, dec.residual_minus
+        name, value = next((n, v) for n, v in zip(("plus", "minus"), exact) if v > tol)
+        with pytest.raises(IncompatibleData) as info:
+            solve_square(*blocks)
+        assert str(info.value) == refusal(name, value, tol)
 
 
 class TestResidualsOnRead:
@@ -599,16 +663,12 @@ class TestResidualsOnRead:
 
     def test_read_makes_no_transform(self, monkeypatch, rng):
         g = BicomplexGrid.regular(1, 1, 8)
-        calls = []
-        for name in ("_rfftn", "_irfftn"):
-            real = getattr(potential, name)
-            monkeypatch.setattr(potential, name, lambda *a, real=real, name=name, **kw:
-                                calls.append(name) or real(*a, **kw))
+        calls = counted(monkeypatch, "_rfftn", "_irfftn")
         dec = solve_square(*square_operator(bandlimited_field(g, rng)))
-        assert calls.count("_irfftn") == 1
-        solved = len(calls)
+        assert calls["_irfftn"] == 1
+        solved = dict(calls)
         dec.residual_plus, dec.residual_minus
-        assert len(calls) == solved
+        assert calls == solved
 
 
 class TestCompatibilityResidual:
@@ -721,6 +781,18 @@ class TestCompatibilityResidualReference:
         assert ref > 1.0
         assert got == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("k,l", KL)
+    def test_whole_field_loop_agrees(self, k, l):
+        # the slab-by-slab read-back against the loop as first written, on
+        # square and on random Hermitian blocks
+        g = block_grid(k, l)
+        rng = np.random.default_rng(20 * k + l)
+        for blocks in (square_operator(bandlimited_field(g, rng)),
+                       (random_hermitian(g, "plus", rng), random_hermitian(g, "minus", rng))):
+            ref = reference_cross_residual(*(potential._entry_spectra(b) for b in blocks),
+                                           *_grid_symbols(g), g)
+            assert compatibility_residual(*blocks) == ref
+
     @pytest.mark.parametrize("block", ["plus", "minus"])
     def test_non_hermitian_block_named(self, block, rng):
         g = block_grid(2, 2)
@@ -790,82 +862,76 @@ class TestRealBlockRoundtrip:
 
 @pytest.mark.parametrize("k,l,n", [(1, 1, 8), (2, 2, 4)])
 def test_overflowing_spectra_fail_every_certificate(k, l, n):
-    # finite blocks whose entry spectra overflow: the cross residual is
+    # finite blocks whose entry spectra overflow: the residual bound is
     # not finite, so it certifies nothing and the solve is refused
     g = BicomplexGrid.regular(k, l, n)
     op, om = square_operator(bandlimited_field(g, np.random.default_rng(7)))
     op, om = (HermitianMatrixField(g, b.block, 1e306 * b.values) for b in (op, om))
     assert not math.isfinite(compatibility_residual(op, om))
-    with pytest.raises(IncompatibleData, match=r"^cross compatibility residual (nan|inf) "
+    with pytest.raises(IncompatibleData, match=r"^plus block residual (nan|inf) "
                                                r"exceeds tolerance \d\.\d{3}e\+\d+$"):
         solve_square(op, om)
 
 
-class TestSpectralCertificates:
-    """The stray-content and overlap certificates, each just inside the
-    cross tolerance, on 16^4 with k = l = 1 (scale 1, tolerance 1e-8)."""
+@pytest.mark.parametrize("k,l,n", [(1, 1, 8), (2, 2, 4)])
+def test_overflowed_mean_is_incompatible(k, l, n):
+    # at 1e307 the plus (0, 0) entry's zero mode overflows to NaN: no mean
+    # is read, and the residual bound, which carries it, refuses the solve
+    g = BicomplexGrid.regular(k, l, n)
+    op, om = square_operator(bandlimited_field(g, np.random.default_rng(7)))
+    vals = op.values.copy()
+    vals[..., 0, 0] += 0.1 * cos_axis_field(g, 2 * k).values
+    op = HermitianMatrixField(g, "plus", 1e307 * vals, check=False)
+    om = HermitianMatrixField(g, "minus", 1e307 * om.values, check=False)
+    assert not np.isfinite(potential._entry_spectra(op)[0, 0][0].flat[0])
+    with pytest.raises(IncompatibleData, match=r"^plus block residual nan exceeds"):
+        solve_square(op, om)
+
+
+def test_overflowing_potential_is_incompatible():
+    # the plus block of f = A cos(2 pi j0 / 8) on 8^4 with h = 1e75: its
+    # spectrum, the residual bounds and f (A = 5.9e304) are finite, but
+    # hat(f) = 1.2e308 at modes +-1, whose sum overflows in the unscaled
+    # inverse transform
+    g = BicomplexGrid(1, 1, (8,) * 4, (1e75,) * 4)
+    amplitude = 1.2e308 / (g.size / 2)
+    symbol = math.sin(math.pi / 8) ** 2 / g.spacing[0] ** 2
+    wave = np.cos(2 * np.pi * np.arange(8) / 8).reshape(-1, 1, 1, 1, 1, 1)
+    plus = np.broadcast_to(-symbol * amplitude * wave, g.shape + (1, 1)).copy()
+    with pytest.raises(IncompatibleData, match=r"^potential is not finite: its inverse "
+                                               r"transform overflowed$"):
+        solve_square(HermitianMatrixField(g, "plus", plus), HermitianMatrixField.zeros(g, "minus"))
+
+
+class TestMovedAcceptance:
+    """Where the one certificate moved the accepted set, on 16^4 with
+    k = l = 1 (scale 1, tolerance 1e-8)."""
 
     grid = BicomplexGrid.regular(1, 1, 16)
 
-    def test_stray_content(self):
-        # eps cos x_- on the plus block: varies only along a minus axis,
-        # where the plus stencil has no reach; content eps N / 2 per mode
-        zero_m = HermitianMatrixField.zeros(self.grid, "minus")
-        for eps, outcome in ((1e-8, None), (3e-8, "stray"), (5e-8, "cross")):
-            plus = HermitianMatrixField(
-                self.grid, "plus", eps * cos_axis_field(self.grid, 2).values[..., None, None])
-            if outcome is None:
-                solve_square(plus, zero_m)
+    def test_plus_block_along_a_minus_axis(self):
+        # eps cos x_2 on the plus block: no f reaches it, so f = 0 and the
+        # plus residual is eps.  The stray read accepted eps up to 2e-8
+        # (content eps / 2 per point) and refused 3e-8
+        for eps in (1e-8, 1.5e-8, 3e-8):
+            blocks = cos_plus(self.grid, eps, 2)
+            if eps == 1e-8:
+                dec = solve_square(*blocks)
+                assert not dec.f.values.any()
+                assert (dec.residual_plus, dec.residual_minus) == (1e-8, 0.0)
                 continue
-            message = (rf"^block data varies across slices where its stencil has no "
-                       rf"reach \(stray content {eps / 2:.3e} per point\)$"
-                       if outcome == "stray" else
-                       r"^cross compatibility residual \d\.\d{3}e-08 exceeds "
-                       r"tolerance 1\.000e-08$")
-            with pytest.raises(IncompatibleData, match=message):
-                solve_square(plus, zero_m)
+            with pytest.raises(IncompatibleData, match=rf"^{refusal('plus', eps, 1e-8)}$"):
+                solve_square(*blocks)
 
-    def test_overlap_mismatch(self):
-        # the square data of cos(x0 + x1 + x2 + x3), with eta cos x0 cos x2
-        # added to the minus block: its estimate moves by eta / (4 |s|) on
-        # the four overlap modes, s = -sin^2(pi/16) / h^2 the minus symbol
+    def test_minus_block_at_the_plus_nyquist_mode(self):
+        # delta (-1)^j along plus axis 0 on the minus block: no f reaches
+        # it, so f = 0 and the minus residual is delta.  The cross read
+        # refused delta = 5e-9: its cross residual is delta / h^2
         g = self.grid
-        x = np.meshgrid(*(g.axis_coords(i) for i in range(4)), indexing="ij", sparse=True)
-        f = ScalarField(g, np.broadcast_to(np.cos(x[0] + x[1] + x[2] + x[3]), g.shape).copy())
-        op, om = square_operator(f)
-        assert max(np.abs(op.values).max(), np.abs(om.values).max()) <= 1.0
-        bump = (np.cos(x[0]) * np.cos(x[2]))[..., None, None]
-        s = math.sin(math.pi / 16) ** 2 / g.spacing[2] ** 2
-        for c, outcome in ((0.5, None), (2, "overlap"), (6, "cross")):
-            minus = HermitianMatrixField(g, "minus", om.values + c * 1e-8 * bump)
-            if outcome is None:
-                solve_square(op, minus)
-                continue
-            message = (rf"^plus/minus determinations disagree on overlap frequencies "
-                       rf"\({c * 1e-8 / (4 * s):.3e} per point\)$"
-                       if outcome == "overlap" else
-                       r"^cross compatibility residual \d\.\d{3}e-08 exceeds "
-                       r"tolerance 1\.000e-08$")
-            with pytest.raises(IncompatibleData, match=message):
-                solve_square(op, minus)
-
-
-@pytest.mark.parametrize("k,l,block,axis", [(2, 1, "plus", 0), (2, 2, "plus", 0),
-                                            (1, 2, "minus", 2)])
-def test_block_not_closed_in_its_own_variables(k, l, block, axis):
-    # entry (1, 1) = cos of the first axis of its own block, every other
-    # entry and the other block zero: no minus (plus) frequency, so the
-    # cross condition holds to roundoff, but entry (0, 0) stays zero, which
-    # no square(f) gives; content 1/2 per point off the stencil's image
-    g = BicomplexGrid.regular(k, l, 6)
-    m = k if block == "plus" else l
-    vals = np.zeros(g.shape + (m, m))
-    vals[..., 1, 1] = cos_axis_field(g, axis).values
-    blocks = {"plus": HermitianMatrixField.zeros(g, "plus"),
-              "minus": HermitianMatrixField.zeros(g, "minus")}
-    blocks[block] = HermitianMatrixField(g, block, vals)
-    assert compatibility_residual(blocks["plus"], blocks["minus"]) <= 1e-15
-    with pytest.raises(IncompatibleData, match=rf"^{block} block is not closed in its own "
-                                               r"variables \(content 5\.000e-01 per point "
-                                               r"outside its stencil's image\)$"):
-        solve_square(blocks["plus"], blocks["minus"])
+        alt = np.broadcast_to((-1.0) ** np.arange(16).reshape(-1, 1, 1, 1), g.shape)
+        blocks = (HermitianMatrixField.zeros(g, "plus"),
+                  HermitianMatrixField(g, "minus", 5e-9 * alt[..., None, None]))
+        assert compatibility_residual(*blocks) == pytest.approx(5e-9 / g.spacing[0] ** 2)
+        dec = solve_square(*blocks)
+        assert not dec.f.values.any()
+        assert (dec.residual_plus, dec.residual_minus) == (0.0, 5e-9)

@@ -647,6 +647,10 @@ class TestAgainstReference:
             assert jet.p_t == p_t
             assert np.array_equal(jet.H_plus, hp)
             assert np.array_equal(jet.H_minus, hm)
+            # copies of the point's matrices, which keep no Hessian alive:
+            # a 2x2 complex matrix holds 64 bytes, a real 1x1 one 8
+            for got in (jet.H_plus, jet.H_minus):
+                assert got.base is None and got.nbytes == (64 if k == 2 else 8)
 
     def test_jet_slack_is_the_checks_slack(self):
         # tol = -inf reports every point of the slice whose slack is below
