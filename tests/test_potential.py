@@ -530,6 +530,24 @@ REFUSED = {
 }
 
 
+class TestCrossCertificate:
+    """Data that meet the cross condition pass the residual certificate:
+    the solve returns the same f as a solve that checks nothing."""
+
+    @pytest.mark.parametrize("k,l", KL)
+    def test_compatible_data_same_f(self, k, l):
+        g = block_grid(k, l)
+        blocks = square_operator(bandlimited_field(g, np.random.default_rng(k + 2 * l)))
+        cross = reference_cross_residual(*(potential._entry_spectra(b) for b in blocks),
+                                         *_grid_symbols(g), g)
+        assert cross <= 1e-13
+        got = solve_square(*blocks)
+        ref = solve_square(*blocks, tol_compat=np.inf)
+        assert got.f.values.tobytes() == ref.f.values.tobytes()
+        assert (got.residual_plus, got.residual_minus) == (ref.residual_plus,
+                                                           ref.residual_minus)
+
+
 class TestResidualCertificate:
     """One certificate decides every solve: square(f) = omega to the
     tolerance in max norm on each block, for the f that is returned; an
