@@ -136,17 +136,34 @@ def _hull(xs, fs):
 def _lower_envelopes(xs, fs, qs):
     """min_i (q * xs[i] + fs[r, i]) for every row r of fs and each q in the
     sorted array qs.  Only lower-hull vertices can attain the minimum, and
-    the optimal one is the number of hull slopes <= -q.  A row on which the
-    hull scan's test never fires on a consecutive triple keeps every sample
-    as a vertex and skips the scan (tested for all rows at once)."""
-    df, dx = np.diff(fs, axis=1), np.diff(xs)
-    general = (df[:, :-1] * dx[1:] >= df[:, 1:] * dx[:-1]).any(axis=1)
-    out = np.empty((len(fs), len(qs)))
-    for r in range(len(fs)):
-        hull = _hull(xs, fs[r]) if general[r] else slice(None)
-        hx, hf = xs[hull], fs[r, hull]
-        j = np.searchsorted(np.diff(hf) / np.diff(hx), -qs, side="right")
-        out[r] = qs * hx[j] + hf[j]
+    the optimal one is the number of hull slopes <= -q.
+
+    The whole batch is handled at once but for that count, a binary search
+    per row.  A row on which the hull scan's test never fires on a
+    consecutive triple keeps every sample as a vertex: one difference and
+    one division give the slopes of all such rows.  Any other row runs the
+    scan; its h vertices' slopes fill the row's first h - 1 slots and +inf
+    the rest, which no query counts, and the counts are then mapped to its
+    vertices' sample indices.  Two gathers and q * x + f finish the batch.
+    """
+    slopes, dx = np.diff(fs, axis=1), np.diff(xs)
+    general = (slopes[:, :-1] * dx[1:] >= slopes[:, 1:] * dx[:-1]).any(axis=1)
+    np.divide(slopes, dx, out=slopes, where=~general[:, None])
+    hulls = {}
+    for r in np.flatnonzero(general):
+        hull = hulls[r] = np.array(_hull(xs, fs[r]))
+        slopes[r, :len(hull) - 1] = np.diff(fs[r, hull]) / np.diff(xs[hull])
+        slopes[r, len(hull) - 1:] = np.inf
+    # ascending keys search faster; j is filled in qs order
+    keys = -qs[::-1]
+    j = np.empty((len(fs), len(qs)), dtype=np.intp)
+    for r, row in enumerate(slopes):
+        j[r, ::-1] = row.searchsorted(keys, side="right")
+    for r, hull in hulls.items():
+        j[r] = hull[j[r]]
+    out = xs[j]
+    out *= qs
+    out += np.take_along_axis(fs, j, axis=1)
     return out
 
 

@@ -23,6 +23,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 
 import numpy as np
 import scipy.fft
@@ -329,12 +330,21 @@ def _estimate_weights(sym, sign):
     with s = R + iI and hat(omega) = A + iB contributes 2(RA + IB) above
     and 2(R^2 + I^2) below.  The weights are zero where the denominator
     vanishes, which is exactly where the block frequency is zero.
+
+    The sums run on the symbols times c, the power of two that brings
+    their largest magnitude into [1/2, 1), and the weights are scaled back
+    by c: exact, so the weights are the unscaled ones wherever those are
+    representable, and |s_ij|^2 neither underflows nor overflows on grids
+    whose spacings are far from 1.
     """
+    top = max(float(np.abs(x).max()) for pair in sym.values() for x in pair if x is not None)
+    c = math.ldexp(1.0, -math.frexp(top)[1])
+    sym = {ij: tuple(None if x is None else c * x for x in pair) for ij, pair in sym.items()}
     den = 0.0
     for (i, j), (r, im) in sym.items():
         den = den + (r * r if i == j else 2.0 * (r * r + im * im))
     inv = np.divide(sign, den, out=np.zeros_like(den), where=den > 0.0)
-    return {(i, j): tuple(None if x is None else (inv if i == j else 2.0 * inv) * x
+    return {(i, j): tuple(None if x is None else (inv if i == j else 2.0 * inv) * x * c
                           for x in (r, im))
             for (i, j), (r, im) in sym.items()}
 

@@ -753,12 +753,14 @@ def _ordered_pair(u0, point):
     return FlowState(0.0, u0, bg), FlowState(0.0, v0, bg)
 
 
-def _assert_ordered(u, v, t_end):
+def _order_gap(u, v, t_end):
+    """(min(v - u), tolerance) of the two final states, as floats.  The
+    caller asserts gap >= -tol: a failing report prints the arguments of
+    the failing frame, and the states' arrays take seconds to print."""
     assert u.t == v.t == t_end
-    # floats only: a failing report does not print the lattice arrays
     gap = float((v.u.values - u.u.values).min())
     tol = _COMPARISON_TOL * (1.0 + float(np.abs(u.u.values).max()))
-    assert gap >= -tol
+    return gap, tol
 
 
 def _cosines(terms):
@@ -786,7 +788,8 @@ _t_end = st.floats(0.05, 0.3)
 def test_comparison_principle_k1l1(terms, point, t_end):
     u, v = (run(s, t_end, keep_states="none").states[-1]
             for s in _ordered_pair(_cosines(terms), point))
-    _assert_ordered(u, v, t_end)
+    gap, tol = _order_gap(u, v, t_end)
+    assert gap >= -tol
 
 
 @settings(max_examples=25, deadline=None)
@@ -799,7 +802,8 @@ def test_comparison_principle_k1l1_on_the_same_steps(terms, point, t_end):
     for call in spy.call_args_list:
         _, dt, _, fallback_dt = call.args
         v = flow.step(v, dt, v._last_step, fallback_dt)
-    _assert_ordered(u, v, t_end)
+    gap, tol = _order_gap(u, v, t_end)
+    assert gap >= -tol
 
 
 @settings(max_examples=8, deadline=None)
@@ -810,13 +814,14 @@ def test_comparison_principle_diagonal_k2l2(seed, point, t_end):
     noise = np.random.default_rng(seed).standard_normal(g.shape)
     u, v = (run(s, t_end, keep_states="none").states[-1]
             for s in _ordered_pair(ScalarField(g, 0.05 * noise), point))
-    _assert_ordered(u, v, t_end)
+    gap, tol = _order_gap(u, v, t_end)
+    assert gap >= -tol
 
 
-# the three draws of the test above that breached its tolerance in full
+# the seven draws of the test above that breached its tolerance in full
 # tier-1 runs: u and v take the same single step (dt = t_end, below
-# stable_dt), and min(v - u) is -3.43e-10, -1.58e-9 and -1.26e-10
-# against -1.2e-10
+# stable_dt), and min(v - u) is -3.43e-10, -1.58e-9, -1.26e-10, -3.62e-9,
+# -7.88e-10, -1.95e-9 and -2.20e-9 against about -1.2e-10
 @pytest.mark.xfail(strict=True, raises=AssertionError,
                    reason="the one-step k = l = 2 scheme is not monotone even with "
                           "diagonal forms (ROADMAP item 1)")
@@ -824,6 +829,10 @@ def test_comparison_principle_diagonal_k2l2(seed, point, t_end):
     (396, (1, 1, 0, 1, 0, 1, 1, 3), 0.05078125),
     (241, (3, 3, 3, 2, 1, 1, 1, 0), 0.0546875),
     (108, (0, 0, 3, 0, 0, 0, 0, 2), 0.0546875),
+    (87160144, (1, 2, 3, 3, 0, 1, 1, 1), 0.0546875),
+    (18132, (1, 1, 1, 3, 0, 2, 0, 1), 0.0546875),
+    (355036, (0, 0, 2, 3, 0, 3, 3, 3), 0.0625),
+    (1093, (0, 1, 0, 0, 2, 1, 0, 1), 0.0625),
 ])
 def test_comparison_principle_diagonal_k2l2_breaches(seed, point, t_end):
     # the property test's own body, on one draw

@@ -6,7 +6,8 @@ from twistedma import (BicomplexGrid, ScalarField, inverse_partial_legendre,
                        reduce_field, transformed_residual,
                        untransformed_residual)
 from twistedma.errors import ConcavityViolated, NotReducible
-from twistedma.legendre import ReducedField, conjugate_slice_bruteforce
+from twistedma.legendre import (ReducedField, _lower_envelopes,
+                                conjugate_slice_bruteforce)
 
 from conftest import cos_axis_field
 
@@ -357,6 +358,43 @@ class TestBatchedEnvelope:
             assert np.abs(got - oracle).max() <= 1e-12
         assert [walk_envelope(p, r, xs)[1] < len(p) for r in rows] == [
             True, True, True, False]
+
+    def test_mixed_batches_equal_per_row_walk(self, rng):
+        # strictly convex rows beside hull rows (collinear runs, kinks,
+        # rounded values, noise) and rows near the float maximum whose
+        # slopes overflow to +-inf, queried beyond every finite slope
+        def row(xs):
+            kind = rng.integers(5)
+            if kind == 0:
+                return rng.uniform(0.1, 3.0) * (xs - rng.uniform(-1.0, 1.0)) ** 2
+            if kind == 1:
+                a, b = rng.uniform(-3.0, 3.0, (2, rng.integers(1, 5), 1))
+                return (a * xs + b).max(axis=0)
+            if kind == 2:
+                return np.round(xs ** 2, rng.integers(0, 3))
+            if kind == 3:
+                return rng.uniform(-1.0, 1.0, len(xs))
+            return rng.choice([-1.5e308, 1.5e308], len(xs))
+
+        hull_lengths, overflowed = set(), 0
+        for _ in range(300):
+            n = int(rng.integers(3, 60))
+            xs = (np.linspace(-3.0, 3.0, n) if rng.integers(2)
+                  else np.unique(rng.uniform(-3.0, 3.0, n)))
+            if len(xs) < 3:
+                continue
+            fs = np.array([row(xs) for _ in range(rng.integers(1, 12))])
+            qs = np.sort(rng.uniform(-1.0, 1.0, rng.integers(1, 50))
+                         * rng.choice([1.0, 1e3, 1e300, 1e308]))
+            with np.errstate(over="ignore"):
+                got = _lower_envelopes(xs, fs, qs)
+                for f, g in zip(fs, got):
+                    ref, n_hull = walk_envelope(xs, f, qs)
+                    assert np.array_equal(g, ref)
+                    if n_hull < len(xs):
+                        hull_lengths.add(n_hull)
+                    overflowed += not np.isfinite(np.diff(f)).all()
+        assert len(hull_lengths) >= 10 and overflowed >= 100
 
 
 class TestGridValidation:

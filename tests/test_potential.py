@@ -921,6 +921,19 @@ def test_overflowing_potential_is_incompatible():
         solve_square(HermitianMatrixField(g, "plus", plus), HermitianMatrixField.zeros(g, "minus"))
 
 
+@pytest.mark.parametrize("h,amplitude", [(1e100, 1e200), (1e-150, 1e-300), (1e77, 1e154)])
+def test_exact_square_data_at_extreme_spacings(h, amplitude):
+    # f = A cos(2 pi j0 / 8) on 8^4 with spacing h: the symbols are about
+    # 1/h^2, so the unscaled sum of their squares underflows (h >= 1e77) or
+    # overflows (h = 1e-150) and zeroed the weights, which refused the data
+    g = BicomplexGrid(1, 1, (8,) * 4, (h,) * 4)
+    wave = np.cos(2 * np.pi * np.arange(8) / 8).reshape(-1, 1, 1, 1)
+    f = ScalarField(g, np.broadcast_to(amplitude * wave, g.shape).copy())
+    dec = solve_square(*square_operator(f))
+    assert np.abs(dec.f.values - f.values).max() <= 1e-15 * amplitude
+    assert max(dec.residual_plus, dec.residual_minus) <= 1e-15
+
+
 class TestMovedAcceptance:
     """Where the one certificate moved the accepted set, on 16^4 with
     k = l = 1 (scale 1, tolerance 1e-8)."""
