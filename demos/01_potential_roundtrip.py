@@ -30,6 +30,8 @@ for _ in range(6):
 f = ScalarField(grid, vals - vals.mean())
 
 omega_plus, omega_minus = square_operator(f)
+# the cross condition that makes the pair formally generalized Kahler,
+# read on the lattice by the block Hessian stencil
 print(f"compatibility residual of the image: "
       f"{compatibility_residual(omega_plus, omega_minus):.2e}")
 

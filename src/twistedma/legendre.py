@@ -281,7 +281,11 @@ def transformed_residual(u_slices, times, F=None, p_grid=None):
     times, dt, hx = _check_slices(u_slices, times)
     if p_grid is None:
         los, his = zip(*(_gradient_range(s) for s in u_slices))
-        p_grid = np.linspace(max(los), min(his), len(u_slices[0].second))
+        lo, hi = max(los), min(his)
+        if not lo < hi:
+            raise ValueError(f"slices share no gradient range: the common range "
+                             f"[{lo:.6g}, {hi:.6g}] is empty")
+        p_grid = np.linspace(lo, hi, len(u_slices[0].second))
     v_slices = [partial_legendre(s, p_grid=p_grid) for s in u_slices]
     hp = float(p_grid[1] - p_grid[0])
 

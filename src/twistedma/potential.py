@@ -17,12 +17,16 @@ as the half spectra of its real and imaginary parts, and a complex symbol
 as its real and imaginary parts.  Only the entries with i <= j are read:
 entry (j, i) is taken to be the conjugate of entry (i, j), so the blocks
 must be Hermitian.
+
+Every lattice quantity, the certificate's exact residuals and the cross
+condition of ``compatibility_residual``, is read by the one block
+stencil (``grid.hessian_block_values``).  The spectral symbols serve only
+the inversion and the flow's step.
 """
 
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 
 import numpy as np
@@ -30,7 +34,8 @@ import scipy.fft
 
 from .errors import IncompatibleData, NonzeroMeanObstruction
 from .grid import (ScalarField, _block_slabs, _block_stencil, _l1_bound,
-                   _require_hermitian, _slabs, hermitian_hessian, hessian_symbols)
+                   _require_hermitian, _slabs, hermitian_hessian, hessian_block_values,
+                   hessian_symbols)
 
 __all__ = [
     "SquareDecomposition",
@@ -203,60 +208,34 @@ def _irfftn(spectrum, shape, consume=False):
         return (spec.view(np.float64).reshape(-1, len(inv)) @ inv).reshape(shape)
 
 
-def _entry_spectra(omega):
-    """{(i, j): (rfftn of Re omega_ij, rfftn of Im omega_ij)} for i <= j.
-
-    The diagonal of a Hermitian block is real, so its imaginary part is
-    not transformed (None).
-    """
+def _upper_entries(omega):
+    """{(i, j): omega[..., i, j]} for i <= j, a diagonal entry's real part
+    only: the entries of a Hermitian block that are read."""
     m = omega.values.shape[-1]
-    out = {}
-    for i in range(m):
-        for j in range(i, m):
-            entry = np.broadcast_to(omega.values[..., i, j], omega.grid.shape)
-            out[i, j] = (_rfftn(entry.real),
-                         None if i == j else _rfftn(entry.imag))
-    return out
+    return {(i, j): omega.values[..., i, j].real if i == j else omega.values[..., i, j]
+            for i in range(m) for j in range(i, m)}
 
 
-def _entry(pairs, i, j):
-    """Entry (i, j) of a Hermitian matrix stored as {(i, j): (re, im)}
-    over i <= j; entry (j, i) is the conjugate."""
-    if i <= j:
-        return pairs[i, j]
-    re, im = pairs[j, i]
-    return re, (None if im is None else -im)
+def _entry_spectra(omega):
+    """{(i, j): (rfftn of Re omega_ij, rfftn of Im omega_ij)} over
+    ``_upper_entries``; a diagonal entry's imaginary part is None."""
+    shape = omega.grid.shape
+    return {(i, j): (_rfftn(np.broadcast_to(w.real, shape)),
+                     None if i == j else _rfftn(np.broadcast_to(w.imag, shape)))
+            for (i, j), w in _upper_entries(omega).items()}
 
 
 def _times(sym, hat):
-    """(re, im) of sym * hat for pairs (re, im) of real parts; None is zero.
-
-    (R + iI)(A + iB) = (RA - IB) + i(IA + RB), and every product with a
-    zero factor is skipped.
-    """
-    (r, i), (a, b) = sym, hat
-    re = r * a
-    im = None if i is None else i * a
-    if b is not None:
-        if i is not None:
-            re -= i * b
-        im = r * b if im is None else im + r * b
-    return re, im
+    """(re, im) of sym * hat for a symbol pair (re, im), None being zero,
+    and the half spectrum ``hat`` of a real field."""
+    r, i = sym
+    return r * hat, None if i is None else i * hat
 
 
 def _plus(x, y):
     """Sum of two (re, im) pairs, added into x's parts; None is zero."""
     return tuple(u if v is None else v if u is None else np.add(u, v, out=u)
                  for u, v in zip(x, y))
-
-
-def _lattice_slabs(parts, shape):
-    """(slab, values) along the first axis (``grid._slabs``) of the lattice
-    field whose real and imaginary parts have the half spectra ``parts`` (a
-    None part is zero), which are taken one at a time and consumed."""
-    re, im = (None if p is None else _irfftn(p, shape, consume=True) for p in parts)
-    for cut in _slabs(shape[0], re.size):
-        yield cut, (re[cut] if im is None else re[cut] + 1j * im[cut])
 
 
 def _cut(pairs, index):
@@ -266,27 +245,6 @@ def _cut(pairs, index):
     return {ij: tuple(x if x is None or (len(x) == 1 and isinstance(index, slice))
                       else x[index] for x in pair)
             for ij, pair in pairs.items()}
-
-
-def _cross_spectrum(hat_p, hat_m, sym_plus, sym_minus, abcd):
-    """(re, im) half spectra of hess_minus(w+[a,b])[c,d] + hess_plus(w-[c,d])[a,b]."""
-    a, b, c, d = abcd
-    return _plus(_times(_entry(sym_minus, c, d), _entry(hat_p, a, b)),
-                 _times(_entry(sym_plus, a, b), _entry(hat_m, c, d)))
-
-
-@np.errstate(over="ignore", invalid="ignore")
-def _cross_residual(hat_p, hat_m, sym_plus, sym_minus, grid):
-    """Max norm of the cross condition, by the exact inverse transform of
-    every tuple.  Tuple (b, a, d, c) is the conjugate of (a, b, c, d), so
-    only the smaller is evaluated.  An entry spectrum that overflowed
-    makes a NaN or inf, which propagates silently into the value."""
-    spectra = hat_p, hat_m, sym_plus, sym_minus
-    return float(np.max([0.0] + [
-        np.abs(r).max()
-        for t in itertools.product(range(grid.k), range(grid.k), range(grid.l), range(grid.l))
-        if t <= (t[1], t[0], t[3], t[2])
-        for _, r in _lattice_slabs(_cross_spectrum(*spectra, t), grid.shape)]))
 
 
 def _check_blocks(omega_plus, omega_minus):
@@ -302,19 +260,35 @@ def _check_blocks(omega_plus, omega_minus):
                          _require_hermitian(omega_minus.values, "minus"), 1.0]))
 
 
+@np.errstate(over="ignore", invalid="ignore")
 def compatibility_residual(omega_plus, omega_minus):
     """Max norm of the cross condition, over every tuple (a, b, c, d) of
     hess_minus(omega_plus[a, b])[c, d] + hess_plus(omega_minus[c, d])[a, b]:
-    zero to roundoff for formally generalized Kahler blocks, and exact,
-    since every tuple takes its inverse transform.  A diagnostic of the
-    data: ``solve_square`` does not read it, since square(f) = omega to
-    its tolerance implies the cross condition to that tolerance times the
-    symbols' size.  The blocks are checked as by ``solve_square``
-    (ValueError)."""
+    zero to roundoff for formally generalized Kahler blocks.  Read on the
+    lattice by the one block stencil (``grid.hessian_block_values``), from
+    the entries that the solver reads (``_upper_entries``), entry (j, i)
+    being the conjugate of (i, j).
+    Tuple (b, a, d, c) is the conjugate of (a, b, c, d), so only a <= b is
+    evaluated: the plus Hessians of the minus entries are held, and one
+    minus Hessian is built at a time.  A diagnostic of the data:
+    ``solve_square`` does not read it, since square(f) = omega to its
+    tolerance implies the cross condition to that tolerance times the
+    stencils' size.  The blocks are checked as by ``solve_square``
+    (ValueError); a stencil that overflows on finite blocks near the
+    float maximum makes an inf or NaN, which propagates silently into the
+    value."""
     _check_blocks(omega_plus, omega_minus)
     grid = omega_plus.grid
-    return _cross_residual(_entry_spectra(omega_plus), _entry_spectra(omega_minus),
-                           *_grid_symbols(grid), grid)
+    held = {cd: hessian_block_values(w, grid, "plus")
+            for cd, w in _upper_entries(omega_minus).items()}
+    maxima = [0.0]
+    for (a, b), w in _upper_entries(omega_plus).items():
+        minus = hessian_block_values(w, grid, "minus")
+        for c in range(grid.l):
+            for d in range(grid.l):
+                plus = held[c, d][..., a, b] if c <= d else held[d, c][..., b, a].conj()
+                maxima.append(np.abs(minus[..., c, d] + plus).max())
+    return float(np.max(maxima))
 
 
 fgk_residual = compatibility_residual
@@ -389,7 +363,7 @@ def _residual_pass(hat_p, hat_m, sym_plus, sym_minus, grid):
             est[zero_p] = _estimate(_cut(hm, zero_p), _cut(weights_m, zero_p))
         for total, hats, sym, f_part in ((sums[0], hp, sp, -est), (sums[1], hm, sm, est)):
             for ij, pair in hats.items():
-                total[ij] += _l1_bound(_plus(pair, _times(sym[ij], (f_part, None))), grid.shape)
+                total[ij] += _l1_bound(_plus(pair, _times(sym[ij], f_part)), grid.shape)
         f_hat[slab] = est
     return f_hat, [max(total.values()) for total in sums]
 

@@ -209,6 +209,18 @@ class TestResiduals:
                            match="^conjugate lost convexity in momentum$"):
             transformed_residual(slices, times, p_grid=np.linspace(-2.0, 2.0, 64))
 
+    def test_disjoint_gradient_ranges_named(self):
+        # -(x_minus - c)^2 / 2 on [0, 1] has gradients [c - 1, c]: with
+        # c = 0, 5, 10 no momentum is common to the three slices
+        xp = np.arange(4) * 2 * np.pi / 4
+        xm = np.linspace(0.0, 1.0, 16)
+        times = np.array([0.0, 0.1, 0.2])
+        slices = [ReducedField(xp, xm, np.broadcast_to(-0.5 * (xm - c) ** 2, (4, 16)).copy())
+                  for c in (0.0, 5.0, 10.0)]
+        with pytest.raises(ValueError, match=r"^slices share no gradient range: "
+                                             r"the common range \[9, 0\] is empty$"):
+            transformed_residual(slices, times)
+
 
 def roll_untransformed(u_slices, times):
     """untransformed_residual (F = None) in its np.roll and slice form."""
