@@ -811,6 +811,21 @@ class TestCompatibilityResidualReference:
         assert ref > 1.0
         assert got == pytest.approx(ref, rel=1e-13)
 
+    @pytest.mark.parametrize("k,l", KL)
+    def test_whole_field_loop_agrees(self, k, l):
+        # the lattice read against the loop as first written, on square and
+        # on random Hermitian blocks of other draws: the two round apart, so
+        # square data agree at roundoff and non-square data to 1e-13
+        g = block_grid(k, l)
+        rng = np.random.default_rng(20 * k + l)
+        square = square_operator(bandlimited_field(g, rng))
+        assert compatibility_residual(*square) <= 1e-13
+        assert self.reference(square) <= 1e-13
+        blocks = random_hermitian(g, "plus", rng), random_hermitian(g, "minus", rng)
+        got, ref = compatibility_residual(*blocks), self.reference(blocks)
+        assert ref > 1.0
+        assert got == pytest.approx(ref, rel=1e-13)
+
     def test_diagonal_read_by_its_real_part(self, rng):
         # an imaginary diagonal part within the Hermitian tolerance is not
         # read, as by the solver: read, it would move the residual of
