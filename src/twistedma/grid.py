@@ -18,6 +18,7 @@ rely on this.
 from __future__ import annotations
 
 import itertools
+import math
 import struct
 from dataclasses import dataclass, field
 
@@ -157,12 +158,18 @@ class ScalarField:
 
 
 def _finite(grid, values, what, t):
-    """ScalarField of ``values``; NotAdmissible at the first non-finite point."""
-    finite = np.isfinite(values)
-    if not finite.all():
-        point = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), finite.shape))
-        raise NotAdmissible(f"{what} is not finite at point {point}, t={t:.6g}", point=point)
-    return ScalarField(grid, values)
+    """ScalarField of ``values``; NotAdmissible at the first non-finite point.
+
+    The field's own check is the one finiteness read of a finite field;
+    the point is located only once that check has failed."""
+    try:
+        return ScalarField(grid, values)
+    except ValueError:
+        finite = np.isfinite(values)
+        if finite.all():
+            raise
+    point = tuple(int(i) for i in np.unravel_index(int(np.argmin(finite)), finite.shape))
+    raise NotAdmissible(f"{what} is not finite at point {point}, t={t:.6g}", point=point)
 
 
 def _block_dtype(m, values):
@@ -323,10 +330,27 @@ def _l1_bound(pair, shape):
 
 
 def _shift(values, axis, step):
-    """Periodic shift: out[..., i, ...] = values[..., i + step, ...], step = +-1."""
-    cut, lead = step % values.shape[axis], (slice(None),) * (axis % values.ndim)
-    return np.concatenate((values[lead + (slice(cut, None),)],
-                           values[lead + (slice(None, cut),)]), axis=axis)
+    """Periodic shift: out[..., i, ...] = values[..., i + step, ...], step = +-1.
+
+    One contiguous copy of the raveled values, offset by one plane of the
+    axis, puts every plane but the wrapped one in place, and the wrapped
+    plane is copied after it.  The plane size is the product of the
+    trailing sizes, which an axis of length 1 also has (its stride need
+    not be).  The output is a C-order copy, so every stencil keeps its
+    bits."""
+    values = np.ascontiguousarray(values)
+    axis %= values.ndim
+    plane = math.prod(values.shape[axis + 1:])
+    out = np.empty_like(values)
+    src, dst, kept = values.reshape(-1), out.reshape(-1), values.size - plane
+    lead = (slice(None),) * axis
+    if step > 0:
+        dst[:kept] = src[plane:]
+        out[lead + (-1,)] = values[lead + (0,)]
+    else:
+        dst[plane:] = src[:kept]
+        out[lead + (0,)] = values[lead + (-1,)]
+    return out
 
 
 def _same_axis(values, axis, scale):
@@ -427,10 +451,17 @@ def hessian_block_values(values, grid, block):
     """
     if np.iscomplexobj(values):
         out = hessian_block_values(values.real, grid, block).astype(np.complex128, copy=False)
-        out += 1j * hessian_block_values(values.imag, grid, block)
+        # i H(imag), written into the output part by part
+        im = hessian_block_values(values.imag, grid, block)
+        if np.iscomplexobj(im):
+            out.real -= im.imag
+            out.imag += im.real
+        else:
+            out.imag += im
         return out
     if values.size <= _SLAB_POINTS:
-        return _block_stencil(values, grid, block)
+        # one contiguous copy, not one per periodic shift
+        return _block_stencil(np.ascontiguousarray(values), grid, block)
     m = grid.block_dim(block)
     out = _block_empty(values.shape, m, _block_dtype(m, values))
     for slab in _block_slabs(values, grid, block):

@@ -186,18 +186,20 @@ def _irfftn(spectrum, shape, consume=False):
     imaginary part of the self-conjugate planes is ignored), by dense pair
     products on the grids of ``_dense_plan``.
 
-    Off the dense plan the passes and the factor of ``irfftn`` are made
-    one by one: the leading axes, then the last axis, then pocketfft's own
-    factor, 1/N rounded from long double, so the bits are the same.  With
-    ``consume`` the leading axes are transformed in the buffer of
-    ``spectrum``, which is overwritten, where the multi-axis ``irfftn``
-    allocates a workspace of its size whatever its ``overwrite_x``.
+    Off the dense plan a kept spectrum takes the one ``irfftn`` call.
+    With ``consume`` its passes and factor are made one by one instead:
+    the leading axes in the buffer of ``spectrum``, which is overwritten
+    (the multi-axis ``irfftn`` allocates a workspace of its size whatever
+    its ``overwrite_x``), then the last axis, then pocketfft's own factor,
+    1/N rounded from long double, so the bits are the same.
     """
     plan = _dense_plan(shape)
+    if plan is None and not consume:
+        return scipy.fft.irfftn(spectrum, s=shape)
     if plan is None:
         # ifftn copies a non-contiguous input: use the array it returns
         lead = scipy.fft.ifftn(spectrum, axes=range(len(shape) - 1),
-                               overwrite_x=consume, norm="forward")
+                               overwrite_x=True, norm="forward")
         out = scipy.fft.irfft(lead, n=shape[-1], norm="forward")
         out *= np.float64(1 / np.longdouble(out.size))
         return out

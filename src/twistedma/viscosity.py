@@ -87,9 +87,13 @@ def touching_jet(u_stack, times, grid, spatial_index, time_index):
     if not (1 <= n < len(times)):
         raise WindowTooSmall("need a backward time neighbor for the jet")
     idx = tuple(spatial_index)
-    p_t = ((u_stack[n] - u_stack[n - 1]) / (times[n] - times[n - 1]))[idx]
-    # copies of the point's matrices: views would keep both Hessians alive
-    hp, hm = (hessian_block_values(u_stack[n], grid, block)[idx].copy()
+    p_t = (u_stack[n][idx] - u_stack[n - 1][idx]) / (times[n] - times[n - 1])
+    # the point's wrapped 3-point neighbourhood on every axis: at its
+    # centre the stencils read the same operands as on the whole lattice
+    patch = u_stack[n][np.ix_(*[((i - 1) % m, i % m, (i + 1) % m)
+                                for i, m in zip(idx, u_stack.shape[1:])])]
+    # copies of the centre's matrices: views would keep both patch Hessians alive
+    hp, hm = (hessian_block_values(patch, grid, block)[(1,) * len(idx)].copy()
               for block in ("plus", "minus"))
     return Jet(idx, n, float(p_t), hp, hm)
 

@@ -88,6 +88,22 @@ class TestTwistedRhs:
         with pytest.raises(NotAdmissible, match=r"rhs is not finite at point \(0, 0, 0, 0\)"):
             twisted_rhs(FlowState(0.0, ScalarField.zeros(small_grid), bg))
 
+    @pytest.mark.parametrize("what", ["rhs", "u"])
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf], ids=["nan", "+inf", "-inf"])
+    def test_finite_names_the_first_non_finite_point(self, small_grid, what, bad):
+        # the point is located after the field's own finiteness check has
+        # failed: the first in C order, of two
+        values = np.zeros(small_grid.shape)
+        values[3, 1, 0, 7] = values[5, 0, 2, 2] = bad
+        with pytest.raises(NotAdmissible, match=rf"^{what} is not finite at point "
+                                                r"\(3, 1, 0, 7\), t=0.25$") as exc:
+            flow._finite(small_grid, values, what, 0.25)
+        assert exc.value.point == (3, 1, 0, 7)
+        finite = flow._finite(small_grid, np.ones(small_grid.shape), what, 0.25)
+        assert isinstance(finite, ScalarField) and np.all(finite.values == 1.0)
+        with pytest.raises(ValueError, match="values shape"):
+            flow._finite(small_grid, np.ones(small_grid.shape[1:]), what, 0.25)
+
     @pytest.mark.parametrize("make,message", [
         (lambda g: FlowState(float("nan"), ScalarField.zeros(g), flat_background(g)),
          "flow time must be >= 0"),

@@ -318,6 +318,42 @@ class TestStencil:
                                (0, 1, 3, 0.25), (1, 1, 2, -0.25))
 
 
+class TestPeriodicShift:
+    """``grid._shift`` (a flat copy offset by one plane, then the wrapped
+    plane) is the copy ``np.roll`` makes, byte for byte, on every axis and
+    both steps."""
+
+    @staticmethod
+    def entry_plane(shape):
+        # the strided real part of one entry of an entry-major m = 2 block
+        rng = np.random.default_rng(11)
+        block = grid_module._block_empty(shape, 2, np.complex128)
+        block[...] = rng.standard_normal(shape + (2, 2)) + 1j * rng.standard_normal(shape + (2, 2))
+        plane = block[..., 0, 1].real
+        assert not plane.flags.c_contiguous
+        return plane
+
+    @pytest.mark.parametrize("values", [
+        pytest.param(lambda rng: rng.standard_normal((4,) * 8), id="4^8"),
+        pytest.param(lambda rng: rng.standard_normal((16, 4, 16, 4)), id="16-4-16-4"),
+        pytest.param(lambda rng: rng.standard_normal((32, 32, 1, 32)), id="plus-slab-32^4"),
+        pytest.param(lambda rng: rng.standard_normal((64, 1024)), id="legendre-field"),
+        pytest.param(lambda rng: rng.standard_normal((1, 1024)), id="legendre-row"),
+        pytest.param(lambda rng: TestPeriodicShift.entry_plane((16, 4, 16, 4)),
+                     id="entry-plane")])
+    def test_equals_roll(self, values, rng):
+        v = values(rng)
+        before = v.copy()
+        for axis in range(-v.ndim, v.ndim):
+            for step in (1, -1):
+                got = grid_module._shift(v, axis, step)
+                ref = np.roll(v, -step, axis)
+                assert got.shape == ref.shape and got.dtype == ref.dtype
+                assert got.flags.c_contiguous
+                assert got.tobytes() == ref.tobytes(), (axis, step)
+        assert v.tobytes() == before.tobytes()
+
+
 class TestEntryMajorBlocks:
     """Computed blocks are stored entry by entry: each ``values[..., i, j]``
     of an m = 2 block is one contiguous plane, and the values are bitwise
@@ -415,6 +451,28 @@ class TestEntryMajorBlocks:
         finally:
             tracemalloc.stop()
         assert peak <= 1.35 * out.nbytes
+
+    @pytest.mark.parametrize("block", ["plus", "minus"])
+    def test_complex_values_peak(self, block):
+        # i H(imag) is written into the output part by part, so the
+        # imaginary part's Hessian is the one other full-size block alive
+        # (2.25 times the output on 4^8 k = l = 2); a product 1j * H(imag)
+        # would make a third (3.0 times)
+        g = BicomplexGrid.regular(2, 2, 4)
+        rng = np.random.default_rng(14)
+        values = rng.standard_normal(g.shape) + 1j * rng.standard_normal(g.shape)
+        ref = (hessian_block_values(values.real, g, block)
+               + 1j * hessian_block_values(values.imag, g, block))
+        tracemalloc.start()
+        try:
+            out = hessian_block_values(values, g, block)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak <= 2.5 * out.nbytes
+        # the same values as the product, on data without signed zeros or
+        # non-finite entries
+        assert np.array_equal(out, ref)
 
 
 class TestHermitianMatrixFieldShape:

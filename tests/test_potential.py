@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 import tracemalloc
+import types
 
 import numpy as np
 import pytest
@@ -201,6 +202,43 @@ class TestInversePasses:
         assert got.tobytes() == ref.tobytes()
         if not consume:
             assert spec.tobytes() == before.tobytes()
+
+
+    # grids off the dense plan: k = l = 1 (flow_decay's among them), and
+    # three pairs, one of more than 64 points
+    SCIPY_SHAPES = [(16, 4, 16, 4), (8, 8, 8, 8), (9, 8, 3, 5), (9, 9, 2, 2, 2, 2)]
+
+    @staticmethod
+    def counting_fft(monkeypatch):
+        """[(name, keywords)] of the calls the module makes into ``scipy.fft``."""
+        calls = []
+
+        class Fft:
+            def __getattr__(self, name):
+                real = getattr(scipy.fft, name)
+
+                def wrapper(*a, **kw):
+                    calls.append((name, kw))
+                    return real(*a, **kw)
+                return wrapper
+        monkeypatch.setattr(potential, "scipy", types.SimpleNamespace(fft=Fft()))
+        return calls
+
+    @pytest.mark.parametrize("shape", SCIPY_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_kept_spectrum_one_irfftn_call(self, shape, monkeypatch, rng):
+        assert potential._dense_plan(shape) is None
+        spec = scipy.fft.rfftn(rng.standard_normal(shape))
+        calls = self.counting_fft(monkeypatch)
+        potential._irfftn(spec, shape)
+        assert [name for name, _ in calls] == ["irfftn"]
+
+    @pytest.mark.parametrize("shape", SCIPY_SHAPES, ids=lambda s: "x".join(map(str, s)))
+    def test_consumed_spectrum_in_place_passes(self, shape, monkeypatch, rng):
+        spec = scipy.fft.rfftn(rng.standard_normal(shape))
+        calls = self.counting_fft(monkeypatch)
+        potential._irfftn(spec, shape, consume=True)
+        assert [name for name, _ in calls] == ["ifftn", "irfft"]
+        assert calls[0][1]["overwrite_x"] is True
 
 
 class TestHalfSpectrum:
